@@ -16,7 +16,7 @@ from .awez import ChainMap
 from .complexes import KoszulComplex, TwistedProductComplex
 from .errors import NotLiftable
 from .hopf import BarComoduleCompat, KoszulActionCompat
-from .linalg import SparseMatrix, SparseVector, reduce_against, rref, solve_linear_system
+from .linalg import SparseMatrix, SparseVector, rref, solve_linear_system
 from .tensors import FreeElement
 
 
@@ -140,15 +140,30 @@ def generators_in_reduced_window(chain_map, n_max, d_max):
     return True, None
 
 
+@dataclass
+class _ImageBlock:
+    """iota's images of the degree-(n, d) generators as rows over the inner
+    words of B, with their reduced echelon form."""
+
+    d: int
+    gens: list
+    words: list
+    rows: list
+    echelon: list
+    pivots: list
+
+
 class BootstrapLift:
     """One-sided inverse of an injective chain map into a reduced bar complex.
 
     Built degree by degree, as in the comparison-theorem diagram chase: on
     the image of iota invert directly; on an echelon-pivot complement of
     the degree-n free generators lift through the differential by solving
-    an exact sparse linear system on the internal-degree block.  The
-    degree -1 seed is the identity on the resolved algebra, realized here
-    as the augmentation-preserving solve in degree 0.
+    an exact sparse linear system.  The degree -1 seed is the identity on
+    the resolved algebra, realized here as the augmentation-preserving
+    solve in degree 0.  Each homological degree takes one elimination for
+    all its complement generators and one per internal degree for the
+    image, every right-hand side riding on the same column-major pivots.
     """
 
     def __init__(self, iota, n_max, d_max):
@@ -163,64 +178,69 @@ class BootstrapLift:
         self._build()
 
     def _build(self):
-        unit = self.A.unit
         for n in range(self.n_max + 1):
+            blocks, failure = [], None
             for d in range(self.d_max + 1):
-                gens = self.X.free_generators(n, d)
-                images = []
-                for g in gens:
-                    img = self.iota.apply(n, g)
-                    vec = {}
-                    for ((), word), c in img.data.items():
-                        if word[0] != unit or word[-1] != unit:
-                            raise NotLiftable(
-                                "iota image leaves the free-generator window "
-                                f"k (x) Abar^{n} (x) k", block=(n, d))
-                        vec[word[1:-1]] = c
-                    images.append(vec)
-                inner_words = self.B.generator_words(n, d)
-                index = {w: k for k, w in enumerate(inner_words)}
-                rows = [{index[w]: c for w, c in vec.items()} for vec in images]
-                echelon, pivots = rref(rows, len(inner_words))
-                pivot_set = set(pivots)
-                complement = [w for w in inner_words if index[w] not in pivot_set]
-                comp_values = {}
-                for w in complement:
-                    comp_values[w] = self._lift_complement(n, d, w)
-                for w in inner_words:
-                    vec = {index[w]: self.A.field.one}
-                    coords, residue = reduce_against(echelon, pivots, vec)
-                    value = FreeElement(self.X.term(n))
-                    if coords:
-                        img_coords = self._echelon_to_images(rows, len(inner_words),
-                                                             coords, echelon)
-                        for t, c in img_coords.items():
-                            value.add_elt(gens[t], factor=c)
-                    for jcol, c in residue.items():
-                        wc = inner_words[jcol]
-                        if wc not in comp_values:
-                            raise NotLiftable(
-                                "generator does not split over image + complement",
-                                block=(n, d))
-                        value.add_elt(comp_values[wc], factor=c)
-                    self._gen_values[(n, w)] = value
+                try:
+                    blocks.append(self._image_block(n, d))
+                except NotLiftable as exc:
+                    failure = exc
+                    break
+            # the blocks before a failing one are lifted first, so that the
+            # failure reported is the one in the first failing block
+            comp_values = self._lift_complement(n, blocks)
+            if failure is not None:
+                raise failure
+            for block in blocks:
+                self._invert_block(n, block, comp_values)
 
-    def _echelon_to_images(self, image_rows, width, coords, echelon):
-        """Rewrite echelon-row coordinates as coordinates over the images."""
-        target = {}
-        for i, c in coords.items():
-            for j, v in echelon[i].items():
-                target[j] = target.get(j, 0) + c * v
-        target = {j: v for j, v in target.items() if v}
-        matrix_rows = [dict() for _ in range(width)]
-        for t, row in enumerate(image_rows):
+    def _image_block(self, n, d):
+        unit = self.A.unit
+        gens = self.X.free_generators(n, d)
+        words = self.B.generator_words(n, d)
+        index = {w: k for k, w in enumerate(words)}
+        rows = []
+        for g in gens:
+            row = {}
+            for ((), word), c in self.iota.apply(n, g).data.items():
+                if word[0] != unit or word[-1] != unit:
+                    raise NotLiftable(
+                        "iota image leaves the free-generator window "
+                        f"k (x) Abar^{n} (x) k", block=(n, d))
+                row[index[word[1:-1]]] = c
+            rows.append(row)
+        echelon, pivots = rref(rows, len(words))
+        return _ImageBlock(d, gens, words, rows, echelon, pivots)
+
+    def _invert_block(self, n, block, comp_values):
+        """pi on the block's generator words.  A complement word takes its
+        lift.  A pivot word is its echelon row minus the row's non-pivot
+        part, so it takes the row's coordinates over the images (one solve
+        for all rows) minus the lifts of that part."""
+        for w in block.words:
+            if w in comp_values:
+                self._gen_values[(n, w)] = comp_values[w]
+        if not block.pivots:
+            return
+        width = len(block.words)
+        columns = [dict() for _ in range(width)]
+        for t, row in enumerate(block.rows):
             for j, v in row.items():
-                matrix_rows[j][t] = v
-        m = SparseMatrix(width, len(image_rows), matrix_rows)
-        x = solve_linear_system(m, SparseVector(width, target))
-        if x is None:
-            raise NotLiftable("internal: echelon row not in image span")
-        return dict(x.entries)
+                columns[j][t] = v
+        coords = solve_linear_system(
+            SparseMatrix(width, len(block.gens), columns),
+            [SparseVector(width, row) for row in block.echelon])
+        for k, row, x in zip(block.pivots, block.echelon, coords):
+            if x is None:
+                raise NotLiftable("internal: echelon row not in image span",
+                                  block=(n, block.d))
+            value = FreeElement(self.X.term(n))
+            for t, c in x.entries.items():
+                value.add_elt(block.gens[t], factor=c)
+            for j, c in row.items():
+                if j != k:
+                    value.add_elt(comp_values[block.words[j]], factor=-c)
+            self._gen_values[(n, block.words[k])] = value
 
     def _block(self, n):
         out = []
@@ -228,48 +248,58 @@ class BootstrapLift:
             out.extend(self.X.basis(n, dd))
         return out
 
-    def _lift_complement(self, n, d, inner_word):
-        """Solve d_X xi = pi_(n-1)(d_B e) for a complement generator e."""
+    def _lift_complement(self, n, blocks):
+        """Solve d_X xi = pi_(n-1)(d_B e) for every complement generator e
+        of the blocks in one elimination (eps_X xi = eps_B e at n = 0).
+
+        Returns the lifts keyed by inner word.  Failures are raised in
+        block order: a right-hand side that cannot be built is raised only
+        after the systems before it are found consistent.
+        """
         unit = self.A.unit
-        e_word = (unit,) + inner_word + (unit,)
         dom = self._block(n)
-        if n == 0:
-            target = self.B.aug_word((), e_word)
-            cod = []
-            for dd in range(self.d_max + 1):
-                cod.extend(self.A.basis(dd))
-            index = {w: i for i, w in enumerate(cod)}
+        cod = self._block(n - 1) if n else [
+            w for dd in range(self.d_max + 1) for w in self.A.basis(dd)]
+        index = {key: i for i, key in enumerate(cod)}
+        keys, targets, failure = [], [], None
+        try:
+            for block in blocks:
+                pivot_set = set(block.pivots)
+                for k, w in enumerate(block.words):
+                    if k in pivot_set:
+                        continue
+                    rhs = _down(self.B, n, (), (unit,) + w + (unit,))
+                    if n:
+                        rhs = self.evaluate(n - 1, rhs)
+                    if not rhs.data.keys() <= index.keys():
+                        raise NotLiftable("lift target outside the degree block",
+                                          block=(n, block.d))
+                    keys.append((block.d, w))
+                    targets.append(SparseVector(
+                        len(cod), {index[key]: c for key, c in rhs.data.items()}))
+        except NotLiftable as exc:
+            failure = exc
+        values = {}
+        if targets:
             rows = [dict() for _ in cod]
             for jcol, (comp, word) in enumerate(dom):
-                for w, c in self.X.aug_word(comp, word).data.items():
-                    rows[index[w]][jcol] = c
-            b = {index[w]: c for w, c in target.data.items()}
-        else:
-            rhs = self.evaluate(n - 1, self.B.diff_word(n, (), e_word))
-            cod = self._block(n - 1)
-            index = {key: i for i, key in enumerate(cod)}
-            rows = [dict() for _ in cod]
-            for jcol, (comp, word) in enumerate(dom):
-                for key, c in self.X.diff_word(n, comp, word).data.items():
+                for key, c in _down(self.X, n, comp, word).data.items():
                     rows[index[key]][jcol] = c
-            b = {}
-            for key, c in rhs.data.items():
-                irow = index.get(key)
-                if irow is None:
-                    raise NotLiftable("lift target outside the degree block",
-                                      block=(n, d))
-                b[irow] = c
-        sol = solve_linear_system(SparseMatrix(len(cod), len(dom), rows),
-                                  SparseVector(len(cod), b))
-        if sol is None:
-            raise NotLiftable(
-                "inconsistent lift system (free-complement hypothesis failed)",
-                block=(n, d))
-        out = FreeElement(self.X.term(n))
-        for jcol, c in sol.entries.items():
-            comp, word = dom[jcol]
-            out.add_term(comp, word, c)
-        return out
+            solutions = solve_linear_system(
+                SparseMatrix(len(cod), len(dom), rows), targets)
+            for (d, w), sol in zip(keys, solutions):
+                if sol is None:
+                    raise NotLiftable(
+                        "inconsistent lift system (free-complement hypothesis failed)",
+                        block=(n, d))
+                out = FreeElement(self.X.term(n))
+                for jcol, c in sol.entries.items():
+                    comp, word = dom[jcol]
+                    out.add_term(comp, word, c)
+                values[w] = out
+        if failure is not None:
+            raise failure
+        return values
 
     def _oracle(self, n, comp, word):
         inner = word[1:-1]
@@ -284,6 +314,11 @@ class BootstrapLift:
 
     def evaluate(self, n, elt):
         return self.chain_map.apply(n, elt)
+
+
+def _down(C, n, comp, word):
+    """The differential of C on a degree-n word, the augmentation at n = 0."""
+    return C.aug_word(comp, word) if n == 0 else C.diff_word(n, comp, word)
 
 
 @dataclass

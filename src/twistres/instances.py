@@ -47,7 +47,7 @@ class Instance:
         self.description = description
         self.run_pipeline = run_pipeline
         self._maps = None
-        self._pipeline = None
+        self._pipelines = {}           # (n_max, d_max) -> KoszulSmashPipeline
 
     @property
     def graded(self):
@@ -77,20 +77,22 @@ class Instance:
             raise InstanceError(
                 f"instance {self.name} has no Hopf action; "
                 "the Koszul pipeline needs one")
-        if self._pipeline is None:
-            self._pipeline = smash_koszul_pipeline(
-                self.bar_maps(), self.action, self.koszul_relations(),
-                n_max if n_max is not None else self.budgets.hdeg,
-                d_max if d_max is not None else min(self.budgets.gdeg, 3))
-        return self._pipeline
+        key = (n_max if n_max is not None else self.budgets.hdeg,
+               d_max if d_max is not None else min(self.budgets.gdeg, 3))
+        if key not in self._pipelines:
+            self._pipelines[key] = smash_koszul_pipeline(
+                self.bar_maps(), self.action, self.koszul_relations(), *key)
+        return self._pipelines[key]
 
     def koszul_smash_complex(self):
-        """X = K (x)_tau rbar(H) without building the bootstrap lift."""
+        """X = K (x)_tau rbar(H) at the homological budget, without building
+        the bootstrap lift (a cached pipeline's X is reused)."""
         if self.action is None:
             raise InstanceError(
                 f"instance {self.name} has no Hopf action")
-        if self._pipeline is not None:
-            return self._pipeline.X
+        for (n_max, _), pipe in self._pipelines.items():
+            if n_max == self.budgets.hdeg:
+                return pipe.X
         _, _, _, X = smash_product_complex(
             self.bar_maps(), self.action, self.koszul_relations(),
             self.budgets.hdeg)

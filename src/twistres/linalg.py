@@ -31,12 +31,6 @@ class SparseVector:
                for j, v in enumerate(values) if v}
         return cls(len(values), ent)
 
-    def to_dense(self, field):
-        out = [field.zero] * self.n
-        for j, c in self.entries.items():
-            out[j] = c
-        return out
-
     def get(self, j):
         return self.entries.get(j)
 
@@ -79,9 +73,6 @@ class SparseMatrix:
             data.append({j: field.from_int(v) if isinstance(v, int) else v
                          for j, v in enumerate(row) if v})
         return cls(len(rows), ncols, data)
-
-    def row_vectors(self):
-        return [SparseVector(self.ncols, r) for r in self.rows]
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols})"
@@ -163,34 +154,38 @@ def member_coords(echelon, pivots, vec):
     return None if residue else coords
 
 
-def solve_linear_system(matrix: SparseMatrix, b: SparseVector):
+def solve_linear_system(matrix: SparseMatrix, b):
     """First solution of A x = b under the fixed pivot order, or None.
 
-    Free variables are set to zero, so the answer is deterministic.
+    ``b`` is a SparseVector, or a list of them; a list is solved in one
+    elimination and gives a list of answers.  Pivots are chosen among the
+    columns of A only, with every right-hand side carried to their right,
+    so each answer is the one it would get alone.  Free variables are set
+    to zero, so the answer is deterministic; every answer is checked
+    exactly against A x = b, and a right-hand side that fails gives None.
     """
-    if b.n != matrix.nrows:
-        raise DimensionMismatch(
-            f"rhs dimension {b.n} does not match {matrix.nrows} rows")
+    single = isinstance(b, SparseVector)
+    rhs = [b] if single else list(b)
+    for v in rhs:
+        if v.n != matrix.nrows:
+            raise DimensionMismatch(
+                f"rhs dimension {v.n} does not match {matrix.nrows} rows")
     ncols = matrix.ncols
-    aug = []
-    for i, row in enumerate(matrix.rows):
-        r = dict(row)
-        c = b.get(i)
-        if c:
-            r[ncols] = c
-        aug.append(r)
-    echelon, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = {}
-    for i, col in enumerate(pivots):
-        c = echelon[i].get(ncols)
-        if c:
-            x[col] = c
-    solution = SparseVector(ncols, x)
-    if __debug__:
-        assert matrix_product_vec(matrix, solution) == b
-    return solution
+    aug = [dict(row) for row in matrix.rows]
+    for k, v in enumerate(rhs):
+        for i, c in v.entries.items():
+            aug[i][ncols + k] = c
+    echelon, pivots = rref(aug, ncols) if rhs else ([], [])
+    out = []
+    for k, v in enumerate(rhs):
+        x = {}
+        for i, col in enumerate(pivots):
+            c = echelon[i].get(ncols + k)
+            if c:
+                x[col] = c
+        solution = SparseVector(ncols, x)
+        out.append(solution if matrix_product_vec(matrix, solution) == v else None)
+    return out[0] if single else out
 
 
 def kernel_basis(matrix: SparseMatrix):

@@ -1,10 +1,12 @@
+import pytest
+
 from twistres.awez import ChainMap
 from twistres.checks import (SignCorruptedBar, check_bimodule_map,
                              check_chain_map, check_identity_composition,
                              check_twist_axiom_report, check_twist_inverse)
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
-from twistres.suite import run_suite
+from twistres.suite import group_closed_form_reports, run_suite
 
 Q = Rationals()
 
@@ -110,3 +112,32 @@ def test_suite_green_on_example52_and_sensitive_on_corruption():
     reports = run_suite(bad)
     axiom = [r for r in reports if r.name.startswith("twist axiom")][0]
     assert axiom.expect_failure and not axiom.passed and axiom.ok
+
+
+def test_suite_propagates_koszul_errors(monkeypatch):
+    # only InstanceError (no quadratic presentation) skips the Koszul checks
+    inst = builtin_instance("example-5.2", hdeg=1, gdeg=1)
+
+    def broken(n_max=None):
+        raise RuntimeError("koszul construction bug")
+
+    monkeypatch.setattr(inst, "koszul_complex", broken)
+    with pytest.raises(RuntimeError):
+        run_suite(inst, hdeg=1, gdeg=1, include_pipeline=False)
+
+
+def test_closed_form_witness_names_first_failing_block(monkeypatch):
+    import twistres.awez as awez
+
+    inst = builtin_instance("c2-skew")
+    generic = awez.group_closed_aw
+
+    def corrupted(maps, action, n, word, reduced=True):
+        out = generic(maps, action, n, word, reduced=reduced)
+        return out + out if n in (1, 2) else out
+
+    monkeypatch.setattr(awez, "group_closed_aw", corrupted)
+    aw, ez = group_closed_form_reports(inst, n_max=2, d_max=1)
+    assert not aw.passed
+    assert aw.witness == "AW mismatch at n=1"
+    assert ez.passed

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from twistres.awez import ChainMap
@@ -6,7 +8,7 @@ from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
                                  generators_in_reduced_window, koszul_inclusion,
                                  tensor_chain_maps)
-from twistres.errors import ActionNotAdmissible
+from twistres.errors import ActionNotAdmissible, NotLiftable, TwistresError
 from twistres.fields import Rationals
 from twistres.hopf import KoszulActionCompat
 from twistres.instances import builtin_instance
@@ -192,3 +194,62 @@ def test_inadmissible_action_rejected():
         inst.R, 2, [{(inst.R.var_word(0), inst.R.var_word(1)): Q.one}], "K2")
     with pytest.raises(ActionNotAdmissible):
         KoszulActionCompat(inst.action, K)
+
+
+# sha256 of pi's values on the 432 generators of rbar(A) at n, d <= 3, one
+# line per term in the kernel's sort order (as perfbench's lift workload
+# hashes them); pins the bootstrap lift bit for bit
+PI_DIGESTS = {
+    None: "a74493729b5717ef58aa9809d68502fe0c5c1f6ecefb363da69205273e2564ef",
+    "F3": "79b2952afef7d2fe49c0b9c311e0d56ffcbf9ebae82c51b3982bc1980ec56b99",
+    "F5": "c7e22bdf621ee0ee77d38fa5b7fb88caa0ea942b7e317940ec97098d6261be17",
+}
+
+
+@pytest.mark.parametrize("field", sorted(PI_DIGESTS, key=str))
+def test_bootstrap_pi_values_pinned(field):
+    inst, pipe = koszul_setup(field=field, n_max=3, d_max=3)
+    rbar = inst.bar_maps().rbar_A
+    h = hashlib.sha256()
+    count = 0
+    for n in range(4):
+        for d in range(4):
+            for g in rbar.free_generators(n, d):
+                for (comp, word), c in pipe.pi.apply(n, g).items_sorted():
+                    h.update(f"{n}|{count}|{comp!r}|{word!r}|{c}\n".encode())
+                h.update(b"end\n")
+                count += 1
+    assert count == 432
+    assert h.hexdigest() == PI_DIGESTS[field]
+
+
+def test_pipeline_cache_keyed_on_window():
+    inst = builtin_instance("c2-koszul-kxy", field="F3")
+    small = inst.koszul_pipeline(n_max=2, d_max=2)
+    pipe = inst.koszul_pipeline(n_max=3, d_max=3)
+    assert pipe is not small
+    assert pipe.X.n_max == 3
+    assert inst.koszul_pipeline(n_max=2, d_max=2) is small
+    assert pipe.identity_defect(3, 3) is None
+    g = inst.bar_maps().rbar_A.free_generators(3, 3)[0]
+    assert pipe.pi.apply(3, g)        # built through degree 3
+    with pytest.raises(TwistresError):    # beyond the small pipeline's X
+        small.pi.apply(3, g)
+
+
+def test_bootstrap_lift_names_failing_block():
+    # an iota whose degree-1 images leave k (x) Abar (x) k is refused at the
+    # first such block
+    inst = builtin_instance("c2-skew")
+    rbar = inst.bar_maps().rbar_A
+    A = rbar.A
+
+    def oracle(n, comp, word):
+        out = rbar.single(n, comp, word)
+        if n == 1:
+            out = rbar.act(n, A.monomial(word[1]), out, A.monomial(A.unit))
+        return out
+
+    with pytest.raises(NotLiftable) as info:
+        BootstrapLift(ChainMap(rbar, rbar, oracle, "moved"), 2, 2)
+    assert info.value.block == (1, 0)

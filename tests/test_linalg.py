@@ -210,3 +210,25 @@ def test_prime_field_solve():
     x = solve_linear_system(A, b)
     assert x is not None
     assert matrix_product_vec(A, x) == b
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(5)])
+def test_list_solve_matches_single_solves(field):
+    # rank 2 on three columns: column 2 is free, and the third row is the sum
+    # of the first two, so b = (0, 0, 1) has no solution
+    A = SparseMatrix.from_dense([[1, 2, 1], [0, 1, 2], [1, 3, 3], [0, 0, 0]], field)
+    rhs = [SparseVector.from_dense(v, field) for v in
+           ([1, 0, 1, 0], [2, 1, 3, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0])]
+    batch = solve_linear_system(A, rhs)
+    assert batch == [solve_linear_system(A, b) for b in rhs]
+    assert batch[2] is None
+    for k in (0, 1, 3, 4):
+        assert matrix_product_vec(A, batch[k]) == rhs[k]
+        assert 2 not in batch[k].entries      # free variable set to zero
+
+
+def test_list_solve_empty_and_mismatch():
+    A = dense([[1, 0], [0, 1]])
+    assert solve_linear_system(A, []) == []
+    with pytest.raises(DimensionMismatch):
+        solve_linear_system(A, [SparseVector(2, {0: Q.one}), SparseVector(3)])
