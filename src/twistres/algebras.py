@@ -83,9 +83,6 @@ class AlgebraElement:
         out.pop(self.algebra.unit, None)
         return AlgebraElement(self.algebra, out)
 
-    def unit_coefficient(self):
-        return self.data.get(self.algebra.unit, self.algebra.field.zero)
-
     def __str__(self):
         if not self.data:
             return "0"
@@ -117,9 +114,6 @@ class Algebra:
 
     def monomial(self, word, coeff=None):
         return AlgebraElement(self, {word: coeff if coeff is not None else self.field.one})
-
-    def is_unit_word(self, w):
-        return w == self.unit
 
     def check_budget(self, d):
         if d > self.max_degree:

@@ -120,10 +120,10 @@ def check_bimodule_map(f, n_max, d_max, instance="", coeff_degree=2,
     for n in range(min(n_max, f.source.n_max, f.target.n_max) + 1):
         for d in range(d_max + 1):
             for comp, word in f.source.basis(n, d):
+                img = f.apply_word(n, comp, word)
                 for a, b in pairs:
                     moved = f.source.act_word(n, a, comp, word, b)
                     lhs = f.apply(n, moved)
-                    img = f.apply_word(n, comp, word)
                     rhs = f.target.act(n, A.monomial(a), img, A.monomial(b))
                     if lhs != rhs:
                         wit = (f"n={n}, w={f.source.term(n).format(comp, word)}, "

@@ -1,8 +1,11 @@
 """Exact scalar arithmetic: rationals and odd prime fields.
 
-Every coefficient in the kernel is either a ``fractions.Fraction`` or an
-``Fp`` element.  Both support ``+ - * /``, compare against ``int`` zero and
-one, and are hashable, so all higher layers stay field-agnostic.
+A coefficient over Q is a Python ``int`` while it is integral and a
+``fractions.Fraction`` once a division leaves a remainder; over GF(p) it is
+an ``Fp``.  All of them support ``+ - *``, compare against ``int`` zero and
+one, and hash consistently with ``==``, so all higher layers stay
+field-agnostic.  Division goes only through the field (``div``/``inv``),
+never through ``/``: on two ``int`` coefficients ``/`` would give a float.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class Fp:
         return self.v != 0
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        # equal to the hash of the int it compares equal to
+        return hash(self.v)
 
     def __repr__(self):
         return f"{self.v}"
@@ -99,7 +103,7 @@ class Fp:
 
 @dataclass(frozen=True)
 class Rationals:
-    """The field of rational numbers with exact Fraction arithmetic."""
+    """The rational numbers: ``int`` where integral, ``Fraction`` otherwise."""
 
     characteristic: int = 0
 
@@ -109,23 +113,34 @@ class Rationals:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def parse(self, text: str):
         try:
-            return Fraction(str(text).strip())
+            return _integral(Fraction(str(text).strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
+    def div(self, a, b):
+        """a / b, an ``int`` when integral; ZeroDivisionError when b is 0."""
+        return _integral(Fraction(a, b))
+
+    def inv(self, a):
+        return self.div(1, a)
+
     def format(self, c) -> str:
         return str(c)
+
+
+def _integral(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
 
 
 @dataclass(frozen=True)
@@ -159,11 +174,21 @@ class PrimeField:
     def from_int(self, n: int):
         return Fp(n, self.p)
 
+    def div(self, a, b):
+        """a / b; ZeroDivisionError when b is 0."""
+        return a * self.inv(b)
+
+    def inv(self, a):
+        v = a.v if isinstance(a, Fp) else a % self.p
+        if v == 0:
+            raise ZeroDivisionError("division by zero in GF(p)")
+        return Fp(pow(v, -1, self.p), self.p)
+
     def parse(self, text: str):
         text = str(text).strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            return self.from_int(int(num)) / self.from_int(int(den))
+            return self.div(self.from_int(int(num)), self.from_int(int(den)))
         try:
             return self.from_int(int(text))
         except ValueError as exc:
@@ -171,6 +196,11 @@ class PrimeField:
 
     def format(self, c) -> str:
         return str(c.v)
+
+
+def field_of(c) -> Rationals | PrimeField:
+    """The field a stored coefficient lives in: GF(p) for an ``Fp``, else Q."""
+    return PrimeField(c.p) if isinstance(c, Fp) else Rationals()
 
 
 def field_from_name(name) -> Rationals | PrimeField:

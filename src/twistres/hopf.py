@@ -132,13 +132,6 @@ class HopfAction:
             self._cache[key] = cached
         return cached
 
-    def act_elt(self, h_word, data):
-        out = {}
-        for r, c in data.items():
-            for w, c2 in self.act(h_word, r).items():
-                _acc(out, w, c * c2)
-        return out
-
     def check(self, budget):
         """Module and module-algebra axioms with grading, on basis words."""
         H = self.hopf.algebra
@@ -325,32 +318,6 @@ def hopf_act_slotwise(hopf, slot_actions, h_word, word):
         for new_word, cw in states.items():
             _acc(out, (new_word, legs[-1]), cw)
     return out
-
-
-class ActionBarCompat:
-    """tau_C: H (x) B_R -> B_R (x) H via the diagonal action on bar words.
-
-    For bar complexes carrying a Hopf action this agrees with the iterated
-    smash twist; the kernel keeps both routes and cross-checks them.
-    """
-
-    def __init__(self, action, reduced=False):
-        self.action = action
-        self.hopf = action.hopf
-        self.reduced = reduced
-        self.unit = action.module.unit
-
-    def apply(self, n, h_word, word):
-        actions = (self.action.act,) * len(word)
-        raw = hopf_act_slotwise(self.hopf, actions, h_word, word)
-        if not self.reduced:
-            return raw
-        out = {}
-        for (new_word, h_out), c in raw.items():
-            if any(w == self.unit for w in new_word[1:-1]):
-                continue
-            _acc(out, (new_word, h_out), c)
-        return out
 
 
 class KoszulActionCompat:

@@ -8,6 +8,7 @@ row first), so every result is reproducible bit for bit.
 from __future__ import annotations
 
 from .errors import DimensionMismatch
+from .fields import field_of
 
 
 class SparseVector:
@@ -98,6 +99,9 @@ def rref(rows, ncols):
     work = [dict(r) for r in rows if r]
     echelon = []
     pivots = []
+    if not work:
+        return echelon, pivots
+    field = field_of(next(iter(work[0].values())))
     for col in range(ncols):
         hit = None
         for idx, row in enumerate(work):
@@ -107,8 +111,8 @@ def rref(rows, ncols):
         if hit is None:
             continue
         piv_row = work.pop(hit)
-        inv = piv_row[col]
-        piv_row = {j: c / inv for j, c in piv_row.items()}
+        inv = field.inv(piv_row[col])
+        piv_row = {j: c * inv for j, c in piv_row.items()}
         for row in work:
             f = row.get(col)
             if f:
@@ -192,11 +196,12 @@ def kernel_basis(matrix: SparseMatrix):
     """Basis of the null space of A, one vector per free column."""
     echelon, pivots = rref(matrix.rows, matrix.ncols)
     pivot_set = set(pivots)
+    one = _one_like(matrix)
     basis = []
     for free in range(matrix.ncols):
         if free in pivot_set:
             continue
-        vec = {free: _one_like(matrix, free)}
+        vec = {free: one}
         for i, col in enumerate(pivots):
             c = echelon[i].get(free)
             if c:
@@ -208,12 +213,12 @@ def kernel_basis(matrix: SparseMatrix):
     return basis
 
 
-def _one_like(matrix, col):
-    # Recover a multiplicative unit from any stored coefficient; for the
-    # all-zero matrix the integer unit interoperates with every scalar type.
+def _one_like(matrix):
+    # The unit of the field of any stored coefficient; for the all-zero
+    # matrix the integer unit interoperates with every scalar type.
     for row in matrix.rows:
         for c in row.values():
-            return c / c
+            return field_of(c).one
     return 1
 
 

@@ -21,10 +21,10 @@ def complex_registry(instance):
     if instance.action is not None:
         try:
             X = instance.koszul_smash_complex()
-            X.io_name = "koszul_smash"
-            out["koszul_smash"] = X
-        except Exception:
-            pass
+        except InstanceError:
+            return out
+        X.io_name = "koszul_smash"
+        out["koszul_smash"] = X
     return out
 
 

@@ -166,11 +166,11 @@ def check_differential_bimodule(X, n_max, d_max, instance="", seed=0, sample=10)
     for n in range(1, min(n_max, X.n_max) + 1):
         for d in range(d_max + 1):
             for comp, word in X.basis(n, d):
+                dw = X.diff_word(n, comp, word)
                 for a, b in pairs:
                     moved = X.act_word(n, a, comp, word, b)
                     lhs = X.differential(n, moved)
-                    rhs = X.act(n - 1, A.monomial(a),
-                                X.diff_word(n, comp, word), A.monomial(b))
+                    rhs = X.act(n - 1, A.monomial(a), dw, A.monomial(b))
                     if lhs != rhs:
                         report.passed = False
                         report.witness = (

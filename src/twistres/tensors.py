@@ -267,7 +267,8 @@ class FreeElement:
 
     def __sub__(self, other):
         out = FreeElement(self.term, dict(self.data))
-        out.add_elt(other, factor=-_unit_of(self, other))
+        for (comp, word), c in other.data.items():
+            out.add_term(comp, word, -c)
         return out
 
     def scale(self, c):
@@ -300,23 +301,7 @@ def _word_key(key):
     return (comp, word)
 
 
-def _unit_of(a, b):
-    for c in a.data.values():
-        return c / c
-    for c in b.data.values():
-        return c / c
-    return 1
-
-
 def single(term, comp, word, coeff):
     out = FreeElement(term)
     out.add_term(comp, word, coeff)
-    return out
-
-
-def extend_linear(fn, elt, target_term):
-    """Linear extension of a word oracle ``fn(comp, word) -> FreeElement``."""
-    out = FreeElement(target_term)
-    for (comp, word), c in elt.data.items():
-        out.add_elt(fn(comp, word), factor=c)
     return out

@@ -301,7 +301,7 @@ def bicharacter_twist(S, R, q, name="tau_q"):
 
     def inverse_rule(r_word, s_word):
         c = q ** (S.degree(s_word) * R.degree(r_word))
-        return {(s_word, r_word): one / c}
+        return {(s_word, r_word): R.field.inv(c)}
 
     return TwistingMap(S, R, rule, name=name, inverse_rule=inverse_rule,
                        strongly_graded=True)

@@ -82,6 +82,22 @@ def test_element_round_trip():
     assert elt2 == b
 
 
+def test_complex_registry_skips_only_instance_errors(monkeypatch):
+    inst = builtin_instance("c2-skew", hdeg=2, gdeg=1)
+
+    def no_koszul():
+        raise InstanceError("no quadratic presentation")
+
+    def broken():
+        raise RuntimeError("koszul smash construction bug")
+
+    monkeypatch.setattr(inst, "koszul_smash_complex", no_koszul)
+    assert "koszul_smash" not in complex_registry(inst)
+    monkeypatch.setattr(inst, "koszul_smash_complex", broken)
+    with pytest.raises(RuntimeError):
+        complex_registry(inst)
+
+
 def test_element_coefficients_multiply_across_slots():
     # the term coefficient is the product of the slot coefficients
     inst = builtin_instance("example-5.2")

@@ -74,7 +74,7 @@ def test_koszul_terms_k_xy():
     # the degree-2 space is spanned by x (x) y - y (x) x
     vec = K.spaces[2].basis[0]
     x, y = R.var_word(0), R.var_word(1)
-    scaled = {k: v / vec[(x, y)] for k, v in vec.items()}
+    scaled = {k: Q.div(v, vec[(x, y)]) for k, v in vec.items()}
     assert scaled == {(x, y): Q.one, (y, x): Q.from_int(-1)}
 
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,3 +233,24 @@ def test_list_solve_empty_and_mismatch():
     assert solve_linear_system(A, []) == []
     with pytest.raises(DimensionMismatch):
         solve_linear_system(A, [SparseVector(2, {0: Q.one}), SparseVector(3)])
+
+
+def _exact(values):
+    # Q coefficients are int or Fraction; a bare "/" on ints would give float
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+def test_q_elimination_with_non_unit_pivots_is_exact():
+    echelon, pivots = rref(dense([[2, 4, 6], [3, 5, 7]]).rows, 3)
+    assert pivots == [0, 1]
+    assert echelon == [{0: 1, 2: -1}, {1: 1, 2: 2}]
+    assert all(_exact(row.values()) for row in echelon)
+
+    A = dense([[2, 1], [4, 3]])
+    x = solve_linear_system(A, SparseVector.from_dense([1, 0], Q))
+    assert x.entries == {0: Fraction(3, 2), 1: -2}
+    assert _exact(x.entries.values())
+
+    (k,) = kernel_basis(dense([[2, 3, 5], [4, 6, 9]]))
+    assert k.entries == {0: Fraction(-3, 2), 1: 1}
+    assert _exact(k.entries.values())
