@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from types import MappingProxyType
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
 
@@ -410,7 +411,7 @@ class RewritingAlgebra(Algebra):
                         result[w2] = new
                     else:
                         result.pop(w2, None)
-        self._normal_cache[word] = result
+        result = self._normal_cache[word] = MappingProxyType(result)
         return result
 
     def mul_words(self, u, v):
@@ -489,7 +490,7 @@ class TwistedProductAlgebra(Algebra):
                         out[key] = new
                     else:
                         out.pop(key, None)
-        self._mul_cache[(u, v)] = out
+        out = self._mul_cache[(u, v)] = MappingProxyType(out)
         return out
 
     def basis(self, d):

@@ -581,13 +581,57 @@ def _product_is_zero(outer, inner):
     return True
 
 
+class PreviousDegreeImages:
+    """Images of a word oracle, kept one degree while a check walks the next.
+
+    A check that walks degrees upward evaluates ``oracle(n, comp, word)`` on
+    every basis word of degree n, and at degree n + 1 applies the same
+    oracle to the faces of d(w), which are degree-n basis words.  ``word``
+    evaluates the oracle and keeps the image, except at the ``top`` degree;
+    ``apply`` extends the oracle linearly over a degree n - 1 element,
+    taking each face from the images kept there and calling the oracle
+    only for a face that is not among them.  ``image_term(n)`` is the term
+    holding the oracle's degree-n values.  Nothing outlives the check that
+    owns the helper.
+    """
+
+    def __init__(self, oracle, image_term, top):
+        self._oracle = oracle
+        self._image_term = image_term
+        self._top = top
+        self._degree = None
+        self._current = {}           # images at self._degree
+        self._previous = {}          # images at self._degree - 1
+
+    def word(self, n, comp, word):
+        if n != self._degree:
+            self._previous = self._current if self._degree == n - 1 else {}
+            self._current = {}
+            self._degree = n
+        image = self._oracle(n, comp, word)
+        if n < self._top:
+            self._current[(comp, word)] = image
+        return image
+
+    def apply(self, n, elt):
+        previous = self._previous if n == self._degree - 1 else {}
+        out = FreeElement(self._image_term(n))
+        for (comp, word), c in elt.data.items():
+            image = previous.get((comp, word))
+            if image is None:
+                image = self._oracle(n, comp, word)
+            out.add_elt(image, factor=c)
+        return out
+
+
 def check_d_squared(X, n_max, d_max):
     """Evaluate d(d(w)) exactly on every basis word within budget."""
+    images = PreviousDegreeImages(X.diff_word, lambda n: X.term(n - 1), n_max)
     for n in range(2, n_max + 1):
         for d in range(d_max + 1):
             for comp, word in X.basis(n, d):
-                once = X.diff_word(n, comp, word)
-                twice = X.differential(n - 1, once)
+                once = images.word(n, comp, word)
+                twice = images.apply(n - 1, once)
                 if not twice.is_zero():
                     return False, (n, comp, word, twice)
     for d in range(d_max + 1):

@@ -7,8 +7,10 @@ so table-driven Hopf algebras plug in the same way.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import ActionNotAdmissible, TwistresError
-from .twisting import TwistingMap, _acc
+from .twisting import CompatMap, TwistingMap, _acc
 
 
 class HopfAlgebra:
@@ -45,11 +47,11 @@ class HopfAlgebra:
         key = (w, m)
         cached = self._sweedler_cache.get(key)
         if cached is None:
-            cached = {}
+            legs_out = {}
             for legs, c in self.sweedler(w, m - 1).items():
                 for (h1, h2), c2 in self.coproduct(legs[-1]).items():
-                    _acc(cached, legs[:-1] + (h1, h2), c * c2)
-            self._sweedler_cache[key] = cached
+                    _acc(legs_out, legs[:-1] + (h1, h2), c * c2)
+            cached = self._sweedler_cache[key] = MappingProxyType(legs_out)
         return cached
 
     def check_axioms(self, budget=0):
@@ -128,8 +130,8 @@ class HopfAction:
         key = (h_word, r_word)
         cached = self._cache.get(key)
         if cached is None:
-            cached = {w: c for w, c in self._oracle(h_word, r_word).items() if c}
-            self._cache[key] = cached
+            cached = self._cache[key] = MappingProxyType(
+                {w: c for w, c in self._oracle(h_word, r_word).items() if c})
         return cached
 
     def check(self, budget):
@@ -209,17 +211,14 @@ def linear_group_action(hopf, R, matrices):
                     data[R.var_word(i)] = c
             cols.append(R.element(data))
         images[g_idx] = cols
-    cache = {}
 
+    # HopfAction.act caches each value, so the oracle runs once per pair
     def oracle(h_word, r_word):
-        key = (h_word, r_word)
-        if key not in cache:
-            acc = R.one()
-            for j, e in enumerate(r_word):
-                for _ in range(e):
-                    acc = acc * images[h_word][j]
-            cache[key] = acc.data
-        return cache[key]
+        acc = R.one()
+        for j, e in enumerate(r_word):
+            for _ in range(e):
+                acc = acc * images[h_word][j]
+        return acc.data
 
     return HopfAction(hopf, R, oracle)
 
@@ -320,7 +319,7 @@ def hopf_act_slotwise(hopf, slot_actions, h_word, word):
     return out
 
 
-class KoszulActionCompat:
+class KoszulActionCompat(CompatMap):
     """tau_K: H (x) K -> K (x) H for a Koszul resolution carrying an action.
 
     The middle slot is an abstract subspace index acted on through its
@@ -329,6 +328,7 @@ class KoszulActionCompat:
     """
 
     def __init__(self, action, koszul):
+        super().__init__()
         self.action = action
         self.koszul = koszul
         if koszul.spaces[2].dim:
@@ -347,12 +347,12 @@ class KoszulActionCompat:
             self._slot_actions[n] = cached
         return cached
 
-    def apply(self, n, h_word, word):
+    def _apply(self, n, h_word, word):
         return hopf_act_slotwise(self.action.hopf, self._actions_for(n),
                                  h_word, word)
 
 
-class BarComoduleCompat:
+class BarComoduleCompat(CompatMap):
     """tau_D: (B_H)_n (x) R -> R (x) (B_H)_n from the bar comodule structure.
 
     The comodule map sends h^0 (x) ... (x) h^(n+1) to the product of first
@@ -360,12 +360,13 @@ class BarComoduleCompat:
     """
 
     def __init__(self, action, reduced=False):
+        super().__init__()
         self.action = action
         self.hopf = action.hopf
         self.reduced = reduced
         self.unit = action.hopf.algebra.unit
 
-    def apply(self, n, word, r_word):
+    def _apply(self, n, word, r_word):
         H = self.hopf.algebra
         out = {}
         states = {(H.unit, ()): H.field.one}
@@ -423,7 +424,7 @@ def subspace_slot_action(action, space):
         key = (h_word, idx)
         if key not in cache:
             image = _act_on_vwords(action, h_word, space.basis[idx])
-            cache[key] = dict(space.coordinatize(image))
+            cache[key] = MappingProxyType(space.coordinatize(image))
         return cache[key]
 
     return act

@@ -180,16 +180,37 @@ def solve_linear_system(matrix: SparseMatrix, b):
         for i, c in v.entries.items():
             aug[i][ncols + k] = c
     echelon, pivots = rref(aug, ncols) if rhs else ([], [])
-    out = []
-    for k, v in enumerate(rhs):
+    answers = []
+    for k in range(len(rhs)):
         x = {}
         for i, col in enumerate(pivots):
             c = echelon[i].get(ncols + k)
             if c:
                 x[col] = c
-        solution = SparseVector(ncols, x)
-        out.append(solution if matrix_product_vec(matrix, solution) == v else None)
+        answers.append(x)
+    products = _products(matrix, answers)
+    out = [SparseVector(ncols, x) if ax == v.entries else None
+           for x, ax, v in zip(answers, products, rhs)]
     return out[0] if single else out
+
+
+def _products(matrix, vectors):
+    """A x for every dict-vector x, in one pass over the rows of A."""
+    by_column = {}
+    for k, x in enumerate(vectors):
+        for j, c in x.items():
+            by_column.setdefault(j, []).append((k, c))
+    out = [{} for _ in vectors]
+    for i, row in enumerate(matrix.rows):
+        sums = {}
+        for j, c in row.items():
+            for k, xc in by_column.get(j, ()):
+                prev = sums.get(k)
+                sums[k] = c * xc if prev is None else prev + c * xc
+        for k, total in sums.items():
+            if total:
+                out[k][i] = total
+    return out
 
 
 def kernel_basis(matrix: SparseMatrix):

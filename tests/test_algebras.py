@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,17 @@ def test_rewriting_normal_form_matches_relation():
     prod = U.normalize_product(y, x)
     assert prod == U.element({U.parse_word("x*y"): Q.one,
                               U.parse_word("x"): Q.one})
+
+
+def test_rewriting_normal_forms_are_read_only():
+    U = u_nonabelian()
+    y, x = U.parse_word("y"), U.parse_word("x")
+    prod = U.mul_words(y, x)
+    assert prod == {U.parse_word("x*y"): Q.one, U.parse_word("x"): Q.one}
+    assert U.mul_words(y, x) is prod
+    with pytest.raises(TypeError):
+        prod[x] = Q.one
+    assert all(isinstance(v, MappingProxyType) for v in U._normal_cache.values())
 
 
 def test_polynomial_product_sorts():

@@ -141,3 +141,63 @@ def test_closed_form_witness_names_first_failing_block(monkeypatch):
     assert not aw.passed
     assert aw.witness == "AW mismatch at n=1"
     assert ez.passed
+
+
+# Witnesses of the negative controls, taken from the checks as they were
+# before they reused the previous degree's images; reuse must not move them.
+AW_FLIP_WITNESS = (
+    "square fails at n=2, 1 # 1 (x) 1 # y (x) 1 # y (x) 1 # 1; "
+    "d(f(w)) = -1 * [(0, 1)] 1 (x) 1 (x) 1 (x) y (x) y  +  "
+    "1 * [(0, 1)] 1 (x) 1 (x) 1 (x) y^2 (x) 1  +  "
+    "-1 * [(0, 1)] 1 (x) 1 (x) y (x) y (x) 1; "
+    "f(d(w)) = 1 * [(0, 1)] 1 (x) 1 (x) 1 (x) y (x) y  +  "
+    "-1 * [(0, 1)] 1 (x) 1 (x) 1 (x) y^2 (x) 1  +  "
+    "1 * [(0, 1)] 1 (x) 1 (x) y (x) y (x) 1")
+SIGN_BAR_WITNESS = "d(d(w)) != 0 at n=2, w=1 # 1 (x) 1 # y (x) 1 # y (x) 1 # 1"
+TWIST_WITNESS = ("quadruple ('1', 'z', 'y', 'x'): "
+                 "lhs = 1 * y^2 (x) 1 + 1 * x*y (x) z; "
+                 "rhs = 1 * x*y (x) 1 + 1 * x*y (x) z")
+SHIFTED_WITNESS = (
+    "square fails at n=3, 1 # 1 (x) 1 # 1 (x) 1 # 1 (x) 1 # y (x) 1 # 1; "
+    "d(f(w)) = -1 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y  +  "
+    "1 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y (x) 1; f(d(w)) = 0")
+
+
+def test_negative_control_witnesses_are_pinned():
+    from twistres.checks import check_d_squared_report
+
+    inst = builtin_instance("example-5.2")
+    maps = inst.bar_maps()
+
+    def corrupted(n, comp, word):
+        out = maps.aw_reduced.apply_word(n, comp, word)
+        return out.scale(-Q.one) if n == 2 else out
+
+    bad = ChainMap(maps.rbar_A, maps.prod_rbar, corrupted, "corrupted AW")
+    assert check_chain_map(bad, 2, 2).witness == AW_FLIP_WITNESS
+    report = check_d_squared_report(SignCorruptedBar(inst.A, n_max=3), 3, 2)
+    assert report.witness == SIGN_BAR_WITNESS
+    bad_twist = builtin_instance("corrupted-twist").tau
+    assert check_twist_axiom_report(bad_twist, 4).witness == TWIST_WITNESS
+
+
+def test_boundary_shift_fails_through_previous_degree_images():
+    # f'(w0) = f(w0) + d(z) on one degree-2 word: d(f'(w0)) = d(f(w0)), so
+    # the n = 2 square holds, and only f'(d(w)) at n = 3, built from the
+    # degree-2 images, sees the shift
+    maps = builtin_instance("example-5.2").bar_maps()
+    f = maps.twisted_unshuffle
+    Y = f.target
+    w0 = f.source.basis(2, 1)[0]
+    z = next(key for key in Y.basis(3, 1) if not Y.diff_word(3, *key).is_zero())
+    boundary = Y.diff_word(3, *z)
+
+    def shifted(n, comp, word):
+        out = f.apply_word(n, comp, word)
+        return out + boundary if n == 2 and (comp, word) == w0 else out
+
+    g = ChainMap(f.source, Y, shifted, "shifted unshuffle")
+    assert check_chain_map(g, 2, 1).passed
+    report = check_chain_map(g, 3, 1)
+    assert not report.passed
+    assert report.witness == SHIFTED_WITNESS

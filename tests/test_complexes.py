@@ -261,3 +261,29 @@ def test_d_squared_property_on_random_words(n, data):
             continue
         comp, word = data.draw(st.sampled_from(words), label="word")
         assert X.differential(n, X.diff_word(n + 1, comp, word)).is_zero()
+
+
+def test_boundary_shifted_d2_fails_through_previous_degree_images():
+    # d_2(w0) shifted by the boundary d_2(v): d_1 d_2 = 0 still holds, so only
+    # d_2(d_3(w)) at n = 3, built from the degree-2 images, sees the shift
+    # (witness taken before check_d_squared reused the degree-2 images)
+    A = builtin_instance("example-5.2").A
+    plain = BarComplex(A, reduced=False, n_max=3)
+    w0 = plain.basis(2, 1)[0]
+    v = next(key for key in plain.basis(2, 1)
+             if key != w0 and not plain.diff_word(2, *key).is_zero())
+
+    class ShiftedBar(BarComplex):
+        def diff_word(self, n, comp, word):
+            out = super().diff_word(n, comp, word)
+            if n == 2 and (comp, word) == w0:
+                return out + super().diff_word(2, *v)
+            return out
+
+    bad = ShiftedBar(A, reduced=False, n_max=3)
+    assert check_d_squared(bad, 2, 1) == (True, None)
+    ok, (n, comp, word, twice) = check_d_squared(bad, 3, 1)
+    assert not ok and n == 3
+    assert bad.term(3).format(comp, word) == \
+        "1 # 1 (x) 1 # 1 (x) 1 # 1 (x) 1 # y (x) 1 # 1"
+    assert str(twice) == "-1 * 1 # 1 (x) 1 # 1 (x) x # 1"

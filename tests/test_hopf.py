@@ -3,12 +3,15 @@ import json
 import pytest
 
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
-from twistres.complexes import KoszulComplex, polynomial_quadratic_relations
+from twistres.complexes import (BarComplex, KoszulComplex,
+                                polynomial_quadratic_relations)
 from twistres.fields import Rationals
-from twistres.hopf import (KoszulActionCompat, group_hopf,
+from twistres.hopf import (BarComoduleCompat, KoszulActionCompat, group_hopf,
                            linear_group_action, smash_twist)
 from twistres.instances import builtin_instance, parse_instance
 from twistres.twisting import iterate_twist_bar
+
+from test_twisting import assert_memo_matches_fresh
 
 Q = Rationals()
 
@@ -170,3 +173,35 @@ def test_c2_skew_pipeline_small():
     pipe = inst.koszul_pipeline(n_max=3, d_max=3)
     assert pipe.koszul.dim_tilde(2) == 0
     assert pipe.identity_defect(3, 3) is None
+
+
+# quantum-plane carries no Hopf action, so only the bar compatibility maps
+# (tests/test_twisting.py) run on it
+@pytest.mark.parametrize("name", ["c2-skew", "c2-koszul-kxy"])
+def test_hopf_compat_memo_matches_fresh_apply(name):
+    inst = builtin_instance(name)
+    R, H = inst.R, inst.S
+    K = KoszulComplex(R, polynomial_quadratic_relations(R), 3)
+    h_words = H.basis(0)
+    koszul = [(n, h, word) for n in range(4) for d in range(4)
+              for _, word in K.basis(n, d) for h in h_words]
+    assert_memo_matches_fresh(KoszulActionCompat(inst.action, K), koszul)
+    bar = BarComplex(H, reduced=False, n_max=3)
+    comodule = [(n, word, r) for n in range(4) for _, word in bar.basis(n, 0)
+                for r in R.basis_upto(3)]
+    for reduced in (False, True):
+        assert_memo_matches_fresh(BarComoduleCompat(inst.action, reduced=reduced),
+                                  comodule)
+
+
+def test_koszul_compat_memo_keys_on_degree():
+    # the Koszul word (1, 0, 1) is x in K_1 but x^y in K_2; g negates x and
+    # fixes x^y, so one map must keep the two degrees apart
+    inst = builtin_instance("c2-koszul-kxy")
+    K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 3)
+    compat = KoszulActionCompat(inst.action, K)
+    unit, g = inst.R.unit, 1
+    word = (unit, 0, unit)
+    assert compat.apply(1, g, word) == {(word, g): Q.from_int(-1)}
+    assert compat.apply(2, g, word) == {(word, g): Q.one}
+    assert compat.apply(1, g, word) == compat._apply(1, g, word)

@@ -1,11 +1,15 @@
 """Structural identities behind the chain-map theorems, checked directly."""
 
+import inspect
+from types import MappingProxyType
+
 import pytest
 
 from twistres.checks import check_bimodule_map
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
 from twistres.linalg import SparseMatrix, rank
+from twistres.suite import run_suite
 from twistres.twisting import BarLeftCompat
 
 Q = Rationals()
@@ -170,3 +174,54 @@ def test_pipeline_pi_is_a_bimodule_map_sampled():
     pipe = inst.koszul_pipeline(n_max=2, d_max=2)
     report = check_bimodule_map(pipe.pi, 1, 1, seed=0, sample=8)
     assert report.passed, report.witness
+
+
+def reachable_caches(root):
+    """(label, cache) for every cache reachable from ``root``: attributes
+    whose name ends in ``cache`` and closure variables named ``cache``."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (dict, MappingProxyType)):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif inspect.ismethod(obj):
+            stack.extend((obj.__self__, obj.__func__))
+        elif inspect.isfunction(obj):
+            for name, cell in zip(obj.__code__.co_freevars, obj.__closure__ or ()):
+                if name == "cache":
+                    found.append((obj.__qualname__, cell.cell_contents))
+                stack.append(cell.cell_contents)
+        elif type(obj).__module__.startswith("twistres."):
+            attrs = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        attrs[slot] = getattr(obj, slot)
+            for name, value in attrs.items():
+                if name.endswith("cache"):
+                    found.append((f"{type(obj).__name__}.{name}", value))
+                stack.append(value)
+    return found
+
+
+def test_kernel_caches_hand_out_read_only_values():
+    inst = builtin_instance("c2-skew", hdeg=2, gdeg=2)
+    assert all(r.ok for r in run_suite(inst, hdeg=2, gdeg=2))
+    caches = reachable_caches(inst)
+    filled = {label for label, cache in caches if cache}
+    assert filled >= {
+        "TwistingMap._cache", "TwistingMap._inv_cache",
+        "TwistedProductAlgebra._mul_cache", "HopfAlgebra._sweedler_cache",
+        "HopfAction._cache", "BarLeftCompat._cache", "BarRightCompat._cache",
+        "KoszulActionCompat._cache", "BarComoduleCompat._cache",
+        "subspace_slot_action.<locals>.act"}
+    for label, cache in caches:
+        for value in cache.values():
+            assert isinstance(value, MappingProxyType), label
+            with pytest.raises(TypeError):
+                value["written"] = 1

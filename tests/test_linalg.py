@@ -228,6 +228,18 @@ def test_list_solve_matches_single_solves(field):
         assert 2 not in batch[k].entries      # free variable set to zero
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(), st.lists(st.lists(small_entries, min_size=4, max_size=4),
+                                max_size=5))
+def test_batched_check_products_match_single_products(m, vectors):
+    # solve_linear_system checks every answer through one pass over A
+    from twistres.linalg import _products
+
+    xs = [SparseVector.from_dense(v[:m.ncols], Q).entries for v in vectors]
+    assert _products(m, xs) == [
+        matrix_product_vec(m, SparseVector(m.ncols, x)).entries for x in xs]
+
+
 def test_list_solve_empty_and_mismatch():
     A = dense([[1, 0], [0, 1]])
     assert solve_linear_system(A, []) == []

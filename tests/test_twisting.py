@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
@@ -6,8 +8,10 @@ from twistres.fields import PrimeField, Rationals
 from twistres.hopf import (BarComoduleCompat, group_hopf, linear_group_action,
                            smash_twist)
 from twistres.instances import builtin_instance
-from twistres.twisting import (BarLeftCompat, BarRightCompat, TwistingMap,
-                               bicharacter_twist, twist_from_generator_rules)
+from twistres.complexes import BarComplex
+from twistres.twisting import (BarLeftCompat, BarRightCompat, CompatMap,
+                               TwistingMap, bicharacter_twist,
+                               twist_from_generator_rules)
 
 Q = Rationals()
 
@@ -219,3 +223,61 @@ def test_bicharacter_twist_values():
     assert tau.apply((2,), (1,)) == {(((1,), (2,))): F5.from_int(4)}
     assert tau.inverse((1,), (2,)) == {(((2,), (1,))): F5.from_int(4)}
     assert tau.strongly_graded
+
+
+def bar_words(algebra, n_max=3, d_max=3):
+    """(n, word) for every unreduced bar word in the (n_max, d_max) window."""
+    bar = BarComplex(algebra, reduced=False, n_max=n_max)
+    return [(n, word) for n in range(n_max + 1) for d in range(d_max + 1)
+            for _, word in bar.basis(n, d)]
+
+
+def assert_memo_matches_fresh(compat, arguments):
+    for args in arguments:
+        first = compat.apply(*args)
+        assert isinstance(first, MappingProxyType)
+        assert first == compat._apply(*args)
+        assert compat.apply(*args) is first
+
+
+@pytest.mark.parametrize("name", ["c2-skew", "quantum-plane", "c2-koszul-kxy"])
+def test_bar_compat_memo_matches_fresh_apply(name):
+    tau = builtin_instance(name).tau
+    S, R = tau.S, tau.R
+    left = [(n, s, word) for n, word in bar_words(R)
+            for s in S.basis_upto(min(3, S.max_degree))]
+    right = [(n, word, r) for n, word in bar_words(S)
+             for r in R.basis_upto(min(3, R.max_degree))]
+    for reduced in (False, True):
+        assert_memo_matches_fresh(BarLeftCompat(tau, reduced=reduced), left)
+        assert_memo_matches_fresh(BarRightCompat(tau, reduced=reduced), right)
+
+
+def test_compat_memo_keys_on_all_arguments():
+    class Echo(CompatMap):
+        def _apply(self, n, x, y):
+            return {(n, x, y): 1}
+
+    echo = Echo()
+    values = [echo.apply(0, "a", "b"), echo.apply(1, "a", "b"),
+              echo.apply(0, "b", "a"), echo.apply(0, "a", "a")]
+    assert [dict(v) for v in values] == [{(0, "a", "b"): 1}, {(1, "a", "b"): 1},
+                                         {(0, "b", "a"): 1}, {(0, "a", "a"): 1}]
+    with pytest.raises(TypeError):
+        values[0][(0, "a", "b")] = 2
+
+
+def test_reduced_and_unreduced_compat_keep_separate_values():
+    tau = ore_twist()
+    full = BarLeftCompat(tau, reduced=False)
+    red = BarLeftCompat(tau, reduced=True)
+    # x (x) 1 (x) x has a unit inner slot, which only the reduced map
+    # projects away
+    word = ((1,), (0,), (1,))
+    raw = full.apply(1, (1,), word)
+    projected = red.apply(1, (1,), word)
+    assert raw and not projected
+    assert raw == full._apply(1, (1,), word)
+    assert projected == red._apply(1, (1,), word)
+    assert full.apply(1, (1,), word) is raw
+    assert red.apply(1, (1,), word) is projected
