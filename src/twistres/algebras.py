@@ -21,6 +21,7 @@ import re
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
+from .linalg import accumulate
 
 
 class AlgebraElement:
@@ -50,11 +51,7 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.data)
         for w, c in other.data.items():
-            new = out.get(w, 0) + c
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
+            accumulate(out, w, c)
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other):
@@ -71,11 +68,7 @@ class AlgebraElement:
         for u, cu in self.data.items():
             for v, cv in other.data.items():
                 for w, cw in alg.mul_words(u, v).items():
-                    new = out.get(w, 0) + cu * cv * cw
-                    if new:
-                        out[w] = new
-                    else:
-                        out.pop(w, None)
+                    accumulate(out, w, cu * cv * cw)
         return AlgebraElement(alg, out)
 
     def project_reduced(self):
@@ -406,11 +399,7 @@ class RewritingAlgebra(Algebra):
             for repl, c in rule.items():
                 sub = self._normalize(word[:descent] + repl + word[descent + 2:])
                 for w2, c2 in sub.items():
-                    new = result.get(w2, 0) + c * c2
-                    if new:
-                        result[w2] = new
-                    else:
-                        result.pop(w2, None)
+                    accumulate(result, w2, c * c2)
         result = self._normal_cache[word] = MappingProxyType(result)
         return result
 
@@ -484,12 +473,7 @@ class TwistedProductAlgebra(Algebra):
         for (rm, sm), c in self.tau.apply(s1, r2).items():
             for rw, cr in self.R.mul_words(r1, rm).items():
                 for sw, cs in self.S.mul_words(sm, s2).items():
-                    key = (rw, sw)
-                    new = out.get(key, 0) + c * cr * cs
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
+                    accumulate(out, (rw, sw), c * cr * cs)
         out = self._mul_cache[(u, v)] = MappingProxyType(out)
         return out
 

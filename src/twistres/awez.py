@@ -20,8 +20,9 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import BarComplex, IntermediateComplex, TwistedProductComplex
+from .linalg import accumulate
 from .tensors import FreeElement
-from .twisting import BarLeftCompat, BarRightCompat, _acc
+from .twisting import BarLeftCompat, BarRightCompat
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class TwistedBarMaps:
                 new = {}
                 for slots, c in states.items():
                     for (rw, sw), c2 in self.tau.apply(slots[p], slots[p + 1]).items():
-                        _acc(new, slots[:p] + (rw, sw) + slots[p + 2:], c * c2)
+                        accumulate(new, slots[:p] + (rw, sw) + slots[p + 2:], c * c2)
                 states = new
         out = FreeElement(self.Y.term(n))
         for slots, c in states.items():
@@ -181,7 +182,7 @@ class TwistedBarMaps:
                 new = {}
                 for slots, c in states.items():
                     for (sw, rw), c2 in self.tau.inverse(slots[p], slots[p + 1]).items():
-                        _acc(new, slots[:p] + (sw, rw) + slots[p + 2:], c * c2)
+                        accumulate(new, slots[:p] + (sw, rw) + slots[p + 2:], c * c2)
                 states = new
         out = FreeElement(self.bar_A.term(n))
         for slots, c in states.items():
@@ -203,14 +204,14 @@ class TwistedBarMaps:
                 new = {}
                 for w, c in front.items():
                     for w2, c2 in self.R.mul_words(w, rpart[k]).items():
-                        _acc(new, w2, c * c2)
+                        accumulate(new, w2, c * c2)
                 front = new
             back = {spart[n + 1]: one}
             for k in range(n, ell, -1):
                 new = {}
                 for w, c in back.items():
                     for w2, c2 in self.S.mul_words(spart[k], w).items():
-                        _acc(new, w2, c * c2)
+                        accumulate(new, w2, c * c2)
                 back = new
             for fw, fc in front.items():
                 for bw, bc in back.items():
@@ -311,7 +312,7 @@ def group_closed_aw(maps, action, n, word, reduced):
             for w, c in front.items():
                 for w2, c2 in twisted[k].items():
                     for w3, c3 in R.mul_words(w, w2).items():
-                        _acc(new, w3, c * c2 * c3)
+                        accumulate(new, w3, c * c2 * c3)
             front = new
         back_word = S.unit
         for k in range(ell + 1, n + 2):

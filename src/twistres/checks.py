@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import BarComplex, PreviousDegreeImages
+from .linalg import accumulate
 from .tensors import FreeElement
 
 
@@ -250,11 +251,11 @@ def check_associativity(A, d_max, instance="", expect_failure=False):
                 left = {}
                 for m, c in uv.items():
                     for m2, c2 in A.mul_words(m, w).items():
-                        _bump(left, m2, c * c2)
+                        accumulate(left, m2, c * c2)
                 right = {}
                 for m, c in A.mul_words(v, w).items():
                     for m2, c2 in A.mul_words(u, m).items():
-                        _bump(right, m2, c * c2)
+                        accumulate(right, m2, c * c2)
                 if left != right:
                     wit = (f"({A.format_word(u)})({A.format_word(v)})"
                            f"({A.format_word(w)})")
@@ -262,16 +263,6 @@ def check_associativity(A, d_max, instance="", expect_failure=False):
                                        budget, False, expect_failure, wit)
     return CheckReport(f"associativity: {A.name}", instance, budget, True,
                        expect_failure)
-
-
-def _bump(store, key, coeff):
-    if not coeff:
-        return
-    new = store.get(key, 0) + coeff
-    if new:
-        store[key] = new
-    else:
-        del store[key]
 
 
 class SignCorruptedBar(BarComplex):

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InstanceError, TwistresError
-from .linalg import SparseMatrix, rank, subspace_intersection
+from .linalg import (SparseMatrix, accumulate, columns, products, rank,
+                     subspace_intersection)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
-                      SubspaceSlot, Term, TensorSubspace)
+                      SubspaceSlot, Term, TensorSubspace, tuple_power)
 from .twisting import BarLeftCompat, BarRightCompat
 
 
@@ -143,8 +144,8 @@ def quadratic_relations_for(R):
                 if len(w) != 2:
                     raise InstanceError(
                         f"{R.name} is not quadratic: rule for {(j, i)} drops degree")
-                rel[(((w[0],), (w[1],)))] = rel.get(((w[0],), (w[1],)), 0) - c
-            rels.append({k: v for k, v in rel.items() if v})
+                accumulate(rel, ((w[0],), (w[1],)), -c)
+            rels.append(rel)
         return rels
     raise InstanceError(f"no quadratic presentation available for {R.name}")
 
@@ -176,25 +177,14 @@ class KoszulComplex(Complex):
             self.spaces[n] = self._intersect(n)
 
     def _intersect(self, n):
-        v_words = self.R_basis1()
-        index = {}
-        counter = 0
-        words = [()]
-        for _ in range(n):
-            words = [t + (v,) for t in words for v in v_words]
-        for w in words:
-            index[w] = counter
-            counter += 1
+        v_words = self.A.basis(1)
+        words = tuple_power(v_words, n)
+        index = {w: i for i, w in enumerate(words)}
         mats = []
         for j in range(n - 1):
             rows = []
-            prefixes = [()]
-            for _ in range(j):
-                prefixes = [t + (v,) for t in prefixes for v in v_words]
-            suffixes = [()]
-            for _ in range(n - 2 - j):
-                suffixes = [t + (v,) for t in suffixes for v in v_words]
-            for pre in prefixes:
+            suffixes = tuple_power(v_words, n - 2 - j)
+            for pre in tuple_power(v_words, j):
                 for rel in self.relations:
                     for suf in suffixes:
                         row = {}
@@ -207,9 +197,6 @@ class KoszulComplex(Complex):
         inter = subspace_intersection(mats)
         vectors = [{words[j]: c for j, c in row.items()} for row in inter.rows]
         return TensorSubspace(self.A, n, vectors, f"K{n}")
-
-    def R_basis1(self):
-        return self.A.basis(1)
 
     def dim_tilde(self, n):
         if n == 0:
@@ -238,22 +225,17 @@ class KoszulComplex(Complex):
         r0, idx, r1 = word
         expansion = self.spaces[n].basis[idx]
         sign_right = self.A.field.one if n % 2 == 0 else -self.A.field.one
+        # each word vs is one (first letter, rest) pair, so no two terms meet
         lefts, rights = {}, {}
         for vs, c in expansion.items():
-            lefts.setdefault(vs[0], {})[vs[1:]] = lefts.get(vs[0], {}).get(vs[1:], 0) + c
-            rights.setdefault(vs[-1], {})[vs[:-1]] = rights.get(vs[-1], {}).get(vs[:-1], 0) + c
+            lefts.setdefault(vs[0], {})[vs[1:]] = c
+            rights.setdefault(vs[-1], {})[vs[:-1]] = c
         for v, sub in sorted(lefts.items()):
-            sub = {k: c for k, c in sub.items() if c}
-            if not sub:
-                continue
             coords = self.spaces[n - 1].coordinatize(sub)
             for w, cc in R.mul_words(r0, v).items():
                 for k_idx, c2 in coords.items():
                     out.add_term((), (w, k_idx, r1), cc * c2)
         for v, sub in sorted(rights.items()):
-            sub = {k: c for k, c in sub.items() if c}
-            if not sub:
-                continue
             coords = self.spaces[n - 1].coordinatize(sub)
             for w, cc in R.mul_words(v, r1).items():
                 for k_idx, c2 in coords.items():
@@ -327,11 +309,8 @@ class IntermediateComplex(Complex):
 
     def aug_word(self, comp, word):
         rpart, spart = self.split(0, word)
-        out = {}
-        for rw, cr in self.R.mul_words(*rpart).items():
-            for sw, cs in self.S.mul_words(*spart).items():
-                out[(rw, sw)] = out.get((rw, sw), 0) + cr * cs
-        return self.A.element(out)
+        return self.A.pair_element(self.R.element(self.R.mul_words(*rpart)),
+                                   self.S.element(self.S.mul_words(*spart)))
 
     def act_word(self, n, a_left, comp, word, a_right):
         rL, sL = a_left
@@ -492,41 +471,36 @@ class ExactnessReport:
         return "\n".join(lines)
 
 
-def _algebra_block(A, degrees):
+def down(X, n, comp, word):
+    """The differential of X on a degree-n word, the augmentation at n = 0."""
+    return X.aug_word(comp, word) if n == 0 else X.diff_word(n, comp, word)
+
+
+def block_basis(X, n, degrees):
+    """Basis keys of X_n over the internal degrees; the algebra's at n = -1."""
     out = []
     for d in degrees:
-        out.extend(A.basis(d))
+        out.extend(X.A.basis(d) if n == -1 else X.basis(n, d))
     return out
 
 
 def block_matrix(X, n, degrees):
-    """Matrix of d_n on the internal-degree block; d_0 is the augmentation."""
-    domain = []
-    for d in degrees:
-        domain.extend(X.basis(n, d))
-    if n == 0:
-        codomain = _algebra_block(X.A, degrees)
-        index = {w: i for i, w in enumerate(codomain)}
-        rows = [dict() for _ in codomain]
-        for jcol, (comp, word) in enumerate(domain):
-            for w, c in X.aug_word(comp, word).data.items():
-                irow = index.get(w)
-                if irow is None:
-                    raise TwistresError("augmentation leaves the degree block")
-                rows[irow][jcol] = c
-        return SparseMatrix(len(codomain), len(domain), rows), domain, codomain
-    codomain = []
-    for d in degrees:
-        codomain.extend(X.basis(n - 1, d))
+    """Matrix of d_n on the internal-degree block; d_0 is the augmentation.
+
+    Returns ``(matrix, domain, codomain)``, the two lists from
+    ``block_basis`` indexing its columns and rows.
+    """
+    domain = block_basis(X, n, degrees)
+    codomain = block_basis(X, n - 1, degrees)
     index = {key: i for i, key in enumerate(codomain)}
     rows = [dict() for _ in codomain]
     for jcol, (comp, word) in enumerate(domain):
-        img = X.diff_word(n, comp, word)
-        for key, c in img.data.items():
+        for key, c in down(X, n, comp, word).data.items():
             irow = index.get(key)
             if irow is None:
                 raise TwistresError(
-                    f"differential of {X.name} leaves the degree block at {key}")
+                    f"d_{n} of {X.name} leaves the degree block "
+                    f"{list(degrees)} at {key}")
             rows[irow][jcol] = c
     return SparseMatrix(len(codomain), len(domain), rows), domain, codomain
 
@@ -548,7 +522,7 @@ def check_truncated_exactness(X, n_max, d_max, graded=True):
             mats[n] = m
             ranks[n] = rank(m)
             dims[n] = len(dom)
-        a_dim = len(_algebra_block(X.A, degrees))
+        a_dim = len(block_basis(X, -1, degrees))
         report.entries.append(ExactnessEntry(-1, degrees, a_dim, 0, ranks[0]))
         for n in range(n_max):
             composite_zero = _product_is_zero(mats[n], mats[n + 1])
@@ -560,25 +534,7 @@ def check_truncated_exactness(X, n_max, d_max, graded=True):
 
 def _product_is_zero(outer, inner):
     """Whether outer * inner = 0 for block matrices (im d_in <= ker d_out)."""
-    outer_cols = {}
-    for j, row in enumerate(outer.rows):
-        for k, c in row.items():
-            outer_cols.setdefault(k, []).append((j, c))
-    for col in range(inner.ncols):
-        out = {}
-        for k, row in enumerate(inner.rows):
-            c = row.get(col)
-            if not c:
-                continue
-            for j, c2 in outer_cols.get(k, ()):
-                new = out.get(j, 0) + c2 * c
-                if new:
-                    out[j] = new
-                else:
-                    out.pop(j, None)
-        if out:
-            return False
-    return True
+    return not any(products(outer, columns(inner.rows, inner.ncols)))
 
 
 class PreviousDegreeImages:

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .awez import ChainMap
-from .complexes import KoszulComplex, TwistedProductComplex
+from .complexes import KoszulComplex, TwistedProductComplex, block_matrix, down
 from .errors import NotLiftable
 from .hopf import BarComoduleCompat, KoszulActionCompat
-from .linalg import SparseMatrix, SparseVector, rref, solve_linear_system
+from .linalg import (SparseMatrix, SparseVector, accumulate, columns, rref,
+                     solve_linear_system)
 from .tensors import FreeElement
 
 
@@ -47,11 +48,11 @@ def check_compatible(pair, S, R, n_max, d_max, coeff_degree=2):
                     lhs = {}
                     for (w2, s2), c in pair.tau_C.apply(n, s, word).items():
                         for ((), w3), c2 in pair.psi_R.apply_word(n, (), w2).data.items():
-                            _bump(lhs, (w3, s2), c * c2)
+                            accumulate(lhs, (w3, s2), c * c2)
                     rhs = {}
                     for ((), w2), c in pair.psi_R.apply_word(n, comp, word).data.items():
                         for (w3, s2), c2 in pair.tau_Cp.apply(n, s, w2).items():
-                            _bump(rhs, (w3, s2), c * c2)
+                            accumulate(rhs, (w3, s2), c * c2)
                     if lhs != rhs:
                         return False, ("left", n, comp, word, s, lhs, rhs)
             for comp, word in pair.psi_S.source.basis(n, d):
@@ -59,24 +60,14 @@ def check_compatible(pair, S, R, n_max, d_max, coeff_degree=2):
                     lhs = {}
                     for (r2, w2), c in pair.tau_D.apply(n, word, r).items():
                         for ((), w3), c2 in pair.psi_S.apply_word(n, (), w2).data.items():
-                            _bump(lhs, (r2, w3), c * c2)
+                            accumulate(lhs, (r2, w3), c * c2)
                     rhs = {}
                     for ((), w2), c in pair.psi_S.apply_word(n, comp, word).data.items():
                         for (r2, w3), c2 in pair.tau_Dp.apply(n, w2, r).items():
-                            _bump(rhs, (r2, w3), c * c2)
+                            accumulate(rhs, (r2, w3), c * c2)
                     if lhs != rhs:
                         return False, ("right", n, comp, word, r, lhs, rhs)
     return True, None
-
-
-def _bump(store, key, coeff):
-    if not coeff:
-        return
-    new = store.get(key, 0) + coeff
-    if new:
-        store[key] = new
-    else:
-        del store[key]
 
 
 def tensor_chain_maps(pair, X, Xp):
@@ -223,12 +214,8 @@ class BootstrapLift:
         if not block.pivots:
             return
         width = len(block.words)
-        columns = [dict() for _ in range(width)]
-        for t, row in enumerate(block.rows):
-            for j, v in row.items():
-                columns[j][t] = v
         coords = solve_linear_system(
-            SparseMatrix(width, len(block.gens), columns),
+            SparseMatrix(width, len(block.gens), columns(block.rows, width)),
             [SparseVector(width, row) for row in block.echelon])
         for k, row, x in zip(block.pivots, block.echelon, coords):
             if x is None:
@@ -242,51 +229,43 @@ class BootstrapLift:
                     value.add_elt(comp_values[block.words[j]], factor=-c)
             self._gen_values[(n, block.words[k])] = value
 
-    def _block(self, n):
-        out = []
-        for dd in range(self.d_max + 1):
-            out.extend(self.X.basis(n, dd))
-        return out
-
     def _lift_complement(self, n, blocks):
         """Solve d_X xi = pi_(n-1)(d_B e) for every complement generator e
         of the blocks in one elimination (eps_X xi = eps_B e at n = 0).
 
-        Returns the lifts keyed by inner word.  Failures are raised in
-        block order: a right-hand side that cannot be built is raised only
-        after the systems before it are found consistent.
+        The system is ``block_matrix`` of X at n over internal degrees
+        0..d_max, built only when there is a complement generator.  Returns
+        the lifts keyed by inner word.  Failures are raised in block order:
+        a right-hand side that cannot be built is raised only after the
+        systems before it are found consistent.
         """
         unit = self.A.unit
-        dom = self._block(n)
-        cod = self._block(n - 1) if n else [
-            w for dd in range(self.d_max + 1) for w in self.A.basis(dd)]
+        wanted = []
+        for block in blocks:
+            pivot_set = set(block.pivots)
+            wanted.extend((block.d, w) for k, w in enumerate(block.words)
+                          if k not in pivot_set)
+        if not wanted:
+            return {}
+        system, dom, cod = block_matrix(self.X, n, range(self.d_max + 1))
         index = {key: i for i, key in enumerate(cod)}
         keys, targets, failure = [], [], None
         try:
-            for block in blocks:
-                pivot_set = set(block.pivots)
-                for k, w in enumerate(block.words):
-                    if k in pivot_set:
-                        continue
-                    rhs = _down(self.B, n, (), (unit,) + w + (unit,))
-                    if n:
-                        rhs = self.evaluate(n - 1, rhs)
-                    if not rhs.data.keys() <= index.keys():
-                        raise NotLiftable("lift target outside the degree block",
-                                          block=(n, block.d))
-                    keys.append((block.d, w))
-                    targets.append(SparseVector(
-                        len(cod), {index[key]: c for key, c in rhs.data.items()}))
+            for d, w in wanted:
+                rhs = down(self.B, n, (), (unit,) + w + (unit,))
+                if n:
+                    rhs = self.evaluate(n - 1, rhs)
+                if not rhs.data.keys() <= index.keys():
+                    raise NotLiftable("lift target outside the degree block",
+                                      block=(n, d))
+                keys.append((d, w))
+                targets.append(SparseVector(
+                    len(cod), {index[key]: c for key, c in rhs.data.items()}))
         except NotLiftable as exc:
             failure = exc
         values = {}
         if targets:
-            rows = [dict() for _ in cod]
-            for jcol, (comp, word) in enumerate(dom):
-                for key, c in _down(self.X, n, comp, word).data.items():
-                    rows[index[key]][jcol] = c
-            solutions = solve_linear_system(
-                SparseMatrix(len(cod), len(dom), rows), targets)
+            solutions = solve_linear_system(system, targets)
             for (d, w), sol in zip(keys, solutions):
                 if sol is None:
                     raise NotLiftable(
@@ -314,11 +293,6 @@ class BootstrapLift:
 
     def evaluate(self, n, elt):
         return self.chain_map.apply(n, elt)
-
-
-def _down(C, n, comp, word):
-    """The differential of C on a degree-n word, the augmentation at n = 0."""
-    return C.aug_word(comp, word) if n == 0 else C.diff_word(n, comp, word)
 
 
 @dataclass

@@ -10,7 +10,8 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import ActionNotAdmissible, TwistresError
-from .twisting import CompatMap, TwistingMap, _acc
+from .linalg import accumulate
+from .twisting import CompatMap, TwistingMap
 
 
 class HopfAlgebra:
@@ -50,7 +51,7 @@ class HopfAlgebra:
             legs_out = {}
             for legs, c in self.sweedler(w, m - 1).items():
                 for (h1, h2), c2 in self.coproduct(legs[-1]).items():
-                    _acc(legs_out, legs[:-1] + (h1, h2), c * c2)
+                    accumulate(legs_out, legs[:-1] + (h1, h2), c * c2)
             cached = self._sweedler_cache[key] = MappingProxyType(legs_out)
         return cached
 
@@ -64,16 +65,16 @@ class HopfAlgebra:
             right = {}
             for (a, b), c in self.coproduct(w).items():
                 for (a1, a2), c2 in self.coproduct(a).items():
-                    _acc(left, (a1, a2, b), c * c2)
+                    accumulate(left, (a1, a2, b), c * c2)
                 for (b1, b2), c2 in self.coproduct(b).items():
-                    _acc(right, (a, b1, b2), c * c2)
+                    accumulate(right, (a, b1, b2), c * c2)
             if left != right:
                 failures.append(("coassociativity", H.format_word(w)))
             ce_left = {}
             ce_right = {}
             for (a, b), c in self.coproduct(w).items():
-                _acc(ce_left, b, c * self.counit(a))
-                _acc(ce_right, a, c * self.counit(b))
+                accumulate(ce_left, b, c * self.counit(a))
+                accumulate(ce_right, a, c * self.counit(b))
             if ce_left != {w: one} or ce_right != {w: one}:
                 failures.append(("counit", H.format_word(w)))
             snake_l = {}
@@ -81,18 +82,18 @@ class HopfAlgebra:
             for (a, b), c in self.coproduct(w).items():
                 for g, cg in self.antipode(a).items():
                     for prod, cp in H.mul_words(g, b).items():
-                        _acc(snake_l, prod, c * cg * cp)
+                        accumulate(snake_l, prod, c * cg * cp)
                 for g, cg in self.antipode(b).items():
                     for prod, cp in H.mul_words(a, g).items():
-                        _acc(snake_r, prod, c * cg * cp)
+                        accumulate(snake_r, prod, c * cg * cp)
             expected = {}
-            _acc(expected, H.unit, self.counit(w))
+            accumulate(expected, H.unit, self.counit(w))
             if snake_l != expected or snake_r != expected:
                 failures.append(("antipode", H.format_word(w)))
             round_trip = {}
             for g, cg in self.antipode(w).items():
                 for g2, cg2 in self.antipode_inv(g).items():
-                    _acc(round_trip, g2, cg * cg2)
+                    accumulate(round_trip, g2, cg * cg2)
             if round_trip != {w: one}:
                 failures.append(("antipode inverse", H.format_word(w)))
         return not failures, failures
@@ -151,17 +152,17 @@ class HopfAction:
                     iterated = {}
                     for w, c in self.act(h2, r).items():
                         for w2, c2 in self.act(h, w).items():
-                            _acc(iterated, w2, c * c2)
+                            accumulate(iterated, w2, c * c2)
                     multiplied = {}
                     for hw, ch in H.mul_words(h, h2).items():
                         for w, c in self.act(hw, r).items():
-                            _acc(multiplied, w, ch * c)
+                            accumulate(multiplied, w, ch * c)
                     if iterated != multiplied:
                         failures.append(("module law", H.format_word(h),
                                          H.format_word(h2), R.format_word(r)))
             unit_img = self.act(h, R.unit)
             expected = {}
-            _acc(expected, R.unit, self.hopf.counit(h))
+            accumulate(expected, R.unit, self.hopf.counit(h))
             if unit_img != expected:
                 failures.append(("unit", H.format_word(h)))
             for r1 in r_words:
@@ -171,13 +172,13 @@ class HopfAction:
                     lhs = {}
                     for w, c in R.mul_words(r1, r2).items():
                         for w2, c2 in self.act(h, w).items():
-                            _acc(lhs, w2, c * c2)
+                            accumulate(lhs, w2, c * c2)
                     rhs = {}
                     for (h1, h2), c in self.hopf.coproduct(h).items():
                         for a, ca in self.act(h1, r1).items():
                             for b, cb in self.act(h2, r2).items():
                                 for w, cw in R.mul_words(a, b).items():
-                                    _acc(rhs, w, c * ca * cb * cw)
+                                    accumulate(rhs, w, c * ca * cb * cw)
                     if lhs != rhs:
                         failures.append(("multiplicativity", H.format_word(h),
                                          R.format_word(r1), R.format_word(r2)))
@@ -277,7 +278,7 @@ def smash_twist(action, name="smash", check_budget=2):
         out = {}
         for (h1, h2), c in hopf.coproduct(h_word).items():
             for rw, cr in action.act(h1, r_word).items():
-                _acc(out, (rw, h2), c * cr)
+                accumulate(out, (rw, h2), c * cr)
         return out
 
     def inverse_rule(r_word, h_word):
@@ -286,7 +287,7 @@ def smash_twist(action, name="smash", check_budget=2):
         for (h1, h2), c in hopf.coproduct(h_word).items():
             for g, cg in hopf.antipode_inv(h1).items():
                 for rw, cr in action.act(g, r_word).items():
-                    _acc(out, (h2, rw), c * cg * cr)
+                    accumulate(out, (h2, rw), c * cg * cr)
         return out
 
     tau = TwistingMap(H, R, rule, name=name, inverse_rule=inverse_rule,
@@ -312,10 +313,10 @@ def hopf_act_slotwise(hopf, slot_actions, h_word, word):
             image = slot_actions[k](legs[k], slot_word)
             for prefix, cp in states.items():
                 for w2, c2 in image.items():
-                    _acc(new, prefix + (w2,), cp * c2)
+                    accumulate(new, prefix + (w2,), cp * c2)
             states = new
         for new_word, cw in states.items():
-            _acc(out, (new_word, legs[-1]), cw)
+            accumulate(out, (new_word, legs[-1]), cw)
     return out
 
 
@@ -375,13 +376,13 @@ class BarComoduleCompat(CompatMap):
             for (prod, prefix), c in states.items():
                 for (h1, h2), c2 in self.hopf.coproduct(slot).items():
                     for pw, cp in H.mul_words(prod, h1).items():
-                        _acc(new, (pw, prefix + (h2,)), c * c2 * cp)
+                        accumulate(new, (pw, prefix + (h2,)), c * c2 * cp)
             states = new
         for (prod, new_word), c in states.items():
             if self.reduced and any(w == self.unit for w in new_word[1:-1]):
                 continue
             for rw, cr in self.action.act(prod, r_word).items():
-                _acc(out, (rw, new_word), c * cr)
+                accumulate(out, (rw, new_word), c * cr)
         return out
 
 
@@ -409,10 +410,10 @@ def _act_on_vwords(action, h_word, vec):
                 image = action.act(leg, w)
                 for prefix, cp in states.items():
                     for w2, c2 in image.items():
-                        _acc(new, prefix + (w2,), cp * c2)
+                        accumulate(new, prefix + (w2,), cp * c2)
                 states = new
             for tup, cc in states.items():
-                _acc(out, tup, cc)
+                accumulate(out, tup, cc)
     return out
 
 

@@ -79,6 +79,26 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols})"
 
 
+def accumulate(store, key, coeff):
+    """store[key] += coeff, deleting the key when the sum is zero."""
+    if not coeff:
+        return
+    new = store.get(key, 0) + coeff
+    if new:
+        store[key] = new
+    else:
+        del store[key]
+
+
+def columns(rows, ncols):
+    """The transpose of a list of dict-rows: one dict-column per column."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            out[j][i] = c
+    return out
+
+
 def _row_sub_scaled(dst, src, factor):
     """dst -= factor * src, dropping zeros."""
     for j, c in src.items():
@@ -188,13 +208,13 @@ def solve_linear_system(matrix: SparseMatrix, b):
             if c:
                 x[col] = c
         answers.append(x)
-    products = _products(matrix, answers)
+    checked = products(matrix, answers)
     out = [SparseVector(ncols, x) if ax == v.entries else None
-           for x, ax, v in zip(answers, products, rhs)]
+           for x, ax, v in zip(answers, checked, rhs)]
     return out[0] if single else out
 
 
-def _products(matrix, vectors):
+def products(matrix, vectors):
     """A x for every dict-vector x, in one pass over the rows of A."""
     by_column = {}
     for k, x in enumerate(vectors):
@@ -268,26 +288,14 @@ def intersect_pair(a_rows, b_rows, ncols):
     # a-rows and the negated b-rows; the a-part of each kernel vector maps
     # back to an intersection vector.
     na = len(a_rows)
-    cols = {}
-    for t, row in enumerate(a_rows):
-        for j, c in row.items():
-            cols.setdefault(j, {})[t] = c
-    for t, row in enumerate(b_rows):
-        for j, c in row.items():
-            cols.setdefault(j, {})[na + t] = -c
-    stacked = SparseMatrix(ncols, na + len(b_rows),
-                           [cols.get(j, {}) for j in range(ncols)])
+    negated = [{j: -c for j, c in row.items()} for row in b_rows]
+    stacked = SparseMatrix(ncols, na + len(b_rows), columns(a_rows + negated, ncols))
     vectors = []
     for k in kernel_basis(stacked):
         vec = {}
         for t, c in k.entries.items():
             if t < na:
-                for j, cc in a_rows[t].items():
-                    new = vec.get(j, 0) + c * cc
-                    if new:
-                        vec[j] = new
-                    else:
-                        vec.pop(j, None)
+                _row_sub_scaled(vec, a_rows[t], -c)
         if vec:
             vectors.append(vec)
     echelon, _ = rref(vectors, ncols)

@@ -75,7 +75,7 @@ class TensorSubspace:
         self.algebra = algebra
         self.power = power
         self.label = label
-        self.vwords = tuple(_tuple_power(algebra.basis(1), power))
+        self.vwords = tuple(tuple_power(algebra.basis(1), power))
         self._index = {w: i for i, w in enumerate(self.vwords)}
         for vec in vectors:
             for w in vec:
@@ -112,7 +112,7 @@ class TensorSubspace:
             return False
 
 
-def _tuple_power(words, n):
+def tuple_power(words, n):
     out = [()]
     for _ in range(n):
         out = [t + (w,) for t in out for w in words]
@@ -247,6 +247,7 @@ class FreeElement:
                     self.data[key] = c
 
     def add_term(self, comp, word, coeff):
+        # linalg.accumulate, inlined: the hottest call (~10^6 per battery pass)
         if not coeff:
             return
         key = (comp, word)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import NotInvertible, TwistInconsistent
-from .linalg import rref
+from .linalg import accumulate, rref
 
 
 class TwistingMap:
@@ -63,7 +63,7 @@ class TwistingMap:
             for (r1, s1), c1 in self.apply(b, r_word).items():
                 for (r2, s2), c2 in self.apply(a, r1).items():
                     for sw, cs in self.S.mul_words(s2, s1).items():
-                        _acc(out, (r2, sw), c1 * c2 * cs)
+                        accumulate(out, (r2, sw), c1 * c2 * cs)
             return out
         split_r = self.R.split_first(r_word)
         if split_r is not None:
@@ -72,7 +72,7 @@ class TwistingMap:
             for (r1, s1), c1 in self.apply(s_word, c_head).items():
                 for (r2, s2), c2 in self.apply(s1, d_tail).items():
                     for rw, cr in self.R.mul_words(r1, r2).items():
-                        _acc(out, (rw, s2), c1 * c2 * cr)
+                        accumulate(out, (rw, s2), c1 * c2 * cr)
             return out
         raise TwistInconsistent(
             f"{self.name} has no rule for ({self.S.format_word(s_word)}, "
@@ -84,7 +84,7 @@ class TwistingMap:
         out = {}
         for (s, r), c in pairs.items():
             for pair, c2 in self.apply(s, r).items():
-                _acc(out, pair, c * c2)
+                accumulate(out, pair, c * c2)
         return out
 
     # -- the hexagon axiom ---------------------------------------------------
@@ -95,7 +95,7 @@ class TwistingMap:
         for sw, cs in self.S.mul_words(s1, s2).items():
             for rw, cr in self.R.mul_words(r1, r2).items():
                 for pair, c in self.apply(sw, rw).items():
-                    _acc(lhs, pair, cs * cr * c)
+                    accumulate(lhs, pair, cs * cr * c)
         rhs = {}
         for (rm, sm), c0 in self.apply(s2, r1).items():
             for (ra, sa), c1 in self.apply(s1, rm).items():
@@ -104,7 +104,7 @@ class TwistingMap:
                         base = c0 * c1 * c2 * c3
                         for rw, cr in self.R.mul_words(ra, rc).items():
                             for sw, cs in self.S.mul_words(sc, sb).items():
-                                _acc(rhs, (rw, sw), base * cr * cs)
+                                accumulate(rhs, (rw, sw), base * cr * cs)
         return lhs, rhs
 
     def axiom_quadruples(self, deg_budget):
@@ -171,7 +171,7 @@ class TwistingMap:
         out = {}
         for (r, s), c in pairs.items():
             for pair, c2 in self.inverse(r, s).items():
-                _acc(out, pair, c * c2)
+                accumulate(out, pair, c * c2)
         return out
 
     def _block_pairs(self, i, j):
@@ -238,16 +238,6 @@ def _invert_block(tau, dom, cod):
                 col[dom[jrow]] = c
         columns[cod[t]] = MappingProxyType(col)
     return columns
-
-
-def _acc(store, key, coeff):
-    if not coeff:
-        return
-    new = store.get(key, 0) + coeff
-    if new:
-        store[key] = new
-    else:
-        del store[key]
 
 
 def _format_pairs(tau, pairs):
@@ -371,13 +361,13 @@ class BarLeftCompat(CompatMap):
             new = {}
             for (prefix, s_cur), c in states.items():
                 for (r2, s2), c2 in self.tau.apply(s_cur, slot).items():
-                    _acc(new, (prefix + (r2,), s2), c * c2)
+                    accumulate(new, (prefix + (r2,), s2), c * c2)
             states = new
         out = {}
         for (full, s_cur), c in states.items():
             if self.reduced and any(w == self.unit for w in full[1:-1]):
                 continue
-            _acc(out, (full, s_cur), c)
+            accumulate(out, (full, s_cur), c)
         return out
 
 
@@ -396,11 +386,11 @@ class BarRightCompat(CompatMap):
             new = {}
             for (r_cur, suffix), c in states.items():
                 for (r2, s2), c2 in self.tau.apply(slot, r_cur).items():
-                    _acc(new, (r2, (s2,) + suffix), c * c2)
+                    accumulate(new, (r2, (s2,) + suffix), c * c2)
             states = new
         out = {}
         for (r_cur, full), c in states.items():
             if self.reduced and any(w == self.unit for w in full[1:-1]):
                 continue
-            _acc(out, (r_cur, full), c)
+            accumulate(out, (r_cur, full), c)
         return out

@@ -287,3 +287,33 @@ def test_boundary_shifted_d2_fails_through_previous_degree_images():
     assert bad.term(3).format(comp, word) == \
         "1 # 1 (x) 1 # 1 (x) 1 # 1 (x) 1 # y (x) 1 # 1"
     assert str(twice) == "-1 * 1 # 1 (x) 1 # 1 (x) x # 1"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q, PrimeField(5)]), st.booleans(), st.data())
+def test_product_is_zero_matches_dense_product(field, from_kernel, data):
+    # im(inner) <= ker(outer) exactly when the dense product vanishes; inner
+    # is drawn from ker(outer) or at random, so both verdicts occur
+    from twistres.complexes import _product_is_zero
+    from twistres.linalg import SparseMatrix, kernel_basis
+
+    entries = st.integers(-2, 2)
+    a, b, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    outer = SparseMatrix.from_dense(
+        [[data.draw(entries) for _ in range(b)] for _ in range(a)], field)
+    if from_kernel:
+        kernel = [v.entries for v in kernel_basis(outer)] or [{}]
+        picks = [data.draw(st.sampled_from(kernel)) for _ in range(c)]
+        dense_inner = [[pick.get(j, field.zero) for pick in picks]
+                       for j in range(b)]
+    else:
+        dense_inner = [[field.from_int(data.draw(entries)) for _ in range(c)]
+                       for _ in range(b)]
+    inner = SparseMatrix.from_dense(dense_inner, field)
+    dense_outer = [[row.get(j, field.zero) for j in range(b)] for row in outer.rows]
+    product_zero = all(
+        not sum((dense_outer[i][j] * dense_inner[j][k] for j in range(b)),
+                field.zero)
+        for i in range(a) for k in range(c))
+    assert _product_is_zero(outer, inner) == product_zero
+

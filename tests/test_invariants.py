@@ -1,6 +1,8 @@
 """Structural identities behind the chain-map theorems, checked directly."""
 
 import inspect
+import re
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -10,6 +12,7 @@ from twistres.fields import Rationals
 from twistres.instances import builtin_instance
 from twistres.linalg import SparseMatrix, rank
 from twistres.suite import run_suite
+from twistres.tensors import FreeElement
 from twistres.twisting import BarLeftCompat
 
 Q = Rationals()
@@ -225,3 +228,24 @@ def test_kernel_caches_hand_out_read_only_values():
             assert isinstance(value, MappingProxyType), label
             with pytest.raises(TypeError):
                 value["written"] = 1
+
+
+ADD_AND_DROP = re.compile(r"\.get\(.*,\s*0\)\s*[-+]")
+
+
+def test_sparse_sums_go_through_linalg():
+    # the hand-rolled "store.get(key, 0) + c" add-and-drop-zero step lives in
+    # linalg (accumulate, _row_sub_scaled) and, inlined for speed, in
+    # FreeElement.add_term; anywhere else it is a copy of linalg.accumulate
+    lines, start = inspect.getsourcelines(FreeElement.add_term)
+    allowed = {("tensors.py", start + k) for k in range(len(lines))}
+    package = Path(inspect.getfile(FreeElement)).parent
+    copies = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if ADD_AND_DROP.search(line) and (path.name, lineno) not in allowed:
+                copies.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert copies == []
+    assert any(ADD_AND_DROP.search(line) for line in lines)

@@ -233,10 +233,10 @@ def test_list_solve_matches_single_solves(field):
                                 max_size=5))
 def test_batched_check_products_match_single_products(m, vectors):
     # solve_linear_system checks every answer through one pass over A
-    from twistres.linalg import _products
+    from twistres.linalg import products
 
     xs = [SparseVector.from_dense(v[:m.ncols], Q).entries for v in vectors]
-    assert _products(m, xs) == [
+    assert products(m, xs) == [
         matrix_product_vec(m, SparseVector(m.ncols, x)).entries for x in xs]
 
 
@@ -266,3 +266,34 @@ def test_q_elimination_with_non_unit_pivots_is_exact():
     (k,) = kernel_basis(dense([[2, 3, 5], [4, 6, 9]]))
     assert k.entries == {0: Fraction(-3, 2), 1: 1}
     assert _exact(k.entries.values())
+
+
+def test_accumulate_adds_and_drops_zero_sums():
+    from twistres.linalg import accumulate
+
+    store = {"a": 2}
+    accumulate(store, "b", 0)               # a zero coefficient is a no-op
+    assert store == {"a": 2}
+    accumulate(store, "b", 3)
+    accumulate(store, "a", -2)              # a sum that cancels deletes the key
+    assert store == {"b": 3}
+    accumulate(store, "b", Fraction(1, 2))
+    accumulate(store, "c", 4)
+    assert store == {"b": Fraction(7, 2), "c": 4}
+    assert type(store["b"]) is Fraction and type(store["c"]) is int
+    F5 = PrimeField(5)
+    store = {}
+    accumulate(store, "x", F5.from_int(3))
+    accumulate(store, "x", F5.from_int(4))
+    assert store == {"x": F5.from_int(2)}
+    accumulate(store, "x", F5.from_int(3))
+    assert store == {}
+
+
+@given(small_matrix())
+def test_columns_round_trip(m):
+    from twistres.linalg import columns
+
+    cols = columns(m.rows, m.ncols)
+    assert len(cols) == m.ncols
+    assert columns(cols, m.nrows) == m.rows
