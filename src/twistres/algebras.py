@@ -21,7 +21,7 @@ import re
 from types import MappingProxyType
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
-from .linalg import accumulate
+from .linalg import accumulate, accumulate_scaled
 
 
 class AlgebraElement:
@@ -50,8 +50,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         out = dict(self.data)
-        for w, c in other.data.items():
-            accumulate(out, w, c)
+        accumulate_scaled(out, other.data)
         return AlgebraElement(self.algebra, out)
 
     def __sub__(self, other):
@@ -67,8 +66,7 @@ class AlgebraElement:
         out = {}
         for u, cu in self.data.items():
             for v, cv in other.data.items():
-                for w, cw in alg.mul_words(u, v).items():
-                    accumulate(out, w, cu * cv * cw)
+                accumulate_scaled(out, alg.mul_words(u, v), cu * cv)
         return AlgebraElement(alg, out)
 
     def project_reduced(self):
@@ -154,12 +152,18 @@ class PolynomialAlgebra(Algebra):
         self.nvars = len(self.variables)
         self.unit = (0,) * self.nvars
         self.strongly_graded = True
+        self._mul_cache = {}
 
     def degree(self, w):
         return sum(w)
 
     def mul_words(self, u, v):
-        return {tuple(a + b for a, b in zip(u, v)): self.field.one}
+        cached = self._mul_cache.get((u, v))
+        if cached is not None:
+            return cached
+        out = self._mul_cache[(u, v)] = MappingProxyType(
+            {tuple(a + b for a, b in zip(u, v)): self.field.one})
+        return out
 
     def basis(self, d):
         if d < 0:
@@ -322,12 +326,18 @@ class GroupAlgebra(Algebra):
         self.group = group
         self.unit = group.identity
         self.strongly_graded = True
+        self._mul_cache = {}
 
     def degree(self, w):
         return 0
 
     def mul_words(self, u, v):
-        return {self.group.mul(u, v): self.field.one}
+        cached = self._mul_cache.get((u, v))
+        if cached is not None:
+            return cached
+        out = self._mul_cache[(u, v)] = MappingProxyType(
+            {self.group.mul(u, v): self.field.one})
+        return out
 
     def basis(self, d):
         if d == 0:
@@ -397,9 +407,8 @@ class RewritingAlgebra(Algebra):
                     f"missing rewriting rule for descent {pair} in {self.name}")
             result = {}
             for repl, c in rule.items():
-                sub = self._normalize(word[:descent] + repl + word[descent + 2:])
-                for w2, c2 in sub.items():
-                    accumulate(result, w2, c * c2)
+                accumulate_scaled(
+                    result, self._normalize(word[:descent] + repl + word[descent + 2:]), c)
         result = self._normal_cache[word] = MappingProxyType(result)
         return result
 

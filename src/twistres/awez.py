@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import BarComplex, IntermediateComplex, TwistedProductComplex
-from .linalg import accumulate
+from .linalg import accumulate, accumulate_scaled
 from .tensors import FreeElement
 from .twisting import BarLeftCompat, BarRightCompat
 
@@ -203,15 +203,13 @@ class TwistedBarMaps:
             for k in range(1, ell + 1):
                 new = {}
                 for w, c in front.items():
-                    for w2, c2 in self.R.mul_words(w, rpart[k]).items():
-                        accumulate(new, w2, c * c2)
+                    accumulate_scaled(new, self.R.mul_words(w, rpart[k]), c)
                 front = new
             back = {spart[n + 1]: one}
             for k in range(n, ell, -1):
                 new = {}
                 for w, c in back.items():
-                    for w2, c2 in self.S.mul_words(spart[k], w).items():
-                        accumulate(new, w2, c * c2)
+                    accumulate_scaled(new, self.S.mul_words(spart[k], w), c)
                 back = new
             for fw, fc in front.items():
                 for bw, bc in back.items():
@@ -311,8 +309,7 @@ def group_closed_aw(maps, action, n, word, reduced):
             new = {}
             for w, c in front.items():
                 for w2, c2 in twisted[k].items():
-                    for w3, c3 in R.mul_words(w, w2).items():
-                        accumulate(new, w3, c * c2 * c3)
+                    accumulate_scaled(new, R.mul_words(w, w2), c * c2)
             front = new
         back_word = S.unit
         for k in range(ell + 1, n + 2):

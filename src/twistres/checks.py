@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import BarComplex, PreviousDegreeImages
-from .linalg import accumulate
+from .linalg import accumulate_scaled
 from .tensors import FreeElement
 
 
@@ -250,12 +250,10 @@ def check_associativity(A, d_max, instance="", expect_failure=False):
                     continue
                 left = {}
                 for m, c in uv.items():
-                    for m2, c2 in A.mul_words(m, w).items():
-                        accumulate(left, m2, c * c2)
+                    accumulate_scaled(left, A.mul_words(m, w), c)
                 right = {}
                 for m, c in A.mul_words(v, w).items():
-                    for m2, c2 in A.mul_words(u, m).items():
-                        accumulate(right, m2, c * c2)
+                    accumulate_scaled(right, A.mul_words(u, m), c)
                 if left != right:
                     wit = (f"({A.format_word(u)})({A.format_word(v)})"
                            f"({A.format_word(w)})")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InstanceError, TwistresError
-from .linalg import (SparseMatrix, accumulate, columns, products, rank,
+from .linalg import (SparseMatrix, accumulate, products, rank,
                      subspace_intersection)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
@@ -532,9 +532,27 @@ def check_truncated_exactness(X, n_max, d_max, graded=True):
     return report
 
 
+# columns of the inner block that _product_is_zero multiplies at a time
+PRODUCT_CHUNK = 1024
+
+
 def _product_is_zero(outer, inner):
-    """Whether outer * inner = 0 for block matrices (im d_in <= ker d_out)."""
-    return not any(products(outer, columns(inner.rows, inner.ncols)))
+    """Whether outer * inner = 0 for block matrices (im d_in <= ker d_out).
+
+    The columns of ``inner`` are taken ``PRODUCT_CHUNK`` at a time, so
+    neither its transpose nor the whole product is ever held, and the test
+    stops at the first chunk whose product has a nonzero column.
+    """
+    for lo in range(0, inner.ncols, PRODUCT_CHUNK):
+        hi = min(lo + PRODUCT_CHUNK, inner.ncols)
+        cols = [{} for _ in range(hi - lo)]
+        for i, row in enumerate(inner.rows):
+            for j, c in row.items():
+                if lo <= j < hi:
+                    cols[j - lo][i] = c
+        if any(products(outer, cols)):
+            return False
+    return True
 
 
 class PreviousDegreeImages:

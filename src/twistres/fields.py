@@ -2,15 +2,19 @@
 
 A coefficient over Q is a Python ``int`` while it is integral and a
 ``fractions.Fraction`` once a division leaves a remainder; over GF(p) it is
-an ``Fp``.  All of them support ``+ - *``, compare against ``int`` zero and
-one, and hash consistently with ``==``, so all higher layers stay
-field-agnostic.  Division goes only through the field (``div``/``inv``),
+an ``Fp``.  An ``Fp`` is immutable and shared: each modulus has one table,
+filled on first use with the residues actually produced, and ``Fp(v, p)``
+returns that table's element for ``v % p``; an operation on two residues is
+``int`` arithmetic on their values and one lookup in the table.  All of them
+support ``+ - *``, compare against ``int`` zero and one, and hash
+consistently with ``==``, so all higher layers stay field-agnostic.  Division goes only through the field (``div``/``inv``),
 never through ``/``: on two ``int`` coefficients ``/`` would give a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FieldError
@@ -27,61 +31,109 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class Fp:
-    """Element of the prime field GF(p)."""
+class _Residues(dict):
+    """The shared elements of GF(p), keyed by residue and made on first use."""
 
-    __slots__ = ("v", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, v: int, p: int):
-        self.v = v % p
+    def __init__(self, p):
+        super().__init__()
         self.p = p
 
+    def __missing__(self, v):
+        x = object.__new__(Fp)
+        object.__setattr__(x, "v", v)
+        object.__setattr__(x, "p", self.p)
+        object.__setattr__(x, "_residues", self)
+        self[v] = x
+        return x
+
+
+# modulus -> its _Residues, for the whole process: the elements are
+# immutable, so every caller can share them
+_RESIDUES = {}
+
+
+class Fp:
+    """Element of the prime field GF(p): one shared, immutable object per
+    residue, so ``Fp(7, 5) is Fp(2, 5)``."""
+
+    __slots__ = ("v", "p", "_residues")
+
+    def __new__(cls, v: int, p: int):
+        residues = _RESIDUES.get(p)
+        if residues is None:
+            residues = _RESIDUES[p] = _Residues(p)
+        return residues[v % p]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GF(p) elements are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GF(p) elements are immutable")
+
+    def __reduce__(self):
+        return Fp, (self.v, self.p)
+
     def _coerce(self, other):
+        # called only when other is not an Fp of this modulus
         if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldError(f"mixed moduli {self.p} and {other.p}")
-            return other
+            raise FieldError(f"mixed moduli {self.p} and {other.p}")
         if isinstance(other, int):
-            return Fp(other, self.p)
+            return self._residues[other % self.p]
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v + o.v, self.p)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[(self.v + other.v) % self.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v - o.v, self.p)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[(self.v - other.v) % self.p]
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(o.v - self.v, self.p)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[(other.v - self.v) % self.p]
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else Fp(self.v * o.v, self.p)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[self.v * other.v % self.p]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return Fp(self.v * pow(o.v, -1, self.p), self.p)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[self.v * _inverse(other.v, self.p) % self.p]
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o.__truediv__(self)
+        if other.__class__ is not Fp or other._residues is not self._residues:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._residues[other.v * _inverse(self.v, self.p) % self.p]
 
     def __neg__(self):
-        return Fp(-self.v, self.p)
+        return self._residues[-self.v % self.p]
 
     def __pow__(self, k: int):
-        return Fp(pow(self.v, k, self.p), self.p)
+        return self._residues[pow(self.v, k, self.p)]
 
     def __eq__(self, other):
         if isinstance(other, Fp):
@@ -101,23 +153,24 @@ class Fp:
         return f"{self.v}"
 
 
+def _inverse(v, p):
+    """The inverse of the residue v mod p; ZeroDivisionError when v is 0."""
+    if v == 0:
+        raise ZeroDivisionError("division by zero in GF(p)")
+    return pow(v, -1, p)
+
+
 @dataclass(frozen=True)
 class Rationals:
     """The rational numbers: ``int`` where integral, ``Fraction`` otherwise."""
 
     characteristic: int = 0
+    zero = 0
+    one = 1
 
     @property
     def name(self):
         return "Q"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return n
@@ -130,6 +183,8 @@ class Rationals:
 
     def div(self, a, b):
         """a / b, an ``int`` when integral; ZeroDivisionError when b is 0."""
+        if a.__class__ is int and b.__class__ is int and a % b == 0:
+            return a // b
         return _integral(Fraction(a, b))
 
     def inv(self, a):
@@ -148,12 +203,16 @@ class PrimeField:
     """GF(p) for an odd prime p; characteristic 2 is rejected."""
 
     p: int
+    zero: Fp = field(init=False, repr=False, compare=False)
+    one: Fp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
         if self.p == 2:
             raise FieldError("characteristic 2 is not supported")
+        object.__setattr__(self, "zero", Fp(0, self.p))
+        object.__setattr__(self, "one", Fp(1, self.p))
 
     @property
     def characteristic(self):
@@ -162,14 +221,6 @@ class PrimeField:
     @property
     def name(self):
         return f"F{self.p}"
-
-    @property
-    def zero(self):
-        return Fp(0, self.p)
-
-    @property
-    def one(self):
-        return Fp(1, self.p)
 
     def from_int(self, n: int):
         return Fp(n, self.p)
@@ -180,9 +231,7 @@ class PrimeField:
 
     def inv(self, a):
         v = a.v if isinstance(a, Fp) else a % self.p
-        if v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return Fp(pow(v, -1, self.p), self.p)
+        return Fp(_inverse(v, self.p), self.p)
 
     def parse(self, text: str):
         text = str(text).strip()
@@ -200,7 +249,12 @@ class PrimeField:
 
 def field_of(c) -> Rationals | PrimeField:
     """The field a stored coefficient lives in: GF(p) for an ``Fp``, else Q."""
-    return PrimeField(c.p) if isinstance(c, Fp) else Rationals()
+    return _prime_field(c.p) if isinstance(c, Fp) else Rationals()
+
+
+@functools.cache
+def _prime_field(p):
+    return PrimeField(p)
 
 
 def field_from_name(name) -> Rationals | PrimeField:

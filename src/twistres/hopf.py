@@ -10,7 +10,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import ActionNotAdmissible, TwistresError
-from .linalg import accumulate
+from .linalg import accumulate, accumulate_scaled
 from .twisting import CompatMap, TwistingMap
 
 
@@ -81,19 +81,16 @@ class HopfAlgebra:
             snake_r = {}
             for (a, b), c in self.coproduct(w).items():
                 for g, cg in self.antipode(a).items():
-                    for prod, cp in H.mul_words(g, b).items():
-                        accumulate(snake_l, prod, c * cg * cp)
+                    accumulate_scaled(snake_l, H.mul_words(g, b), c * cg)
                 for g, cg in self.antipode(b).items():
-                    for prod, cp in H.mul_words(a, g).items():
-                        accumulate(snake_r, prod, c * cg * cp)
+                    accumulate_scaled(snake_r, H.mul_words(a, g), c * cg)
             expected = {}
             accumulate(expected, H.unit, self.counit(w))
             if snake_l != expected or snake_r != expected:
                 failures.append(("antipode", H.format_word(w)))
             round_trip = {}
             for g, cg in self.antipode(w).items():
-                for g2, cg2 in self.antipode_inv(g).items():
-                    accumulate(round_trip, g2, cg * cg2)
+                accumulate_scaled(round_trip, self.antipode_inv(g), cg)
             if round_trip != {w: one}:
                 failures.append(("antipode inverse", H.format_word(w)))
         return not failures, failures
@@ -151,12 +148,10 @@ class HopfAction:
                 for h2 in h_words:
                     iterated = {}
                     for w, c in self.act(h2, r).items():
-                        for w2, c2 in self.act(h, w).items():
-                            accumulate(iterated, w2, c * c2)
+                        accumulate_scaled(iterated, self.act(h, w), c)
                     multiplied = {}
                     for hw, ch in H.mul_words(h, h2).items():
-                        for w, c in self.act(hw, r).items():
-                            accumulate(multiplied, w, ch * c)
+                        accumulate_scaled(multiplied, self.act(hw, r), ch)
                     if iterated != multiplied:
                         failures.append(("module law", H.format_word(h),
                                          H.format_word(h2), R.format_word(r)))

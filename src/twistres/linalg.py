@@ -83,7 +83,8 @@ def accumulate(store, key, coeff):
     """store[key] += coeff, deleting the key when the sum is zero."""
     if not coeff:
         return
-    new = store.get(key, 0) + coeff
+    prev = store.get(key)
+    new = coeff if prev is None else prev + coeff
     if new:
         store[key] = new
     else:
@@ -99,14 +100,20 @@ def columns(rows, ncols):
     return out
 
 
-def _row_sub_scaled(dst, src, factor):
-    """dst -= factor * src, dropping zeros."""
-    for j, c in src.items():
-        new = dst.get(j, 0) - factor * c
+def accumulate_scaled(dst, src, factor=None):
+    """dst += factor * src (src itself when factor is None), dropping zeros."""
+    if factor is not None and not factor:
+        return
+    get = dst.get
+    for key, c in src.items():
+        if factor is not None:
+            c = factor * c
+        prev = get(key)
+        new = c if prev is None else prev + c
         if new:
-            dst[j] = new
-        else:
-            dst.pop(j, None)
+            dst[key] = new
+        elif prev is not None:
+            del dst[key]
 
 
 def rref(rows, ncols):
@@ -131,16 +138,18 @@ def rref(rows, ncols):
         if hit is None:
             continue
         piv_row = work.pop(hit)
-        inv = field.inv(piv_row[col])
-        piv_row = {j: c * inv for j, c in piv_row.items()}
+        pivot = piv_row[col]
+        # div, not a product with the inverse: over Q an integral quotient
+        # stays an int instead of becoming Fraction(k, 1)
+        piv_row = {j: field.div(c, pivot) for j, c in piv_row.items()}
         for row in work:
             f = row.get(col)
             if f:
-                _row_sub_scaled(row, piv_row, f)
+                accumulate_scaled(row, piv_row, -f)
         for row in echelon:
             f = row.get(col)
             if f:
-                _row_sub_scaled(row, piv_row, f)
+                accumulate_scaled(row, piv_row, -f)
         echelon.append(piv_row)
         pivots.append(col)
         work = [r for r in work if r]
@@ -168,7 +177,7 @@ def reduce_against(echelon, pivots, vec):
         f = residue.get(col)
         if f:
             coords[i] = f
-            _row_sub_scaled(residue, echelon[i], f)
+            accumulate_scaled(residue, echelon[i], -f)
     return coords, residue
 
 
@@ -295,7 +304,7 @@ def intersect_pair(a_rows, b_rows, ncols):
         vec = {}
         for t, c in k.entries.items():
             if t < na:
-                _row_sub_scaled(vec, a_rows[t], -c)
+                accumulate_scaled(vec, a_rows[t], c)
         if vec:
             vectors.append(vec)
     echelon, _ = rref(vectors, ncols)

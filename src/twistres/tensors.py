@@ -11,7 +11,7 @@ block by the callers that need ranks.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, TwistresError
-from .linalg import member_coords, rref
+from .linalg import accumulate_scaled, member_coords, rref
 
 
 class FullSlot:
@@ -258,8 +258,7 @@ class FreeElement:
             del self.data[key]
 
     def add_elt(self, other, factor=None):
-        for (comp, word), c in other.data.items():
-            self.add_term(comp, word, c if factor is None else factor * c)
+        accumulate_scaled(self.data, other.data, factor)
 
     def __add__(self, other):
         out = FreeElement(self.term, dict(self.data))

@@ -317,3 +317,29 @@ def test_product_is_zero_matches_dense_product(field, from_kernel, data):
         for i in range(a) for k in range(c))
     assert _product_is_zero(outer, inner) == product_zero
 
+
+
+def test_product_is_zero_tests_columns_in_chunks(monkeypatch):
+    # with two columns per chunk, a zero product takes every chunk, and a
+    # nonzero column stops the test at the chunk that holds it
+    from twistres import complexes
+    from twistres.linalg import SparseMatrix, products
+
+    chunks = []
+
+    def counted(matrix, vectors):
+        chunks.append(len(vectors))
+        return products(matrix, vectors)
+
+    monkeypatch.setattr(complexes, "PRODUCT_CHUNK", 2)
+    monkeypatch.setattr(complexes, "products", counted)
+    outer = SparseMatrix.from_dense([[1, 1, 0]], Q)
+    zero = SparseMatrix.from_dense([[1, 0, 2, 3, 1], [-1, 0, -2, -3, -1],
+                                    [0, 4, 0, 0, 0]], Q)
+    assert complexes._product_is_zero(outer, zero)
+    assert chunks == [2, 2, 1]
+    chunks.clear()
+    nonzero = SparseMatrix.from_dense([[1, 0, 2, 1, 1], [-1, 0, -2, 3, -1],
+                                       [0, 4, 0, 0, 0]], Q)
+    assert not complexes._product_is_zero(outer, nonzero)
+    assert chunks == [2, 2]

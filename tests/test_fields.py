@@ -1,5 +1,8 @@
+import copy
 import hashlib
 import json
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -145,3 +148,70 @@ def test_exactness_agrees_over_q_and_prime_fields(name):
     over_q = ranks("Q")
     assert ranks("F5") == over_q
     assert ranks("F7") == over_q
+
+
+def test_fp_residues_are_shared_and_immutable():
+    F = PrimeField(5)
+    a = Fp(7, 5)
+    assert a is Fp(2, 5) and a is F.from_int(-3)
+    assert F.zero is Fp(0, 5) and F.one is Fp(6, 5)
+    assert a * F.one is a and a + F.zero is a
+    with pytest.raises(AttributeError):
+        a.v = 3
+    with pytest.raises(AttributeError):
+        del a.p
+    assert a.v == 2 and a.p == 5
+    assert len({Fp(1, 5), 1}) == 1
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert pickle.loads(pickle.dumps([F, F.one]))[1] is F.one
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_fp_operators_take_ints_on_both_sides_and_reject_mixed_moduli(op):
+    fn = getattr(operator, op)
+    p = 7
+    for x in range(-8, 9):
+        for y in range(-8, 9):
+            if op == "truediv" and y % p == 0:
+                continue
+            want = Fp(x * pow(y, -1, p), p) if op == "truediv" else Fp(fn(x, y), p)
+            assert fn(Fp(x, p), Fp(y, p)) is want
+            assert fn(Fp(x, p), y) is want
+            if op == "truediv" and x % p == 0:
+                continue
+            want = Fp(y * pow(x, -1, p), p) if op == "truediv" else Fp(fn(y, x), p)
+            assert fn(y, Fp(x, p)) is want
+    with pytest.raises(FieldError):
+        fn(Fp(1, 5), Fp(1, 7))
+    with pytest.raises(FieldError):
+        fn(Fp(1, 7), Fp(1, 5))
+    with pytest.raises(TypeError):
+        fn(Fp(1, 5), Fraction(1, 2))
+
+
+def test_fp_large_prime_keeps_only_the_residues_produced():
+    p = 1_000_003
+    a, b = Fp(123_456_789, p), Fp(-5, p)
+    values = [a, b, a + b, a - b, a * b, a / b, -a, a * a * a]
+    assert [x.v for x in values] == [
+        123_456_789 % p, p - 5, (123_456_789 - 5) % p, (123_456_789 + 5) % p,
+        (123_456_789 * -5) % p, (123_456_789 * pow(-5, -1, p)) % p,
+        -123_456_789 % p, pow(123_456_789, 3, p)]
+    assert (a / b) * b is a
+    assert set(a._residues) == {x.v for x in values} | {a.v * a.v % p}
+
+
+def test_fp_reflected_operators_count_once(monkeypatch):
+    # a tracer that wraps the operators in Fp.__dict__ sees one call per
+    # operation, also when the int is on the left
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(self, other, _fn=Fp.__dict__[name], _name=name):
+            calls.append(_name)
+            return _fn(self, other)
+        monkeypatch.setattr(Fp, name, counted)
+    a = Fp(3, 7)
+    assert [2 + a, 2 - a, 2 * a, 2 / a] == [5, 6, 6, 3]
+    assert calls == ["__radd__", "__rsub__", "__rmul__", "__rtruediv__"]

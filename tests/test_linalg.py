@@ -297,3 +297,48 @@ def test_columns_round_trip(m):
     cols = columns(m.rows, m.ncols)
     assert len(cols) == m.ncols
     assert columns(cols, m.nrows) == m.rows
+
+
+def test_q_pivot_rows_stay_integral():
+    # the pivots 2 and 3 are not units of Z; the integral quotients they
+    # leave are stored as int, not Fraction(k, 1), and print as before
+    echelon, pivots = rref([{0: 2, 1: 4, 2: 6, 3: 1}, {1: 3, 2: 9, 3: 2}], 4)
+    assert pivots == [0, 1]
+    assert [{j: str(c) for j, c in row.items()} for row in echelon] == [
+        {0: "1", 2: "-3", 3: "-5/6"}, {1: "1", 2: "3", 3: "2/3"}]
+    for row in echelon:
+        for c in row.values():
+            assert type(c) is int or c.denominator != 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q, PrimeField(5)]), st.data())
+def test_add_elt_equals_the_add_term_loop(field, data):
+    from twistres.tensors import FreeElement, Signature, Term
+
+    keys = [((), (w,)) for w in range(4)]
+    values = st.integers(-3, 3).map(field.from_int)
+
+    def element():
+        # few keys, so the two elements share terms and some sums cancel
+        return FreeElement(term, {k: data.draw(values) for k in data.draw(
+            st.lists(st.sampled_from(keys), max_size=4, unique=True))})
+
+    term = Term([((), Signature(()))])
+    base = element()
+    mode = data.draw(st.sampled_from(["random", "cancel", "cancel by factor"]))
+    if mode == "cancel":
+        other, factor = base.scale(-field.one), None
+    elif mode == "cancel by factor":
+        other, factor = base, -field.one
+    else:
+        other, factor = element(), data.draw(st.one_of(st.none(), values))
+    by_terms = FreeElement(term, dict(base.data))
+    for (comp, word), c in other.data.items():
+        by_terms.add_term(comp, word, c if factor is None else factor * c)
+    bulk = FreeElement(term, dict(base.data))
+    bulk.add_elt(other, factor)
+    assert bulk.data == by_terms.data
+    assert all(bulk.data.values())
+    if mode != "random":
+        assert bulk.is_zero()
