@@ -16,6 +16,7 @@ inclusions of the reduced bar complexes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -59,8 +60,12 @@ class Shuffle:
         return "".join(bits) if bits else "(1)"
 
 
+@functools.cache
 def enumerate_shuffles(ell, m):
-    """All binomial(ell+m, ell) shuffles with signs, in lexicographic order."""
+    """All binomial(ell+m, ell) shuffles with signs, in lexicographic order.
+
+    Returns one shared tuple per (ell, m).
+    """
     n = ell + m
     out = []
     for first_block in itertools.combinations(range(n), ell):
@@ -69,7 +74,7 @@ def enumerate_shuffles(ell, m):
         inversions = sum(1 for a in range(n) for b in range(a + 1, n)
                          if images[a] > images[b])
         out.append(Shuffle(images, ell, m, -1 if inversions % 2 else 1))
-    return out
+    return tuple(out)
 
 
 class ChainMap:
@@ -160,12 +165,18 @@ class TwistedBarMaps:
         # word: n+2 pair-slots of A; flatten to r0 s0 r1 s1 ...
         flat = tuple(x for pair in word for x in pair)
         states = {flat: self.A.field.one}
+        s_unit, r_unit = self.S.unit, self.R.unit
         for layer in range(1, n + 2):
             positions = [layer + 2 * t for t in range(n + 2 - layer)]
             for p in positions:
                 new = {}
                 for slots, c in states.items():
-                    for (rw, sw), c2 in self.tau.apply(slots[p], slots[p + 1]).items():
+                    s, r = slots[p], slots[p + 1]
+                    if s == s_unit or r == r_unit:
+                        # tau fixes units: the crossing is a plain swap
+                        accumulate(new, slots[:p] + (r, s) + slots[p + 2:], c)
+                        continue
+                    for (rw, sw), c2 in self.tau.apply(s, r).items():
                         accumulate(new, slots[:p] + (rw, sw) + slots[p + 2:], c * c2)
                 states = new
         out = FreeElement(self.Y.term(n))
@@ -176,12 +187,18 @@ class TwistedBarMaps:
     def _shuffle_word(self, n, comp, word):
         # word: r-block then s-block; interleave with inverse twists
         states = {tuple(word): self.A.field.one}
+        s_unit, r_unit = self.S.unit, self.R.unit
         for layer in range(n + 1, 0, -1):
             positions = [layer + 2 * t for t in range(n + 2 - layer)]
             for p in positions:
                 new = {}
                 for slots, c in states.items():
-                    for (sw, rw), c2 in self.tau.inverse(slots[p], slots[p + 1]).items():
+                    r, s = slots[p], slots[p + 1]
+                    if s == s_unit or r == r_unit:
+                        # and so does its inverse
+                        accumulate(new, slots[:p] + (s, r) + slots[p + 2:], c)
+                        continue
+                    for (sw, rw), c2 in self.tau.inverse(r, s).items():
                         accumulate(new, slots[:p] + (sw, rw) + slots[p + 2:], c * c2)
                 states = new
         out = FreeElement(self.bar_A.term(n))

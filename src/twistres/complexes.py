@@ -10,6 +10,7 @@ assembled per block when ranks are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InstanceError, TwistresError
 from .linalg import (SparseMatrix, accumulate, products, rank,
@@ -354,6 +355,22 @@ class TwistedProductComplex(Complex):
         self.tau = A.tau
         self.tau_C = tau_C
         self.tau_D = tau_D
+        # (factor attribute, method, arguments) -> {factor word: coeff}
+        self._factor_cache = {}
+
+    def _factor(self, which, method, *args):
+        """``self.C`` or ``self.D`` (``which``) evaluated once per arguments.
+
+        The method is looked up on the factor at each miss, so a wrapper
+        installed on the factor's class sees every real evaluation.
+        """
+        key = (which, method, args)
+        cached = self._factor_cache.get(key)
+        if cached is None:
+            elt = getattr(getattr(self, which), method)(*args)
+            cached = self._factor_cache[key] = MappingProxyType(
+                {word: c for ((), word), c in elt.data.items()})
+        return cached
 
     def _c_sig(self, i):
         return self.C.term(i).components[0][1]
@@ -379,11 +396,11 @@ class TwistedProductComplex(Complex):
         cw, dw = self.split(comp, word)
         out = FreeElement(self.term(n - 1))
         if i >= 1:
-            for ((), cw2), c in self.C.diff_word(i, (), cw).data.items():
+            for cw2, c in self._factor("C", "diff_word", i, (), cw).items():
                 out.add_term((i - 1, j), cw2 + dw, c)
         if j >= 1:
             sign = self.A.field.one if i % 2 == 0 else -self.A.field.one
-            for ((), dw2), c in self.D.diff_word(j, (), dw).data.items():
+            for dw2, c in self._factor("D", "diff_word", j, (), dw).items():
                 out.add_term((i, j - 1), cw + dw2, sign * c)
         return out
 
@@ -403,10 +420,10 @@ class TwistedProductComplex(Complex):
             for (r1, dw1), c2 in self.tau_D.apply(j, dw, rR).items():
                 for (r2, s2), c3 in self.tau.apply(s1, r1).items():
                     base = c1 * c2 * c3
-                    c_acted = self.C.act_word(i, rL, (), cw1, r2)
-                    d_acted = self.D.act_word(j, s2, (), dw1, sR)
-                    for ((), cw2), c4 in c_acted.data.items():
-                        for ((), dw2), c5 in d_acted.data.items():
+                    c_acted = self._factor("C", "act_word", i, rL, (), cw1, r2)
+                    d_acted = self._factor("D", "act_word", j, s2, (), dw1, sR)
+                    for cw2, c4 in c_acted.items():
+                        for dw2, c5 in d_acted.items():
                             out.add_term((i, j), cw2 + dw2, base * c4 * c5)
         return out
 

@@ -17,7 +17,7 @@ from .checks import (CheckReport, SignCorruptedBar, check_associativity,
                      check_bimodule_map, check_chain_map, check_d_squared_report,
                      check_exactness_report, check_identity_composition,
                      check_twist_axiom_report, check_twist_inverse, timed)
-from .errors import InstanceError
+from .errors import InstanceError, TwistresError
 
 
 def _cap(budgets, hdeg, gdeg):
@@ -187,7 +187,7 @@ def pipeline_reports(instance, seed=0, n_max=None, d_max=None):
     t0 = time.perf_counter()
     try:
         pipe = instance.koszul_pipeline(n_max=n_max, d_max=d_max)
-    except Exception as exc:
+    except TwistresError as exc:
         report = CheckReport("koszul pipeline: construction", name, {},
                              False, witness=str(exc))
         report.seconds = time.perf_counter() - t0

@@ -11,7 +11,7 @@ block by the callers that need ranks.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, TwistresError
-from .linalg import accumulate_scaled, member_coords, rref
+from .linalg import accumulate, accumulate_scaled, member_coords, rref
 
 
 class FullSlot:
@@ -177,10 +177,11 @@ class Signature:
         """All pure tensor words of total internal degree d."""
         out = [((), d)]
         for slot in self.slots:
+            by_degree = [slot.words(k) for k in range(d + 1)]
             new = []
             for prefix, rem in out:
                 for k in range(rem + 1):
-                    for w in slot.words(k):
+                    for w in by_degree[k]:
                         new.append((prefix + (w,), rem - k))
             out = new
         return [prefix for prefix, rem in out if rem == 0]
@@ -247,15 +248,7 @@ class FreeElement:
                     self.data[key] = c
 
     def add_term(self, comp, word, coeff):
-        # linalg.accumulate, inlined: the hottest call (~10^6 per battery pass)
-        if not coeff:
-            return
-        key = (comp, word)
-        new = self.data.get(key, 0) + coeff
-        if new:
-            self.data[key] = new
-        else:
-            del self.data[key]
+        accumulate(self.data, (comp, word), coeff)
 
     def add_elt(self, other, factor=None):
         accumulate_scaled(self.data, other.data, factor)

@@ -8,6 +8,7 @@ from twistres.awez import enumerate_shuffles, group_closed_aw, group_closed_ez
 from twistres.checks import check_chain_map, check_identity_composition
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
+from twistres.linalg import accumulate
 
 Q = Rationals()
 
@@ -55,6 +56,12 @@ def test_shuffle_count_and_signs_against_brute_force(ell, m):
     assert len(shuffles) == comb(ell + m, ell)
     assert sorted((s.images, s.sign) for s in shuffles) == \
         brute_force_shuffles(ell, m)
+
+
+def test_shuffles_are_built_once_per_shape():
+    first = enumerate_shuffles(2, 3)
+    assert isinstance(first, tuple)
+    assert enumerate_shuffles(2, 3) is first
 
 
 def test_shuffle_permute_places_values():
@@ -117,6 +124,48 @@ def test_unshuffle_round_trips_both_orders():
                 elt = maps.Y.single(2, comp, word)
                 back = maps.twisted_shuffle.apply(2, elt)
                 assert maps.twisted_unshuffle.apply(2, back) == elt
+
+
+def reference_unshuffle(maps, n, word):
+    """The twisted unshuffle with every crossing sent through tau.apply."""
+    states = {tuple(x for pair in word for x in pair): maps.A.field.one}
+    for layer in range(1, n + 2):
+        for p in [layer + 2 * t for t in range(n + 2 - layer)]:
+            new = {}
+            for slots, c in states.items():
+                for (rw, sw), c2 in maps.tau.apply(slots[p], slots[p + 1]).items():
+                    accumulate(new, slots[:p] + (rw, sw) + slots[p + 2:], c * c2)
+            states = new
+    return [(((), slots), c) for slots, c in states.items()]
+
+
+def reference_shuffle(maps, n, word):
+    """The twisted shuffle with every crossing sent through tau.inverse."""
+    states = {tuple(word): maps.A.field.one}
+    for layer in range(n + 1, 0, -1):
+        for p in [layer + 2 * t for t in range(n + 2 - layer)]:
+            new = {}
+            for slots, c in states.items():
+                for (sw, rw), c2 in maps.tau.inverse(slots[p], slots[p + 1]).items():
+                    accumulate(new, slots[:p] + (sw, rw) + slots[p + 2:], c * c2)
+            states = new
+    return [(((), tuple((slots[2 * k], slots[2 * k + 1]) for k in range(n + 2))), c)
+            for slots, c in states.items()]
+
+
+@pytest.mark.parametrize("name", ["example-5.2", "quantum-plane", "c2-skew"])
+def test_unit_crossings_match_the_twist(name):
+    # a crossing with a unit is a plain swap, as tau and its inverse give it;
+    # the terms, their coefficients and their order all agree
+    maps = builtin_instance(name).bar_maps()
+    for n in range(4):
+        for d in range(3):
+            for comp, word in maps.bar_A.basis(n, d):
+                got = maps._unshuffle_word(n, comp, word).data.items()
+                assert list(got) == reference_unshuffle(maps, n, word), word
+            for comp, word in maps.Y.basis(n, d):
+                got = maps._shuffle_word(n, comp, word).data.items()
+                assert list(got) == reference_shuffle(maps, n, word), word
 
 
 # -- face and shuffle maps ----------------------------------------------------

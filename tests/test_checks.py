@@ -4,9 +4,10 @@ from twistres.awez import ChainMap
 from twistres.checks import (SignCorruptedBar, check_bimodule_map,
                              check_chain_map, check_identity_composition,
                              check_twist_axiom_report, check_twist_inverse)
+from twistres.errors import NotLiftable
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
-from twistres.suite import group_closed_form_reports, run_suite
+from twistres.suite import group_closed_form_reports, pipeline_reports, run_suite
 
 Q = Rationals()
 
@@ -124,6 +125,31 @@ def test_suite_propagates_koszul_errors(monkeypatch):
     monkeypatch.setattr(inst, "koszul_complex", broken)
     with pytest.raises(RuntimeError):
         run_suite(inst, hdeg=1, gdeg=1, include_pipeline=False)
+
+
+def test_pipeline_reports_propagate_kernel_bugs(monkeypatch):
+    inst = builtin_instance("c2-koszul-kxy")
+
+    def broken(n_max=None, d_max=None):
+        raise RuntimeError("pipeline construction bug")
+
+    monkeypatch.setattr(inst, "koszul_pipeline", broken)
+    with pytest.raises(RuntimeError, match="pipeline construction bug"):
+        pipeline_reports(inst)
+
+
+def test_pipeline_reports_a_failed_lift(monkeypatch):
+    inst = builtin_instance("c2-koszul-kxy")
+    error = NotLiftable("quotient not free at degree 2", block=(2, 1))
+
+    def refused(n_max=None, d_max=None):
+        raise error
+
+    monkeypatch.setattr(inst, "koszul_pipeline", refused)
+    [report] = pipeline_reports(inst)
+    assert report.name == "koszul pipeline: construction"
+    assert not report.passed and not report.ok
+    assert report.witness == str(error)
 
 
 def test_closed_form_witness_names_first_failing_block(monkeypatch):

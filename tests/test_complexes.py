@@ -343,3 +343,98 @@ def test_product_is_zero_tests_columns_in_chunks(monkeypatch):
                                        [0, 4, 0, 0, 0]], Q)
     assert not complexes._product_is_zero(outer, nonzero)
     assert chunks == [2, 2]
+
+
+# -- the factor cache of a twisted product ------------------------------------
+
+
+def product_complexes():
+    """(label, X) for the bar products of two twists and the pipeline X."""
+    out = []
+    for name in ("c2-skew", "example-5.2"):
+        maps = builtin_instance(name).bar_maps()
+        out += [(f"{name} prod_bar", maps.prod_bar),
+                (f"{name} prod_rbar", maps.prod_rbar)]
+    kxy = builtin_instance("c2-koszul-kxy", hdeg=3, gdeg=2)
+    out.append(("c2-koszul-kxy pipeline X", kxy.koszul_smash_complex()))
+    return out
+
+
+def coefficient_pairs(A):
+    """The unit on both sides, and a degree-0 and a degree-1 word mixed."""
+    g, a = A.basis(0)[-1], A.basis(1)[-1]
+    return [(A.unit, A.unit), (g, a), (a, g)]
+
+
+def fresh_factor_value(X, key):
+    which, method, args = key
+    elt = getattr(getattr(X, which), method)(*args)
+    return {word: c for ((), word), c in elt.data.items()}
+
+
+@pytest.mark.parametrize("label, X", product_complexes())
+def test_factor_cache_holds_fresh_factor_values(label, X):
+    pairs = coefficient_pairs(X.A)
+    for n in range(4):
+        for d in range(3):
+            for comp, word in X.basis(n, d):
+                if n >= 1:
+                    X.diff_word(n, comp, word)
+                    (i, j), (cw, dw) = comp, X.split(comp, word)
+                    if i >= 1:
+                        assert ("C", "diff_word", (i, (), cw)) in X._factor_cache
+                    if j >= 1:
+                        assert ("D", "diff_word", (j, (), dw)) in X._factor_cache
+                for a, b in pairs:
+                    X.act_word(n, a, comp, word, b)
+    methods = {key[:2] for key in X._factor_cache}
+    assert methods == {("C", "diff_word"), ("D", "diff_word"),
+                       ("C", "act_word"), ("D", "act_word")}, label
+    for key, value in X._factor_cache.items():
+        assert dict(value) == fresh_factor_value(X, key), (label, key)
+
+
+def test_factor_cache_keys_separate_factors_and_arguments():
+    inst = builtin_instance("example-5.2")
+    X = inst.bar_maps().prod_bar
+    u, x = (0,), (1,)
+    # C's and D's words are the same tuple of exponents here
+    X.diff_word(2, (1, 1), (u, x, u, u, x, u))
+    assert set(X._factor_cache) == {("C", "diff_word", (1, (), (u, x, u))),
+                                    ("D", "diff_word", (1, (), (u, x, u)))}
+    X._factor_cache.clear()
+    unit = inst.A.unit
+    for left in (unit, (x, u)):
+        X.act_word(0, left, (0, 0), (u, u, u, u), unit)
+    assert set(X._factor_cache) == {
+        ("C", "act_word", (0, unit[0], (), (u, u), unit[0])),
+        ("C", "act_word", (0, x, (), (u, u), unit[0])),
+        ("D", "act_word", (0, unit[1], (), (u, u), unit[1]))}
+
+
+def test_factor_cache_misses_reach_a_wrapped_factor_method(monkeypatch):
+    # wrap the factor methods on the class, as a tracer does, after the
+    # complexes exist: every miss is counted, every hit is not
+    inst = builtin_instance("example-5.2")
+    X = inst.bar_maps().prod_rbar
+    calls = []
+
+    def counting(method):
+        def wrapper(self, *args):
+            calls.append((self, method.__name__))
+            return method(self, *args)
+        return wrapper
+
+    for attr in ("diff_word", "act_word"):
+        monkeypatch.setattr(BarComplex, attr, counting(BarComplex.__dict__[attr]))
+    u, x, y = (0,), (1,), (1,)
+    word = (u, x, u, u, y, u)
+    first = X.diff_word(2, (1, 1), word)
+    assert calls == [(X.C, "diff_word"), (X.D, "diff_word")]
+    assert X.diff_word(2, (1, 1), word) == first
+    assert len(calls) == 2
+    unit = inst.A.unit
+    acted = X.act_word(2, unit, (1, 1), word, unit)
+    assert calls[2:] == [(X.C, "act_word"), (X.D, "act_word")]
+    assert X.act_word(2, unit, (1, 1), word, unit) == acted
+    assert len(calls) == 4
