@@ -170,10 +170,7 @@ class KoszulComplex(Complex):
         self.relations = relations
         self.spaces = {1: TensorSubspace(
             R, 1, [{(v,): R.field.one} for v in R.basis(1)], "V")}
-        if relations:
-            self.spaces[2] = TensorSubspace(R, 2, relations, "K2")
-        else:
-            self.spaces[2] = TensorSubspace(R, 2, [], "K2")
+        self.spaces[2] = TensorSubspace(R, 2, relations, "K2")
         for n in range(3, n_max + 1):
             self.spaces[n] = self._intersect(n)
 
@@ -268,9 +265,6 @@ class KoszulComplex(Complex):
         if n == 0:
             return {word: self.A.field.one}
         r0, idx, r1 = word
-        if n == 1:
-            return {(r0,) + vs + (r1,): c
-                    for vs, c in self.spaces[1].basis[idx].items()}
         return {(r0,) + vs + (r1,): c
                 for vs, c in self.spaces[n].basis[idx].items()}
 
@@ -542,23 +536,26 @@ def check_truncated_exactness(X, n_max, d_max, graded=True):
         a_dim = len(block_basis(X, -1, degrees))
         report.entries.append(ExactnessEntry(-1, degrees, a_dim, 0, ranks[0]))
         for n in range(n_max):
-            composite_zero = _product_is_zero(mats[n], mats[n + 1])
+            composite_zero = first_nonzero_column(mats[n], mats[n + 1]) is None
             report.entries.append(
                 ExactnessEntry(n, degrees, dims[n], ranks[n], ranks[n + 1],
                                composite_zero))
     return report
 
 
-# columns of the inner block that _product_is_zero multiplies at a time
+# columns of the inner block that first_nonzero_column multiplies at a time
 PRODUCT_CHUNK = 1024
 
 
-def _product_is_zero(outer, inner):
-    """Whether outer * inner = 0 for block matrices (im d_in <= ker d_out).
+def first_nonzero_column(outer, inner):
+    """The first column of ``inner`` whose product with ``outer`` is nonzero.
 
-    The columns of ``inner`` are taken ``PRODUCT_CHUNK`` at a time, so
-    neither its transpose nor the whole product is ever held, and the test
-    stops at the first chunk whose product has a nonzero column.
+    Returns ``(index, column)``, the column of ``outer * inner`` as a dict
+    over the rows of ``outer``, or ``None`` when the product vanishes
+    (im d_in <= ker d_out).  The columns of ``inner`` are taken
+    ``PRODUCT_CHUNK`` at a time, so neither its transpose nor the whole
+    product is ever held, and the search stops at the first chunk holding
+    a nonzero column.
     """
     for lo in range(0, inner.ncols, PRODUCT_CHUNK):
         hi = min(lo + PRODUCT_CHUNK, inner.ncols)
@@ -567,66 +564,29 @@ def _product_is_zero(outer, inner):
             for j, c in row.items():
                 if lo <= j < hi:
                     cols[j - lo][i] = c
-        if any(products(outer, cols)):
-            return False
-    return True
-
-
-class PreviousDegreeImages:
-    """Images of a word oracle, kept one degree while a check walks the next.
-
-    A check that walks degrees upward evaluates ``oracle(n, comp, word)`` on
-    every basis word of degree n, and at degree n + 1 applies the same
-    oracle to the faces of d(w), which are degree-n basis words.  ``word``
-    evaluates the oracle and keeps the image, except at the ``top`` degree;
-    ``apply`` extends the oracle linearly over a degree n - 1 element,
-    taking each face from the images kept there and calling the oracle
-    only for a face that is not among them.  ``image_term(n)`` is the term
-    holding the oracle's degree-n values.  Nothing outlives the check that
-    owns the helper.
-    """
-
-    def __init__(self, oracle, image_term, top):
-        self._oracle = oracle
-        self._image_term = image_term
-        self._top = top
-        self._degree = None
-        self._current = {}           # images at self._degree
-        self._previous = {}          # images at self._degree - 1
-
-    def word(self, n, comp, word):
-        if n != self._degree:
-            self._previous = self._current if self._degree == n - 1 else {}
-            self._current = {}
-            self._degree = n
-        image = self._oracle(n, comp, word)
-        if n < self._top:
-            self._current[(comp, word)] = image
-        return image
-
-    def apply(self, n, elt):
-        previous = self._previous if n == self._degree - 1 else {}
-        out = FreeElement(self._image_term(n))
-        for (comp, word), c in elt.data.items():
-            image = previous.get((comp, word))
-            if image is None:
-                image = self._oracle(n, comp, word)
-            out.add_elt(image, factor=c)
-        return out
+        for k, column in enumerate(products(outer, cols)):
+            if column:
+                return lo + k, column
+    return None
 
 
 def check_d_squared(X, n_max, d_max):
-    """Evaluate d(d(w)) exactly on every basis word within budget."""
-    images = PreviousDegreeImages(X.diff_word, lambda n: X.term(n - 1), n_max)
-    for n in range(2, n_max + 1):
-        for d in range(d_max + 1):
-            for comp, word in X.basis(n, d):
-                once = images.word(n, comp, word)
-                twice = images.apply(n - 1, once)
-                if not twice.is_zero():
-                    return False, (n, comp, word, twice)
-    for d in range(d_max + 1):
-        for comp, word in X.basis(1, d):
-            if not X.augmentation(X.diff_word(1, comp, word)).is_zero():
-                return False, (1, comp, word, None)
+    """d o d = 0 as products of consecutive blocks over degrees 0..d_max.
+
+    Tests d_(n-1) d_n for n = 2..n_max, then eps d_1 at n = 1.  Returns
+    ``(True, None)``, or ``(False, (n, comp, word, twice))`` for the first
+    basis word of the first failing degree (``block_basis`` order) with
+    d(d(w)) != 0; ``twice`` is d(d(w)) in X_(n-2), ``None`` at n = 1.
+    """
+    blocks = [block_matrix(X, n, range(d_max + 1)) for n in range(n_max + 1)]
+    for n in [*range(2, n_max + 1), 1] if n_max >= 1 else []:
+        outer, _, codomain = blocks[n - 1]
+        inner, domain, _ = blocks[n]
+        hit = first_nonzero_column(outer, inner)
+        if hit is not None:
+            j, column = hit
+            comp, word = domain[j]
+            twice = None if n == 1 else FreeElement(
+                X.term(n - 2), {codomain[i]: c for i, c in column.items()})
+            return False, (n, comp, word, twice)
     return True, None

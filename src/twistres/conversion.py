@@ -311,24 +311,6 @@ class KoszulSmashPipeline:
     pi: ChainMap            # bootstrap lift with pi o iota = 1
     pi_RH: ChainMap         # pi o EZ: rbar(R) (x) rbar(H) -> X
 
-    def identity_defect(self, n_max, d_max):
-        """First free generator with pi(iota(g)) != g, or None."""
-        for n in range(n_max + 1):
-            for d in range(d_max + 1):
-                for g in self.X.free_generators(n, d):
-                    if self.pi.apply(n, self.iota.apply(n, g)) != g:
-                        return (n, d, g)
-        return None
-
-    def corollary_defect(self, n_max, d_max):
-        """First generator with pi_RH((iota_R (x) 1)(g)) != g, or None."""
-        for n in range(n_max + 1):
-            for d in range(d_max + 1):
-                for g in self.X.free_generators(n, d):
-                    if self.pi_RH.apply(n, self.iota_tensor.apply(n, g)) != g:
-                        return (n, d, g)
-        return None
-
 
 def smash_product_complex(maps, action, relations, n_max):
     """K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InstanceError
+from .errors import DimensionMismatch, InstanceError, TwistresError
 from .tensors import FreeElement
 
 
@@ -58,9 +58,11 @@ def parse_element(instance, data, complexes=None):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"malformed JSON: {exc}", "$") from None
+    if not isinstance(data, dict):
+        raise InstanceError("element description must be an object", "$")
     registry = complexes if complexes is not None else complex_registry(instance)
     cname = data.get("complex")
-    if cname not in registry:
+    if not isinstance(cname, str) or cname not in registry:
         raise InstanceError(
             f"unknown complex {cname!r}; available: {', '.join(sorted(registry))}",
             "$.complex")
@@ -72,15 +74,25 @@ def parse_element(instance, data, complexes=None):
     term = X.term(n)
     field = instance.field
     out = FreeElement(term)
-    for t, entry in enumerate(data.get("element", [])):
+    entries = data.get("element", [])
+    if not isinstance(entries, list):
+        raise InstanceError("element must be a list of terms", "$.element")
+    for t, entry in enumerate(entries):
         loc = f"$.element[{t}]"
-        comp = tuple(entry.get("component", ()))
+        if not isinstance(entry, dict):
+            raise InstanceError("term must be an object", loc)
+        comp = entry.get("component", [])
+        if not isinstance(comp, list):
+            raise InstanceError("component must be a list", f"{loc}.component")
+        comp = tuple(comp)
         try:
             sig = term.signature(comp)
-        except Exception:
+        except DimensionMismatch:
             raise InstanceError(f"no component {comp} in degree {n} of {cname}",
                                 f"{loc}.component") from None
         slots_in = entry.get("slots", [])
+        if not isinstance(slots_in, list):
+            raise InstanceError("slots must be a list", f"{loc}.slots")
         if len(slots_in) != len(sig.slots):
             raise InstanceError(
                 f"expected {len(sig.slots)} slots, got {len(slots_in)}",
@@ -89,24 +101,30 @@ def parse_element(instance, data, complexes=None):
         word = []
         for k, (slot, slot_in) in enumerate(zip(sig.slots, slots_in)):
             sloc = f"{loc}.slots[{k}]"
+            if not isinstance(slot_in, dict):
+                raise InstanceError("slot must be an object", sloc)
             label = slot_in.get("algebra")
             if label is not None and label != slot.label():
                 raise InstanceError(
                     f"slot algebra {label!r} does not match {slot.label()!r}",
                     f"{sloc}.algebra")
+            text = slot_in.get("word")
+            if not isinstance(text, str):
+                raise InstanceError("missing word or not a string", f"{sloc}.word")
             try:
-                w = slot.parse(slot_in["word"])
-            except KeyError:
-                raise InstanceError("missing word", f"{sloc}.word") from None
-            except Exception as exc:
+                w = slot.parse(text)
+            except (TwistresError, ValueError) as exc:
                 raise InstanceError(str(exc), f"{sloc}.word") from None
             if not slot.contains(w):
                 raise InstanceError(
-                    f"word {slot_in['word']!r} not allowed in this slot "
+                    f"word {text!r} not allowed in this slot "
                     "(reduced slots exclude the unit)", f"{sloc}.word")
             word.append(w)
             if "coeff" in slot_in:
-                coeff = coeff * field.parse(slot_in["coeff"])
+                try:
+                    coeff = coeff * field.parse(slot_in["coeff"])
+                except (TwistresError, ValueError, ZeroDivisionError) as exc:
+                    raise InstanceError(str(exc), f"{sloc}.coeff") from None
         out.add_term(comp, tuple(word), coeff)
     return cname, n, out
 

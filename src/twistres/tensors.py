@@ -276,7 +276,7 @@ class FreeElement:
         return isinstance(other, FreeElement) and self.data == other.data
 
     def items_sorted(self):
-        return sorted(self.data.items(), key=lambda kv: _word_key(kv[0]))
+        return sorted(self.data.items(), key=lambda kv: kv[0])
 
     def __str__(self):
         if not self.data:
@@ -287,14 +287,3 @@ class FreeElement:
         return "  +  ".join(bits)
 
     __repr__ = __str__
-
-
-def _word_key(key):
-    comp, word = key
-    return (comp, word)
-
-
-def single(term, comp, word, coeff):
-    out = FreeElement(term)
-    out.add_term(comp, word, coeff)
-    return out

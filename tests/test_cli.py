@@ -163,6 +163,41 @@ def test_element_parse_rejects_bad_slots():
         parse_element(inst, json.dumps(bad), registry)
 
 
+def first_term(payload, **changes):
+    payload["element"][0].update(changes)
+    return payload
+
+
+def first_coeff(payload, coeff):
+    payload["element"][0]["slots"][0]["coeff"] = coeff
+    return payload
+
+
+# (field, edit of the payload of a.json, JSON path named in the error)
+MALFORMED = [
+    ("Q", lambda p: ["x"], "$:"),
+    ("Q", lambda p: {**p, "element": ["oops"]}, "$.element[0]:"),
+    ("Q", lambda p: first_term(p, component=5), "$.element[0].component:"),
+    ("Q", lambda p: first_term(p, slots={"word": "x"}), "$.element[0].slots:"),
+    ("Q", lambda p: first_term(p, slots=[7] * 5), "$.element[0].slots[0]:"),
+    ("Q", lambda p: first_term(p, slots=[{"word": 1}] * 5),
+     "$.element[0].slots[0].word:"),
+    ("F5", lambda p: first_coeff(p, "1/0"), "$.element[0].slots[0].coeff:"),
+    ("F5", lambda p: first_coeff(p, "1/x"), "$.element[0].slots[0].coeff:"),
+]
+
+
+@pytest.mark.parametrize("field, edit, location", MALFORMED)
+def test_cli_malformed_element_is_a_parse_error(tmp_path, capsys, field, edit,
+                                                location):
+    payload = edit(json.loads(open(f"{DATA}/elements/a.json").read()))
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(payload))
+    assert main(["--field", field, "aw", "--instance", "example-5.2",
+                 "--element", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {location}")
+
+
 def test_cli_shuffle(capsys):
     assert main(["shuffle", "2", "1"]) == 0
     out = capsys.readouterr().out

@@ -294,7 +294,7 @@ def test_boundary_shifted_d2_fails_through_previous_degree_images():
 def test_product_is_zero_matches_dense_product(field, from_kernel, data):
     # im(inner) <= ker(outer) exactly when the dense product vanishes; inner
     # is drawn from ker(outer) or at random, so both verdicts occur
-    from twistres.complexes import _product_is_zero
+    from twistres.complexes import first_nonzero_column
     from twistres.linalg import SparseMatrix, kernel_basis
 
     entries = st.integers(-2, 2)
@@ -315,7 +315,7 @@ def test_product_is_zero_matches_dense_product(field, from_kernel, data):
         not sum((dense_outer[i][j] * dense_inner[j][k] for j in range(b)),
                 field.zero)
         for i in range(a) for k in range(c))
-    assert _product_is_zero(outer, inner) == product_zero
+    assert (first_nonzero_column(outer, inner) is None) == product_zero
 
 
 
@@ -336,13 +336,100 @@ def test_product_is_zero_tests_columns_in_chunks(monkeypatch):
     outer = SparseMatrix.from_dense([[1, 1, 0]], Q)
     zero = SparseMatrix.from_dense([[1, 0, 2, 3, 1], [-1, 0, -2, -3, -1],
                                     [0, 4, 0, 0, 0]], Q)
-    assert complexes._product_is_zero(outer, zero)
+    assert complexes.first_nonzero_column(outer, zero) is None
     assert chunks == [2, 2, 1]
     chunks.clear()
     nonzero = SparseMatrix.from_dense([[1, 0, 2, 1, 1], [-1, 0, -2, 3, -1],
                                        [0, 4, 0, 0, 0]], Q)
-    assert not complexes._product_is_zero(outer, nonzero)
+    assert complexes.first_nonzero_column(outer, nonzero) is not None
     assert chunks == [2, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q, PrimeField(5)]), st.integers(1, 3), st.data())
+def test_first_nonzero_column_is_the_dense_products_first(field, chunk, data):
+    # each column of inner is drawn from ker(outer) or at random, so the first
+    # nonzero product column falls anywhere, also across chunk boundaries
+    from unittest import mock
+
+    from twistres import complexes
+    from twistres.linalg import SparseMatrix, kernel_basis
+
+    entries = st.integers(-2, 2)
+    a, b = (data.draw(st.integers(1, 4)) for _ in range(2))
+    c = data.draw(st.integers(1, 7))
+    outer = SparseMatrix.from_dense(
+        [[data.draw(entries) for _ in range(b)] for _ in range(a)], field)
+    kernel = [v.entries for v in kernel_basis(outer)] or [{}]
+    picks = []
+    for _ in range(c):
+        if data.draw(st.booleans()):
+            picks.append(data.draw(st.sampled_from(kernel)))
+        else:
+            picks.append({j: field.from_int(data.draw(entries)) for j in range(b)})
+    inner = SparseMatrix.from_dense(
+        [[pick.get(j, field.zero) for pick in picks] for j in range(b)], field)
+    dense_outer = [[row.get(j, field.zero) for j in range(b)] for row in outer.rows]
+    expected = None
+    for k, pick in enumerate(picks):
+        column = {}
+        for i in range(a):
+            value = sum((dense_outer[i][j] * pick.get(j, field.zero)
+                         for j in range(b)), field.zero)
+            if value:
+                column[i] = value
+        if column:
+            expected = (k, column)
+            break
+    with mock.patch.object(complexes, "PRODUCT_CHUNK", chunk):
+        assert complexes.first_nonzero_column(outer, inner) == expected
+
+
+def corrupted_bar(A, augmented=None, shifted=None):
+    """Bar complex of A with eps doubled on the degree-0 word ``augmented``
+    and d_2 of the degree-2 word ``shifted[0]`` shifted by d_2(shifted[1])."""
+
+    class CorruptedBar(BarComplex):
+        def aug_word(self, comp, word):
+            out = super().aug_word(comp, word)
+            return out + out if (comp, word) == augmented else out
+
+        def diff_word(self, n, comp, word):
+            out = super().diff_word(n, comp, word)
+            if n == 2 and shifted and (comp, word) == shifted[0]:
+                return out + super().diff_word(2, *shifted[1])
+            return out
+
+    return CorruptedBar(A, reduced=False, n_max=3)
+
+
+def test_corrupted_augmentation_fails_only_at_degree_one():
+    A = builtin_instance("example-5.2").A
+    plain = BarComplex(A, reduced=False, n_max=3)
+    w0 = plain.basis(0, 1)[0]
+    bad = corrupted_bar(A, augmented=w0)
+    # the first degree-1 word, in block order, whose boundary meets w0
+    first = next(key for d in range(2) for key in plain.basis(1, d)
+                 if w0 in plain.diff_word(1, *key).data)
+    assert check_d_squared(bad, 3, 1) == (False, (1, *first, None))
+    assert check_d_squared(plain, 3, 1) == (True, None)
+
+
+def test_d_squared_reports_the_higher_degree_first():
+    # broken at n = 1 (augmentation) and at n = 3 (boundary shift): the
+    # blocks n = 2..n_max are tested before the augmentation square
+    A = builtin_instance("example-5.2").A
+    plain = BarComplex(A, reduced=False, n_max=3)
+    w0 = plain.basis(2, 1)[0]
+    v = next(key for key in plain.basis(2, 1)
+             if key != w0 and not plain.diff_word(2, *key).is_zero())
+    bad = corrupted_bar(A, augmented=plain.basis(0, 1)[0], shifted=(w0, v))
+    ok, (n, comp, word, twice) = check_d_squared(bad, 3, 1)
+    assert not ok and n == 3
+    assert bad.term(3).format(comp, word) == \
+        "1 # 1 (x) 1 # 1 (x) 1 # 1 (x) 1 # y (x) 1 # 1"
+    assert str(twice) == "-1 * 1 # 1 (x) 1 # 1 (x) x # 1"
+    assert check_d_squared(bad, 2, 1)[1][0] == 1
 
 
 # -- the factor cache of a twisted product ------------------------------------

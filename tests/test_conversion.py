@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from twistres.awez import ChainMap
-from twistres.checks import check_chain_map
+from twistres.checks import check_chain_map, check_identity_composition
 from twistres.complexes import TwistedProductComplex
 from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
@@ -135,8 +135,8 @@ def test_generators_land_in_reduced_window():
 @pytest.mark.parametrize("field", [None, "F3"])
 def test_koszul_smash_pipeline_identity(field):
     inst, pipe = koszul_setup(field=field, n_max=2, d_max=2)
-    assert pipe.identity_defect(2, 2) is None
-    assert pipe.corollary_defect(2, 2) is None
+    assert check_identity_composition(pipe.pi, pipe.iota, 2, 2).passed
+    assert check_identity_composition(pipe.pi_RH, pipe.iota_tensor, 2, 2).passed
     report = check_chain_map(pipe.pi, 2, 2)
     assert report.passed, report.witness
     report = check_chain_map(pipe.iota, 2, 2)
@@ -180,7 +180,7 @@ def test_trivial_group_pipeline_degenerates():
     }
     inst = parse_instance(json.dumps(desc))
     pipe = inst.koszul_pipeline(n_max=2, d_max=2)
-    assert pipe.identity_defect(2, 2) is None
+    assert check_identity_composition(pipe.pi, pipe.iota, 2, 2).passed
 
 
 def test_inadmissible_action_rejected():
@@ -231,7 +231,7 @@ def test_pipeline_cache_keyed_on_window():
     assert pipe is not small
     assert pipe.X.n_max == 3
     assert inst.koszul_pipeline(n_max=2, d_max=2) is small
-    assert pipe.identity_defect(3, 3) is None
+    assert check_identity_composition(pipe.pi, pipe.iota, 3, 3).passed
     g = inst.bar_maps().rbar_A.free_generators(3, 3)[0]
     assert pipe.pi.apply(3, g)        # built through degree 3
     with pytest.raises(TwistresError):    # beyond the small pipeline's X

@@ -249,3 +249,18 @@ def test_sparse_sums_go_through_linalg():
             if ADD_AND_DROP.search(line):
                 copies.append(f"{path.name}:{lineno}: {line.strip()}")
     assert copies == []
+
+
+SWALLOW = re.compile(r"\bexcept\s*(:|[^:]*\b(Base)?Exception\b)")
+
+
+def test_no_swallowed_exceptions():
+    # handlers name the errors they can act on: no bare "except:" and no
+    # "except Exception" in the kernel
+    package = Path(inspect.getfile(FreeElement)).parent
+    broad = []
+    for path in sorted(package.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if SWALLOW.search(line):
+                broad.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert broad == []
