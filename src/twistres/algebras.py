@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from types import MappingProxyType
 
-from .errors import BudgetExceeded, InstanceError, TwistresError
-from .linalg import accumulate, accumulate_scaled
+from .errors import BudgetExceeded, InstanceError
+from .linalg import Memo, accumulate, accumulate_scaled
 
 
 class AlgebraElement:
@@ -152,18 +151,17 @@ class PolynomialAlgebra(Algebra):
         self.nvars = len(self.variables)
         self.unit = (0,) * self.nvars
         self.strongly_graded = True
-        self._mul_cache = {}
+        self._mul_cache = Memo(self._product)
 
     def degree(self, w):
         return sum(w)
 
     def mul_words(self, u, v):
-        cached = self._mul_cache.get((u, v))
-        if cached is not None:
-            return cached
-        out = self._mul_cache[(u, v)] = MappingProxyType(
-            {tuple(a + b for a, b in zip(u, v)): self.field.one})
-        return out
+        return self._mul_cache[u, v]
+
+    def _product(self, key):
+        u, v = key
+        return {tuple(a + b for a, b in zip(u, v)): self.field.one}
 
     def basis(self, d):
         if d < 0:
@@ -294,11 +292,6 @@ class Group:
                  for p in elems]
         return cls(names or [_perm_name(p) for p in elems], table)
 
-    def permutation(self, i):
-        """Underlying permutation tuple when elements were built from one."""
-        name = self.elements[i]
-        raise TwistresError(f"group {self.name} stores no permutation for {name}")
-
 
 def _perm_name(p):
     n = len(p)
@@ -326,18 +319,16 @@ class GroupAlgebra(Algebra):
         self.group = group
         self.unit = group.identity
         self.strongly_graded = True
-        self._mul_cache = {}
+        self._mul_cache = Memo(self._product)
 
     def degree(self, w):
         return 0
 
     def mul_words(self, u, v):
-        cached = self._mul_cache.get((u, v))
-        if cached is not None:
-            return cached
-        out = self._mul_cache[(u, v)] = MappingProxyType(
-            {self.group.mul(u, v): self.field.one})
-        return out
+        return self._mul_cache[u, v]
+
+    def _product(self, key):
+        return {self.group.mul(*key): self.field.one}
 
     def basis(self, d):
         if d == 0:
@@ -381,7 +372,7 @@ class RewritingAlgebra(Algebra):
             for w in value:
                 if len(w) > 2:
                     raise InstanceError("rewriting rules may not raise word length")
-        self._normal_cache = {}
+        self._normal_cache = Memo(self._normalize)
         self.strongly_graded = all(
             all(len(w) == 2 for w in value) for value in self.rules.values())
 
@@ -389,31 +380,26 @@ class RewritingAlgebra(Algebra):
         return len(w)
 
     def _normalize(self, word):
-        cached = self._normal_cache.get(word)
-        if cached is not None:
-            return cached
         descent = None
         for k in range(len(word) - 1):
             if word[k] > word[k + 1]:
                 descent = k
                 break
         if descent is None:
-            result = {word: self.field.one}
-        else:
-            pair = (word[descent], word[descent + 1])
-            rule = self.rules.get(pair)
-            if rule is None:
-                raise InstanceError(
-                    f"missing rewriting rule for descent {pair} in {self.name}")
-            result = {}
-            for repl, c in rule.items():
-                accumulate_scaled(
-                    result, self._normalize(word[:descent] + repl + word[descent + 2:]), c)
-        result = self._normal_cache[word] = MappingProxyType(result)
+            return {word: self.field.one}
+        pair = (word[descent], word[descent + 1])
+        rule = self.rules.get(pair)
+        if rule is None:
+            raise InstanceError(
+                f"missing rewriting rule for descent {pair} in {self.name}")
+        result = {}
+        for repl, c in rule.items():
+            accumulate_scaled(
+                result, self._normal_cache[word[:descent] + repl + word[descent + 2:]], c)
         return result
 
     def mul_words(self, u, v):
-        return self._normalize(u + v)
+        return self._normal_cache[u + v]
 
     def basis(self, d):
         return tuple(itertools.combinations_with_replacement(range(len(self.generators)), d))
@@ -467,23 +453,21 @@ class TwistedProductAlgebra(Algebra):
         self.strongly_graded = (getattr(R, "strongly_graded", True)
                                 and getattr(S, "strongly_graded", True)
                                 and tau.strongly_graded)
-        self._mul_cache = {}
+        self._mul_cache = Memo(self._product)
 
     def degree(self, w):
         return self.R.degree(w[0]) + self.S.degree(w[1])
 
     def mul_words(self, u, v):
-        cached = self._mul_cache.get((u, v))
-        if cached is not None:
-            return cached
-        r1, s1 = u
-        r2, s2 = v
+        return self._mul_cache[u, v]
+
+    def _product(self, key):
+        (r1, s1), (r2, s2) = key
         out = {}
         for (rm, sm), c in self.tau.apply(s1, r2).items():
             for rw, cr in self.R.mul_words(r1, rm).items():
                 for sw, cs in self.S.mul_words(sm, s2).items():
                     accumulate(out, (rw, sw), c * cr * cs)
-        out = self._mul_cache[(u, v)] = MappingProxyType(out)
         return out
 
     def basis(self, d):

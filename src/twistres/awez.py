@@ -80,12 +80,11 @@ def enumerate_shuffles(ell, m):
 class ChainMap:
     """Degree-indexed family of linear maps given by a basis-word oracle."""
 
-    def __init__(self, source, target, oracle, name, lifts_identity=True):
+    def __init__(self, source, target, oracle, name):
         self.source = source
         self.target = target
         self._oracle = oracle
         self.name = name
-        self.lifts_identity = lifts_identity
 
     def apply_word(self, n, comp, word):
         return self._oracle(n, comp, word)
@@ -101,8 +100,7 @@ class ChainMap:
         def oracle(n, comp, word):
             return self.apply(n, other.apply_word(n, comp, word))
         return ChainMap(other.source, self.target, oracle,
-                        f"{self.name} o {other.name}",
-                        self.lifts_identity and other.lifts_identity)
+                        f"{self.name} o {other.name}")
 
     @classmethod
     def identity(cls, X):
@@ -157,7 +155,7 @@ class TwistedBarMaps:
         self.inclusion_reduced_product = ChainMap(
             self.prod_rbar, self.prod_bar,
             lambda n, comp, word: self.prod_bar.single(n, comp, word),
-            "in_2", lifts_identity=False)
+            "in_2")
 
     # -- twisted perfect unshuffle and its inverse ---------------------------
 

@@ -114,18 +114,16 @@ def check_chain_map(f, n_max, d_max, instance="", expect_failure=False):
 
 
 @timed
-def check_bimodule_map(f, n_max, d_max, instance="", coeff_degree=2,
-                       seed=0, sample=16, exhaustive=False,
-                       expect_failure=False):
+def check_bimodule_map(f, n_max, d_max, instance="", seed=0, sample=16,
+                       exhaustive=False, expect_failure=False):
     """f(a.w.b) = a.f(w).b for sampled coefficient pairs and all basis words.
 
-    Coefficients run over the algebra basis up to ``coeff_degree``; a fixed
-    seed picks ``sample`` pairs unless ``exhaustive`` is set.
+    Coefficients run over the algebra basis up to degree 2; a fixed seed
+    picks ``sample`` pairs unless ``exhaustive`` is set.
     """
     A = f.source.A
-    budget = {"hdeg": n_max, "gdeg": d_max, "coeff_deg": coeff_degree,
-              "seed": seed}
-    coeffs = A.basis_upto(min(coeff_degree, A.max_degree))
+    budget = {"hdeg": n_max, "gdeg": d_max, "coeff_deg": 2, "seed": seed}
+    coeffs = A.basis_upto(min(2, A.max_degree))
     pairs = [(a, b) for a in coeffs for b in coeffs]
     if not exhaustive and len(pairs) > sample:
         rng = random.Random(seed)

@@ -10,10 +10,9 @@ assembled per block when ranks are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .errors import InstanceError, TwistresError
-from .linalg import (SparseMatrix, accumulate, products, rank,
+from .linalg import (Memo, SparseMatrix, accumulate, products, rank,
                      subspace_intersection)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
@@ -350,21 +349,18 @@ class TwistedProductComplex(Complex):
         self.tau_C = tau_C
         self.tau_D = tau_D
         # (factor attribute, method, arguments) -> {factor word: coeff}
-        self._factor_cache = {}
+        self._factor_cache = Memo(self._evaluate_factor)
 
     def _factor(self, which, method, *args):
-        """``self.C`` or ``self.D`` (``which``) evaluated once per arguments.
+        """``self.C`` or ``self.D`` (``which``) evaluated once per arguments."""
+        return self._factor_cache[which, method, args]
 
-        The method is looked up on the factor at each miss, so a wrapper
-        installed on the factor's class sees every real evaluation.
-        """
-        key = (which, method, args)
-        cached = self._factor_cache.get(key)
-        if cached is None:
-            elt = getattr(getattr(self, which), method)(*args)
-            cached = self._factor_cache[key] = MappingProxyType(
-                {word: c for ((), word), c in elt.data.items()})
-        return cached
+    def _evaluate_factor(self, key):
+        # the method is looked up on the factor at each miss, so a wrapper
+        # installed on the factor's class sees every real evaluation
+        which, method, args = key
+        elt = getattr(getattr(self, which), method)(*args)
+        return {word: c for ((), word), c in elt.data.items()}
 
     def _c_sig(self, i):
         return self.C.term(i).components[0][1]
@@ -466,20 +462,6 @@ class ExactnessReport:
     @property
     def exact(self):
         return all(e.exact for e in self.entries)
-
-    def summary(self):
-        lines = [f"exactness of {self.complex_name}:"]
-        for e in self.entries:
-            if not e.composite_zero:
-                verdict = "d o d != 0 on this block"
-            elif e.homology_dim == 0:
-                verdict = "exact"
-            else:
-                verdict = f"H != 0 (dim {e.homology_dim})"
-            lines.append(
-                f"  position {e.position}, degrees {list(e.degrees)}: dim {e.dim}, "
-                f"rank d_out {e.rank_out}, rank d_in {e.rank_in} -> {verdict}")
-        return "\n".join(lines)
 
 
 def down(X, n, comp, word):

@@ -33,14 +33,15 @@ class CompatibleChainMapPair:
     tau_Dp: object
 
 
-def check_compatible(pair, S, R, n_max, d_max, coeff_degree=2):
+def check_compatible(pair, S, R, n_max, d_max):
     """Exhaustive basis check of both compatibility squares.
 
     Left square: (psi_R (x) 1) tau_C = tau_C' (1 (x) psi_R); right square:
-    (1 (x) psi_S) tau_D = tau_D' (psi_S (x) 1).  Returns (ok, witness).
+    (1 (x) psi_S) tau_D = tau_D' (psi_S (x) 1), with coefficient words up
+    to degree 2.  Returns (ok, witness).
     """
-    s_words = S.basis_upto(min(coeff_degree, S.max_degree))
-    r_words = R.basis_upto(min(coeff_degree, R.max_degree))
+    s_words = S.basis_upto(min(2, S.max_degree))
+    r_words = R.basis_upto(min(2, R.max_degree))
     for n in range(n_max + 1):
         for d in range(d_max + 1):
             for comp, word in pair.psi_R.source.basis(n, d):

@@ -7,10 +7,8 @@ so table-driven Hopf algebras plug in the same way.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .errors import ActionNotAdmissible, TwistresError
-from .linalg import accumulate, accumulate_scaled
+from .linalg import Memo, accumulate, accumulate_scaled
 from .twisting import CompatMap, TwistingMap
 
 
@@ -23,7 +21,7 @@ class HopfAlgebra:
         self._counit = counit
         self._antipode = antipode
         self._antipode_inv = antipode_inv
-        self._sweedler_cache = {}
+        self._sweedler_cache = Memo(self._sweedler)
 
     def coproduct(self, w):
         return self._coproduct(w)
@@ -45,15 +43,15 @@ class HopfAlgebra:
         """
         if m == 1:
             return {(w,): self.algebra.field.one}
-        key = (w, m)
-        cached = self._sweedler_cache.get(key)
-        if cached is None:
-            legs_out = {}
-            for legs, c in self.sweedler(w, m - 1).items():
-                for (h1, h2), c2 in self.coproduct(legs[-1]).items():
-                    accumulate(legs_out, legs[:-1] + (h1, h2), c * c2)
-            cached = self._sweedler_cache[key] = MappingProxyType(legs_out)
-        return cached
+        return self._sweedler_cache[w, m]
+
+    def _sweedler(self, key):
+        w, m = key
+        legs_out = {}
+        for legs, c in self.sweedler(w, m - 1).items():
+            for (h1, h2), c2 in self.coproduct(legs[-1]).items():
+                accumulate(legs_out, legs[:-1] + (h1, h2), c * c2)
+        return legs_out
 
     def check_axioms(self, budget=0):
         """Coassociativity, counit and antipode laws on basis words."""
@@ -119,18 +117,13 @@ class HopfAction:
     def __init__(self, hopf, module, oracle):
         self.hopf = hopf
         self.module = module
-        self._oracle = oracle
-        self._cache = {}
+        self._cache = Memo(
+            lambda key: {w: c for w, c in oracle(*key).items() if c})
 
     def act(self, h_word, r_word):
         if h_word == self.hopf.algebra.unit:
             return {r_word: self.module.field.one}
-        key = (h_word, r_word)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = MappingProxyType(
-                {w: c for w, c in self._oracle(h_word, r_word).items() if c})
-        return cached
+        return self._cache[h_word, r_word]
 
     def check(self, budget):
         """Module and module-algebra axioms with grading, on basis words."""
@@ -250,24 +243,23 @@ def _perm_from_name(name, degree):
     return tuple(perm)
 
 
-def smash_twist(action, name="smash", check_budget=2):
+def smash_twist(action, name="smash"):
     """tau(h (x) r) = sum ^(h1) r (x) h2, with the antipode-formula inverse.
 
     The Hopf and module-algebra axioms are verified on basis words up to
-    ``check_budget`` before the twist is built; pass 0 to skip.
+    degree 2 before the twist is built.
     """
     H = action.hopf.algebra
     R = action.module
     hopf = action.hopf
-    if check_budget:
-        ok, failures = hopf.check_axioms(0)
-        if not ok:
-            raise ActionNotAdmissible(
-                f"Hopf axioms fail: {failures[0]}", witness=failures[0])
-        ok, failures = action.check(min(check_budget, R.max_degree))
-        if not ok:
-            raise ActionNotAdmissible(
-                f"action axioms fail: {failures[0]}", witness=failures[0])
+    ok, failures = hopf.check_axioms(0)
+    if not ok:
+        raise ActionNotAdmissible(
+            f"Hopf axioms fail: {failures[0]}", witness=failures[0])
+    ok, failures = action.check(min(2, R.max_degree))
+    if not ok:
+        raise ActionNotAdmissible(
+            f"action axioms fail: {failures[0]}", witness=failures[0])
 
     def rule(h_word, r_word):
         out = {}
@@ -414,13 +406,14 @@ def _act_on_vwords(action, h_word, vec):
 
 def subspace_slot_action(action, space):
     """Slot action on an abstract subspace slot, via expand/act/coordinatize."""
-    cache = {}
+
+    def image(key):
+        h_word, idx = key
+        return space.coordinatize(_act_on_vwords(action, h_word, space.basis[idx]))
+
+    cache = Memo(image)
 
     def act(h_word, idx):
-        key = (h_word, idx)
-        if key not in cache:
-            image = _act_on_vwords(action, h_word, space.basis[idx])
-            cache[key] = MappingProxyType(space.coordinatize(image))
-        return cache[key]
+        return cache[h_word, idx]
 
     return act

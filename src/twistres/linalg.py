@@ -7,6 +7,8 @@ row first), so every result is reproducible bit for bit.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import DimensionMismatch
 from .fields import field_of
 
@@ -91,6 +93,26 @@ def accumulate(store, key, coeff):
         del store[key]
 
 
+class Memo(dict):
+    """A dict that fills itself: ``memo[key]`` is ``make(key)``, computed once.
+
+    The value is stored as a read-only mapping, so no caller can change what
+    another one reads.  ``make`` may look up other keys of the same memo; an
+    exception from it propagates and stores nothing.  ``in``, ``len`` and
+    ``get`` only read what is stored.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = MappingProxyType(self.make(key))
+        return value
+
+
 def columns(rows, ncols):
     """The transpose of a list of dict-rows: one dict-column per column."""
     out = [{} for _ in range(ncols)]
@@ -164,13 +186,8 @@ def rank(matrix: SparseMatrix) -> int:
     return len(pivots)
 
 
-def reduce_against(echelon, pivots, vec):
-    """Reduce ``vec`` (a dict) against reduced-echelon rows.
-
-    Returns ``(coords, residue)`` with
-    ``vec = sum(coords[i] * echelon[i]) + residue`` and ``residue`` free of
-    pivot columns.
-    """
+def member_coords(echelon, pivots, vec):
+    """Coordinates of ``vec`` over a reduced-echelon basis, or None."""
     residue = dict(vec)
     coords = {}
     for i, col in enumerate(pivots):
@@ -178,12 +195,6 @@ def reduce_against(echelon, pivots, vec):
         if f:
             coords[i] = f
             accumulate_scaled(residue, echelon[i], -f)
-    return coords, residue
-
-
-def member_coords(echelon, pivots, vec):
-    """Coordinates of ``vec`` over a reduced-echelon basis, or None."""
-    coords, residue = reduce_against(echelon, pivots, vec)
     return None if residue else coords
 
 

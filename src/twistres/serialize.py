@@ -67,10 +67,13 @@ def parse_element(instance, data, complexes=None):
             f"unknown complex {cname!r}; available: {', '.join(sorted(registry))}",
             "$.complex")
     X = registry[cname]
-    try:
-        n = int(data["degree"])
-    except (KeyError, TypeError, ValueError):
-        raise InstanceError("missing or bad homological degree", "$.degree") from None
+    n = data.get("degree")
+    # type(n) rather than isinstance: a JSON true is not the degree 1
+    if type(n) is not int or not 0 <= n <= X.n_max:
+        raise InstanceError(
+            f"homological degree must be an integer in 0..{X.n_max}, "
+            f"got {json.dumps(n)}",
+            "$.degree")
     term = X.term(n)
     field = instance.field
     out = FreeElement(term)

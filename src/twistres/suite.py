@@ -26,8 +26,7 @@ def _cap(budgets, hdeg, gdeg):
     return n_max, d_max
 
 
-def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False,
-              include_pipeline=True):
+def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     """Execute the full battery; returns a list of CheckReport."""
     n_max, d_max = _cap(instance.budgets, hdeg, gdeg)
     name = instance.name
@@ -119,7 +118,7 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False,
     reports.append(check_exactness_report(corrupted, 2, control_d, graded,
                                           instance=name, expect_failure=True))
 
-    if include_pipeline and instance.action is not None and instance.run_pipeline:
+    if instance.action is not None and instance.run_pipeline:
         reports.extend(pipeline_reports(instance, seed=seed))
     return reports
 

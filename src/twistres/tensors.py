@@ -31,9 +31,6 @@ class FullSlot:
     def contains(self, w):
         return True
 
-    def is_reduced_unit(self, w):
-        return False
-
     def format(self, w):
         return self.algebra.format_word(w)
 
@@ -52,9 +49,6 @@ class ReducedSlot(FullSlot):
 
     def contains(self, w):
         return w != self.algebra.unit
-
-    def is_reduced_unit(self, w):
-        return w == self.algebra.unit
 
     def label(self):
         return self.algebra.name + "~"
@@ -138,9 +132,6 @@ class SubspaceSlot:
     def contains(self, w):
         return isinstance(w, int) and 0 <= w < self.space.dim
 
-    def is_reduced_unit(self, w):
-        return False
-
     def format(self, w):
         return f"{self.space.label}[{w}]"
 
@@ -215,12 +206,6 @@ class Term:
         out = []
         for key, sig in self.components:
             out.extend((key, w) for w in sig.words(d))
-        return out
-
-    def basis_upto(self, d):
-        out = []
-        for k in range(d + 1):
-            out.extend(self.basis(k))
         return out
 
     def degree(self, comp, word):

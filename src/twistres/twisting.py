@@ -9,27 +9,25 @@ that this fixed order is consistent on all basis quadruples within budget.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-
 from .errors import NotInvertible, TwistInconsistent
-from .linalg import accumulate, rref
+from .linalg import Memo, accumulate, rref
 
 
 class TwistingMap:
     """Bijective linear map S (x) R -> R (x) S fixing units."""
 
     def __init__(self, S, R, rule, name="tau", inverse_rule=None,
-                 strongly_graded=None, filtered=True):
+                 strongly_graded=False, filtered=True):
         self.S = S
         self.R = R
         self._rule = rule            # (s_word, r_word) -> dict or None
         self._inverse_rule = inverse_rule
         self.name = name
-        self._cache = {}
-        self._inv_cache = {}
-        self._inv_blocks = {}
-        if strongly_graded is None:
-            strongly_graded = False
+        self._cache = Memo(self._evaluate)
+        self._inv_cache = Memo(self._evaluate_inverse)
+        # block key -> {(r, s): column of tau^(-1)}, see _invert_linear
+        self._inv_blocks = Memo(
+            lambda key: _invert_block(self, *self._block_pairs(key)))
         self.strongly_graded = strongly_graded
         self.filtered = filtered or strongly_graded
 
@@ -42,17 +40,13 @@ class TwistingMap:
             return {(r_word, self.S.unit): one}
         if r_word == self.R.unit:
             return {(self.R.unit, s_word): one}
-        key = (s_word, r_word)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        direct = self._rule(s_word, r_word)
-        if direct is not None:
-            result = {pair: c for pair, c in direct.items() if c}
-        else:
-            result = self._extend(s_word, r_word)
-        result = self._cache[key] = MappingProxyType(result)
-        return result
+        return self._cache[s_word, r_word]
+
+    def _evaluate(self, key):
+        direct = self._rule(*key)
+        if direct is None:
+            return self._extend(*key)
+        return {pair: c for pair, c in direct.items() if c}
 
     def _extend(self, s_word, r_word):
         split_s = self.S.split_first(s_word)
@@ -154,18 +148,12 @@ class TwistingMap:
             return {(self.S.unit, r_word): one}
         if r_word == self.R.unit:
             return {(s_word, self.R.unit): one}
-        key = (r_word, s_word)
-        cached = self._inv_cache.get(key)
-        if cached is not None:
-            return cached
-        if self._inverse_rule is not None:
-            result = MappingProxyType(
-                {pair: c for pair, c in self._inverse_rule(r_word, s_word).items() if c})
-        else:
-            # the columns of an inverted block are stored read-only
-            result = self._invert_linear(r_word, s_word)
-        self._inv_cache[key] = result
-        return result
+        return self._inv_cache[r_word, s_word]
+
+    def _evaluate_inverse(self, key):
+        if self._inverse_rule is None:
+            return self._invert_linear(*key)
+        return {pair: c for pair, c in self._inverse_rule(*key).items() if c}
 
     def inverse_elt(self, pairs):
         out = {}
@@ -174,13 +162,15 @@ class TwistingMap:
                 accumulate(out, pair, c * c2)
         return out
 
-    def _block_pairs(self, i, j):
-        """Domain/codomain bases of the truncated block holding degree (i, j)."""
+    def _block_pairs(self, block_key):
+        """Domain/codomain bases of a truncated block: bidegree (i, j) when
+        strongly graded, else all total degrees up to ``block_key``."""
         if self.strongly_graded:
+            i, j = block_key
             dom = [(s, r) for s in self.S.basis(j) for r in self.R.basis(i)]
             cod = [(r, s) for r in self.R.basis(i) for s in self.S.basis(j)]
         elif self.filtered:
-            total = i + j
+            total = block_key
             dom, cod = [], []
             for a in range(total + 1):
                 for b in range(total + 1 - a):
@@ -196,11 +186,7 @@ class TwistingMap:
     def _invert_linear(self, r_word, s_word):
         i, j = self.R.degree(r_word), self.S.degree(s_word)
         block_key = (i, j) if self.strongly_graded else i + j
-        block = self._inv_blocks.get(block_key)
-        if block is None:
-            dom, cod = self._block_pairs(i, j)
-            block = _invert_block(self, dom, cod)
-            self._inv_blocks[block_key] = block
+        block = self._inv_blocks[block_key]
         try:
             return block[(r_word, s_word)]
         except KeyError:
@@ -236,7 +222,7 @@ def _invert_block(tau, dom, cod):
             c = echelon[jrow].get(n + t)
             if c:
                 col[dom[jrow]] = c
-        columns[cod[t]] = MappingProxyType(col)
+        columns[cod[t]] = col
     return columns
 
 
@@ -318,9 +304,8 @@ class CompatMap:
     """A compatibility map, memoized on its full arguments ``(n, x, y)``.
 
     Subclasses compute a value in ``_apply(n, x, y)`` as a sparse dict;
-    ``apply`` computes it once per instance and argument triple and hands
-    out the stored value as a read-only mapping, so no caller can change
-    what another one reads.
+    ``apply`` hands out the value from a ``linalg.Memo``, computed once per
+    instance and argument triple.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -330,14 +315,10 @@ class CompatMap:
         cls.apply = CompatMap.apply
 
     def __init__(self):
-        self._cache = {}
+        self._cache = Memo(lambda key: self._apply(*key))
 
     def apply(self, n, x, y):
-        key = (n, x, y)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = MappingProxyType(self._apply(n, x, y))
-        return cached
+        return self._cache[n, x, y]
 
 
 class BarLeftCompat(CompatMap):

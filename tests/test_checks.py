@@ -99,7 +99,7 @@ def test_report_lines_and_json_round_trip():
 
 def test_suite_green_over_prime_field():
     inst = builtin_instance("c2-skew", field="F3", hdeg=2, gdeg=2)
-    reports = run_suite(inst, hdeg=2, gdeg=2, include_pipeline=False)
+    reports = run_suite(inst, hdeg=2, gdeg=2)
     assert all(r.ok for r in reports), [r.line() for r in reports if not r.ok]
 
 
@@ -124,7 +124,7 @@ def test_suite_propagates_koszul_errors(monkeypatch):
 
     monkeypatch.setattr(inst, "koszul_complex", broken)
     with pytest.raises(RuntimeError):
-        run_suite(inst, hdeg=1, gdeg=1, include_pipeline=False)
+        run_suite(inst, hdeg=1, gdeg=1)
 
 
 def test_pipeline_reports_propagate_kernel_bugs(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -184,6 +185,12 @@ MALFORMED = [
      "$.element[0].slots[0].word:"),
     ("F5", lambda p: first_coeff(p, "1/0"), "$.element[0].slots[0].coeff:"),
     ("F5", lambda p: first_coeff(p, "1/x"), "$.element[0].slots[0].coeff:"),
+    # a.json lives in degree 3 of the reduced bar, whose budget is 0..4
+    ("Q", lambda p: {**p, "degree": 9}, "$.degree:"),
+    ("Q", lambda p: {**p, "degree": -1}, "$.degree:"),
+    ("Q", lambda p: {**p, "degree": True}, "$.degree:"),
+    ("Q", lambda p: {**p, "degree": "3"}, "$.degree:"),
+    ("Q", lambda p: {**p, "degree": 3.7}, "$.degree:"),
 ]
 
 
@@ -223,6 +230,30 @@ def test_cli_json_outputs_are_byte_identical(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["complex"] == "reduced_bar_product"
+
+
+# sha256 of the stdout of "twistres verify --instance NAME --json"; the
+# reports, budgets and witnesses are meant to stay the same bit for bit
+VERIFY_DIGESTS = [
+    (["--instance", "example-5.2"],
+     "98249805fb8738c2169d2ebad82941fecd8e720e887c9dc08c88fc66131d0f6d"),
+    (["--instance", "c2-skew"],
+     "f355020c052ec9a1308dc8278540b60ef76413b71de2c38de3189fdf32efec58"),
+    (["--instance", "quantum-plane"],
+     "77b8fb74ac0346e2476d1be4a7dd3da04d21f51c8a590d29ac8c9a6c181d648a"),
+    (["--instance", "quantum-plane", "--field", "Q"],
+     "77b8fb74ac0346e2476d1be4a7dd3da04d21f51c8a590d29ac8c9a6c181d648a"),
+    (["--instance", "corrupted-twist"],
+     "0d8ecbb7bf9f097b40d6875fb530575c04168e7cb5b6787e2e8b7a38d4afa95d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", VERIFY_DIGESTS,
+                         ids=["-".join(a[1:]) for a, _ in VERIFY_DIGESTS])
+def test_cli_verify_json_is_pinned(capsys, args, digest):
+    assert main(["verify", *args, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_cli_build(capsys):

@@ -10,7 +10,7 @@ import pytest
 from twistres.checks import check_bimodule_map
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
-from twistres.linalg import SparseMatrix, rank
+from twistres.linalg import Memo, SparseMatrix, rank
 from twistres.suite import run_suite
 from twistres.tensors import FreeElement
 from twistres.twisting import BarLeftCompat
@@ -181,7 +181,8 @@ def test_pipeline_pi_is_a_bimodule_map_sampled():
 
 def reachable_caches(root):
     """(label, cache) for every cache reachable from ``root``: attributes
-    whose name ends in ``cache`` and closure variables named ``cache``."""
+    whose name ends in ``cache``, closure variables named ``cache``, and
+    any other attribute holding a ``linalg.Memo``."""
     found, seen, stack = [], set(), [root]
     while stack:
         obj = stack.pop()
@@ -196,7 +197,7 @@ def reachable_caches(root):
             stack.extend((obj.__self__, obj.__func__))
         elif inspect.isfunction(obj):
             for name, cell in zip(obj.__code__.co_freevars, obj.__closure__ or ()):
-                if name == "cache":
+                if name == "cache" or isinstance(cell.cell_contents, Memo):
                     found.append((obj.__qualname__, cell.cell_contents))
                 stack.append(cell.cell_contents)
         elif type(obj).__module__.startswith("twistres."):
@@ -206,7 +207,7 @@ def reachable_caches(root):
                     if hasattr(obj, slot):
                         attrs[slot] = getattr(obj, slot)
             for name, value in attrs.items():
-                if name.endswith("cache"):
+                if name.endswith("cache") or isinstance(value, Memo):
                     found.append((f"{type(obj).__name__}.{name}", value))
                 stack.append(value)
     return found
@@ -226,10 +227,25 @@ def test_kernel_caches_hand_out_read_only_values():
         "TwistedProductComplex._factor_cache",
         "subspace_slot_action.<locals>.act"}
     for label, cache in caches:
+        assert isinstance(cache, Memo), label
         for value in cache.values():
             assert isinstance(value, MappingProxyType), label
             with pytest.raises(TypeError):
                 value["written"] = 1
+
+
+def test_read_only_values_come_from_linalg_memo():
+    # a kernel cache is a linalg.Memo, which wraps every value it stores;
+    # a MappingProxyType built anywhere else is a hand-rolled memo
+    package = Path(inspect.getfile(FreeElement)).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "MappingProxyType(" in line:
+                sites.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert sites == []
 
 
 # also an aliased get, as after "get = store.get"

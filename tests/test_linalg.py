@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistres.errors import DimensionMismatch
 from twistres.fields import PrimeField, Rationals
-from twistres.linalg import (SparseMatrix, SparseVector, kernel_basis,
+from twistres.linalg import (Memo, SparseMatrix, SparseVector, kernel_basis,
                              matrix_product_vec, member_coords, rank, rref,
                              solve_linear_system, subspace_intersection)
 
@@ -342,3 +343,62 @@ def test_add_elt_equals_the_add_term_loop(field, data):
     assert all(bulk.data.values())
     if mode != "random":
         assert bulk.is_zero()
+
+
+def counting_memo(make):
+    calls = []
+
+    def counted(key):
+        calls.append(key)
+        return make(key)
+    return Memo(counted), calls
+
+
+def test_memo_computes_each_key_once():
+    memo, calls = counting_memo(lambda key: {key: 1})
+    first = memo["a"]
+    assert memo["a"] is first
+    assert memo["b"] == {"b": 1}
+    assert calls == ["a", "b"]
+
+
+def test_memo_values_are_read_only():
+    memo, _ = counting_memo(lambda key: {key: 1})
+    value = memo["a"]
+    assert isinstance(value, MappingProxyType)
+    with pytest.raises(TypeError):
+        value["b"] = 2
+    assert all(isinstance(v, MappingProxyType) for v in memo.values())
+
+
+def test_memo_membership_size_and_get_compute_nothing():
+    memo, calls = counting_memo(lambda key: {key: 1})
+    assert "a" not in memo
+    assert len(memo) == 0
+    assert memo.get("a") is None
+    assert calls == []
+    memo["a"]
+    assert "a" in memo and len(memo) == 1 and memo.get("a") == {"a": 1}
+    assert calls == ["a"]
+
+
+def test_memo_failure_propagates_and_stores_nothing():
+    def make(key):
+        if key < 0:
+            raise ValueError(key)
+        return {key: 1}
+    memo, calls = counting_memo(make)
+    with pytest.raises(ValueError):
+        memo[-1]
+    assert -1 not in memo and len(memo) == 0
+    with pytest.raises(ValueError):
+        memo[-1]
+    assert calls == [-1, -1]
+
+
+def test_memo_make_may_look_up_other_keys():
+    # Fibonacci numbers through the memo itself: each key is made once
+    memo, calls = counting_memo(
+        lambda n: {"fib": n if n < 2 else memo[n - 1]["fib"] + memo[n - 2]["fib"]})
+    assert memo[30]["fib"] == 832040
+    assert sorted(calls) == list(range(31))
