@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import complexes
 from .complexes import BarComplex, check_d_squared
-from .linalg import accumulate_scaled
+from .linalg import Memo, accumulate_scaled
 from .tensors import FreeElement
 
 
@@ -113,37 +113,83 @@ def check_chain_map(f, n_max, d_max, instance="", expect_failure=False):
                        expect_failure)
 
 
+def sampled_pairs(A, seed, sample, exhaustive=False):
+    """Coefficient pairs (a, b) over the algebra basis up to degree 2; a
+    fixed seed picks ``sample`` of them unless ``exhaustive`` is set."""
+    coeffs = A.basis_upto(min(2, A.max_degree))
+    pairs = [(a, b) for a in coeffs for b in coeffs]
+    if not exhaustive and len(pairs) > sample:
+        pairs = random.Random(seed).sample(pairs, sample)
+    return pairs
+
+
+def linear_extension(value, data):
+    """The sum of c * value(key) over the terms c * key of ``data``."""
+    out = {}
+    for key, c in data.items():
+        accumulate_scaled(out, value(key), c)
+    return out
+
+
 @timed
 def check_bimodule_map(f, n_max, d_max, instance="", seed=0, sample=16,
                        exhaustive=False, expect_failure=False):
     """f(a.w.b) = a.f(w).b for sampled coefficient pairs and all basis words.
 
-    Coefficients run over the algebra basis up to degree 2; a fixed seed
-    picks ``sample`` pairs unless ``exhaustive`` is set.
+    f is evaluated once per word of each degree; the memo lives for that
+    degree only.
     """
-    A = f.source.A
+    A, target = f.source.A, f.target
     budget = {"hdeg": n_max, "gdeg": d_max, "coeff_deg": 2, "seed": seed}
-    coeffs = A.basis_upto(min(2, A.max_degree))
-    pairs = [(a, b) for a in coeffs for b in coeffs]
-    if not exhaustive and len(pairs) > sample:
-        rng = random.Random(seed)
-        pairs = rng.sample(pairs, sample)
-    for n in range(min(n_max, f.source.n_max, f.target.n_max) + 1):
+    pairs = sampled_pairs(A, seed, sample, exhaustive)
+    for n in range(min(n_max, f.source.n_max, target.n_max) + 1):
+        images = Memo(lambda key: f.apply_word(n, *key).data)
         for d in range(d_max + 1):
             for comp, word in f.source.basis(n, d):
-                img = f.apply_word(n, comp, word)
+                img = images[(comp, word)]
                 for a, b in pairs:
                     moved = f.source.act_word(n, a, comp, word, b)
-                    lhs = f.apply(n, moved)
-                    rhs = f.target.act(n, A.monomial(a), img, A.monomial(b))
+                    lhs = linear_extension(images.__getitem__, moved.data)
+                    rhs = linear_extension(
+                        lambda key: target.act_word(n, a, *key, b).data, img)
                     if lhs != rhs:
                         wit = (f"n={n}, w={f.source.term(n).format(comp, word)}, "
                                f"a={A.format_word(a)}, b={A.format_word(b)}; "
-                               f"f(a.w.b) = {lhs}; a.f(w).b = {rhs}")
+                               f"f(a.w.b) = {FreeElement(target.term(n), lhs)}; "
+                               f"a.f(w).b = {FreeElement(target.term(n), rhs)}")
                         return CheckReport(f"bimodule map: {f.name}", instance,
                                            budget, False, expect_failure, wit)
     return CheckReport(f"bimodule map: {f.name}", instance, budget, True,
                        expect_failure)
+
+
+@timed
+def check_differential_bimodule(X, n_max, d_max, instance="", seed=0, sample=10):
+    """d(a.w.b) = a.d(w).b on sampled coefficients and all basis words.
+
+    a.v.b is evaluated once per face v of each degree and pair; the memo
+    lives for that degree only.
+    """
+    A = X.A
+    pairs = sampled_pairs(A, seed, sample)
+    report = CheckReport(f"differential is bimodule map: {X.name}", instance,
+                         {"hdeg": n_max, "gdeg": d_max, "seed": seed}, True)
+    for n in range(1, min(n_max, X.n_max) + 1):
+        acted = Memo(lambda key: X.act_word(n - 1, key[0], *key[1], key[2]).data)
+        for d in range(d_max + 1):
+            for comp, word in X.basis(n, d):
+                dw = X.diff_word(n, comp, word).data
+                for a, b in pairs:
+                    moved = X.act_word(n, a, comp, word, b)
+                    lhs = X.differential(n, moved)
+                    rhs = linear_extension(lambda key: acted[(a, key, b)], dw)
+                    if lhs.data != rhs:
+                        report.passed = False
+                        report.witness = (
+                            f"n={n}, w={X.term(n).format(comp, word)}, "
+                            f"a={A.format_word(a)}, b={A.format_word(b)}")
+                        return report
+    return report
 
 
 @timed

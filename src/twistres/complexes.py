@@ -29,12 +29,13 @@ class Complex:
         self._terms = {}
 
     def term(self, n):
-        if n < 0 or n > self.n_max:
-            raise TwistresError(f"degree {n} outside homological budget of {self.name}")
+        # only degrees inside the budget are ever stored
         t = self._terms.get(n)
         if t is None:
-            t = self._build_term(n)
-            self._terms[n] = t
+            if n < 0 or n > self.n_max:
+                raise TwistresError(
+                    f"degree {n} outside homological budget of {self.name}")
+            t = self._terms[n] = self._build_term(n)
         return t
 
     def differential(self, n, elt):

@@ -124,8 +124,13 @@ def parse_element(instance, data, complexes=None):
                     "(reduced slots exclude the unit)", f"{sloc}.word")
             word.append(w)
             if "coeff" in slot_in:
+                text = slot_in["coeff"]
+                if not isinstance(text, str):
+                    raise InstanceError(
+                        f"coefficient must be a string, got {json.dumps(text)}",
+                        f"{sloc}.coeff")
                 try:
-                    coeff = coeff * field.parse(slot_in["coeff"])
+                    coeff = coeff * field.parse(text)
                 except (TwistresError, ValueError, ZeroDivisionError) as exc:
                     raise InstanceError(str(exc), f"{sloc}.coeff") from None
         out.add_term(comp, tuple(word), coeff)

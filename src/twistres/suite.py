@@ -10,13 +10,13 @@ positive check passes and every negative control fails.
 
 from __future__ import annotations
 
-import random
 import time
 
 from .checks import (CheckReport, SignCorruptedBar, check_associativity,
                      check_bimodule_map, check_chain_map, check_d_squared_report,
-                     check_exactness_report, check_identity_composition,
-                     check_twist_axiom_report, check_twist_inverse, timed)
+                     check_differential_bimodule, check_exactness_report,
+                     check_identity_composition, check_twist_axiom_report,
+                     check_twist_inverse)
 from .errors import InstanceError, TwistresError
 
 
@@ -149,34 +149,6 @@ def example_52_value_reports(instance):
     ]
     return [CheckReport(label, instance.name, {"hdeg": 3}, passed)
             for label, passed in cases]
-
-
-@timed
-def check_differential_bimodule(X, n_max, d_max, instance="", seed=0, sample=10):
-    """d(a.w.b) = a.d(w).b on sampled coefficients and all basis words."""
-    A = X.A
-    coeffs = A.basis_upto(min(2, A.max_degree))
-    rng = random.Random(seed)
-    pairs = [(a, b) for a in coeffs for b in coeffs]
-    if len(pairs) > sample:
-        pairs = rng.sample(pairs, sample)
-    report = CheckReport(f"differential is bimodule map: {X.name}", instance,
-                         {"hdeg": n_max, "gdeg": d_max, "seed": seed}, True)
-    for n in range(1, min(n_max, X.n_max) + 1):
-        for d in range(d_max + 1):
-            for comp, word in X.basis(n, d):
-                dw = X.diff_word(n, comp, word)
-                for a, b in pairs:
-                    moved = X.act_word(n, a, comp, word, b)
-                    lhs = X.differential(n, moved)
-                    rhs = X.act(n - 1, A.monomial(a), dw, A.monomial(b))
-                    if lhs != rhs:
-                        report.passed = False
-                        report.witness = (
-                            f"n={n}, w={X.term(n).format(comp, word)}, "
-                            f"a={A.format_word(a)}, b={A.format_word(b)}")
-                        return report
-    return report
 
 
 def pipeline_reports(instance, seed=0, n_max=None, d_max=None):

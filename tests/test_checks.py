@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from twistres.awez import ChainMap
 from twistres.checks import (SignCorruptedBar, check_bimodule_map,
-                             check_chain_map, check_identity_composition,
+                             check_chain_map, check_differential_bimodule,
+                             check_identity_composition,
                              check_twist_axiom_report, check_twist_inverse)
 from twistres.errors import NotLiftable
 from twistres.fields import Rationals
@@ -227,3 +230,88 @@ def test_boundary_shift_fails_through_previous_degree_images():
     report = check_chain_map(g, 3, 1)
     assert not report.passed
     assert report.witness == SHIFTED_WITNESS
+
+
+def test_bimodule_check_evaluates_each_image_once_per_degree():
+    maps = builtin_instance("example-5.2").bar_maps()
+    f = maps.twisted_unshuffle
+    calls = Counter()
+
+    def counted(n, comp, word):
+        calls[n, comp, word] += 1
+        return f.apply_word(n, comp, word)
+
+    g = ChainMap(f.source, f.target, counted, "counted unshuffle")
+    assert check_bimodule_map(g, 2, 2, seed=0).passed
+    assert calls and max(calls.values()) == 1
+
+
+def test_differential_bimodule_check_acts_on_each_face_once_per_degree(
+        monkeypatch):
+    X = builtin_instance("example-5.2").bar_maps().rbar_A
+    act_word = X.act_word
+    top = 0
+    face_calls = Counter()
+
+    def counted(n, a, comp, word, b):
+        # degree n is checked after degree n - 1, and a.w.b on a word of
+        # degree n comes before a.v.b on the faces v of d(w): a call below
+        # the highest degree seen so far acts on a face
+        nonlocal top
+        top = max(top, n)
+        if n < top:
+            face_calls[n, a, comp, word, b] += 1
+        return act_word(n, a, comp, word, b)
+
+    monkeypatch.setattr(X, "act_word", counted)
+    assert check_differential_bimodule(X, 2, 2, seed=0).passed
+    assert face_calls and max(face_calls.values()) == 1
+
+
+# Witnesses of two corrupted inputs, taken from the checks as they were
+# before they evaluated f(w) and a.v.b once per degree
+SCALED_IMAGE_WITNESS = (
+    "n=1, w=1 # 1 (x) 1 # 1 (x) 1 # y, a=1 # y, b=1 # 1; "
+    "f(a.w.b) = 2 * 1 (x) 1 (x) 1 (x) y (x) 1 (x) y; "
+    "a.f(w).b = 1 * 1 (x) 1 (x) 1 (x) y (x) 1 (x) y")
+SCALED_ACTION_WITNESS = "n=1, w=1 # 1 (x) 1 # y (x) 1 # 1, a=x # y, b=1 # 1"
+
+
+def test_bimodule_check_witness_of_a_scaled_image_is_pinned():
+    inst = builtin_instance("example-5.2")
+    f = inst.bar_maps().twisted_unshuffle
+    u, y = inst.A.unit, inst.A.basis(1)[0]
+    # 1 # y (x) 1 # 1 (x) 1 # y is a.w.b for a = 1 # y, so the scaled image
+    # shows on the side of f(a.w.b)
+    scaled_word = ((), (y, u, y))
+
+    def scaled(n, comp, word):
+        out = f.apply_word(n, comp, word)
+        if n == 1 and (comp, word) == scaled_word:
+            return out.scale(inst.field.from_int(2))
+        return out
+
+    g = ChainMap(f.source, f.target, scaled, "scaled unshuffle")
+    report = check_bimodule_map(g, 2, 2, seed=0)
+    assert not report.passed
+    assert report.witness == SCALED_IMAGE_WITNESS
+
+
+def test_differential_bimodule_witness_of_a_scaled_action_is_pinned(
+        monkeypatch):
+    inst = builtin_instance("example-5.2")
+    X = inst.bar_maps().rbar_A
+    u = inst.A.unit
+    face = min(X.diff_word(1, *X.basis(1, 1)[0]).data)
+    act_word = X.act_word
+
+    def scaled(n, a, comp, word, b):
+        out = act_word(n, a, comp, word, b)
+        if n == 0 and (comp, word) == face and a != u:
+            return out.scale(inst.field.from_int(2))
+        return out
+
+    monkeypatch.setattr(X, "act_word", scaled)
+    report = check_differential_bimodule(X, 2, 2, seed=0)
+    assert not report.passed
+    assert report.witness == SCALED_ACTION_WITNESS

@@ -191,6 +191,9 @@ MALFORMED = [
     ("Q", lambda p: {**p, "degree": True}, "$.degree:"),
     ("Q", lambda p: {**p, "degree": "3"}, "$.degree:"),
     ("Q", lambda p: {**p, "degree": 3.7}, "$.degree:"),
+    # scalars are strings; a JSON number is refused over every field
+    ("Q", lambda p: first_coeff(p, 2.5), "$.element[0].slots[0].coeff:"),
+    ("F5", lambda p: first_coeff(p, 2), "$.element[0].slots[0].coeff:"),
 ]
 
 
