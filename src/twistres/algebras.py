@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 
-from .errors import BudgetExceeded, InstanceError
+from .errors import InstanceError
 from .linalg import Memo, accumulate, accumulate_scaled
 
 
@@ -68,12 +68,6 @@ class AlgebraElement:
                 accumulate_scaled(out, alg.mul_words(u, v), cu * cv)
         return AlgebraElement(alg, out)
 
-    def project_reduced(self):
-        """Strip the coefficient of the unit word (the section of A -> A/k1)."""
-        out = dict(self.data)
-        out.pop(self.algebra.unit, None)
-        return AlgebraElement(self.algebra, out)
-
     def __str__(self):
         if not self.data:
             return "0"
@@ -105,22 +99,6 @@ class Algebra:
 
     def monomial(self, word, coeff=None):
         return AlgebraElement(self, {word: coeff if coeff is not None else self.field.one})
-
-    def check_budget(self, d):
-        if d > self.max_degree:
-            raise BudgetExceeded(
-                f"degree {d} exceeds budget {self.max_degree} for {self.name}",
-                degree=d)
-
-    def normalize_product(self, u, v) -> AlgebraElement:
-        """Canonical sparse expansion of u*v, budget-checked."""
-        self.check_budget(self.degree(u) + self.degree(v))
-        return AlgebraElement(self, self.mul_words(u, v))
-
-    def graded_basis(self, d):
-        """All degree-d basis words in the fixed deterministic order."""
-        self.check_budget(d)
-        return self.basis(d)
 
     def basis_upto(self, d):
         out = []
@@ -271,26 +249,6 @@ class Group:
         table = [[idx[tuple(p[q[k]] for k in range(n))] for q in perms]
                  for p in perms]
         return cls(names, table, name=f"S{n}")
-
-    @classmethod
-    def from_permutations(cls, perms, names=None):
-        """Closure of the given permutation tuples under composition."""
-        degree = len(perms[0])
-        identity = tuple(range(degree))
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            p = frontier.pop()
-            for q in perms:
-                r = tuple(p[q[k]] for k in range(degree))
-                if r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-        elems = sorted(seen)
-        idx = {p: i for i, p in enumerate(elems)}
-        table = [[idx[tuple(p[q[k]] for k in range(degree))] for q in elems]
-                 for p in elems]
-        return cls(names or [_perm_name(p) for p in elems], table)
 
 
 def _perm_name(p):

@@ -8,13 +8,14 @@ passes only when they do, so its own sensitivity is tested.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
 
 from . import complexes
 from .complexes import BarComplex, check_d_squared
-from .linalg import Memo, accumulate_scaled
+from .linalg import Memo, accumulate_scaled, linear_extension
 from .tensors import FreeElement
 
 
@@ -65,6 +66,7 @@ class CheckReport:
 
 
 def timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
@@ -74,40 +76,45 @@ def timed(fn):
 
 
 @timed
-def check_chain_map(f, n_max, d_max, instance="", expect_failure=False):
-    """d_target o f = f o d_source on basis words; augmentation at degree 0."""
+def check_chain_map(f, n_max, d_max, instance="", expect_failure=False,
+                    columns=None):
+    """d_target o f = f o d_source on basis words; augmentation at degree 0.
+
+    Checked in index space, column by column, on the d-columns of source
+    and target over degrees 0..d_max (``complexes.d_columns``; ``columns``
+    is a dict of them shared with other checks): D^T_n F_n = F_(n-1) D^S_n,
+    where F_n holds f's images of the degree-n words over the target's
+    words and F_(-1) is the identity of A.  Words come back only for the
+    witness of a failing square.
+    """
     budget = {"hdeg": n_max, "gdeg": d_max}
+    columns = {} if columns is None else columns   # one store if S is T
+    source = complexes.d_columns(columns, f.source, d_max)
+    target = complexes.d_columns(columns, f.target, d_max)
     top = min(n_max, f.source.n_max, f.target.n_max)
-    previous = {}            # images of the degree n - 1 words, below top
+    one = f.source.A.field.one
+    previous = [target.positions(-1, {a: one}, "the identity of A")
+                for a in source.basis(-1)]
     for n in range(top + 1):
-        current = {}
-        for d in range(d_max + 1):
-            for comp, word in f.source.basis(n, d):
-                img = f.apply_word(n, comp, word)
-                if n < top:
-                    current[(comp, word)] = img
+        current = []      # F_n, kept below top
+        label, d_target = f"{f.name} at n={n}", functools.partial(target.column, n)
+        for j, (comp, word) in enumerate(source.basis(n)):
+            image = target.positions(n, f.apply_word(n, comp, word).data, label)
+            lhs = linear_extension(d_target, image)
+            rhs = linear_extension(previous.__getitem__, source.column(n, j))
+            if lhs != rhs:
                 if n == 0:
-                    lhs = f.target.augmentation(img)
-                    rhs = f.source.aug_word(comp, word)
-                    if lhs.data != rhs.data:
-                        wit = (f"augmentation square fails at "
-                               f"{f.source.term(0).format(comp, word)}")
-                        return CheckReport(f"chain map: {f.name}", instance,
-                                           budget, False, expect_failure, wit)
+                    wit = (f"augmentation square fails at "
+                           f"{f.source.term(0).format(comp, word)}")
                 else:
-                    lhs = f.target.differential(n, img)
-                    rhs = FreeElement(f.target.term(n - 1))
-                    for face, c in f.source.diff_word(n, comp, word).data.items():
-                        face_img = previous.get(face)
-                        if face_img is None:
-                            face_img = f.apply_word(n - 1, *face)
-                        rhs.add_elt(face_img, factor=c)
-                    if lhs != rhs:
-                        wit = (f"square fails at n={n}, "
-                               f"{f.source.term(n).format(comp, word)}; "
-                               f"d(f(w)) = {lhs}; f(d(w)) = {rhs}")
-                        return CheckReport(f"chain map: {f.name}", instance,
-                                           budget, False, expect_failure, wit)
+                    wit = (f"square fails at n={n}, "
+                           f"{f.source.term(n).format(comp, word)}; "
+                           f"d(f(w)) = {target.element(n - 1, lhs)}; "
+                           f"f(d(w)) = {target.element(n - 1, rhs)}")
+                return CheckReport(f"chain map: {f.name}", instance, budget,
+                                   False, expect_failure, wit)
+            if n < top:
+                current.append(image)
         previous = current
     return CheckReport(f"chain map: {f.name}", instance, budget, True,
                        expect_failure)
@@ -121,14 +128,6 @@ def sampled_pairs(A, seed, sample, exhaustive=False):
     if not exhaustive and len(pairs) > sample:
         pairs = random.Random(seed).sample(pairs, sample)
     return pairs
-
-
-def linear_extension(value, data):
-    """The sum of c * value(key) over the terms c * key of ``data``."""
-    out = {}
-    for key, c in data.items():
-        accumulate_scaled(out, value(key), c)
-    return out
 
 
 @timed
@@ -246,8 +245,9 @@ def check_twist_inverse(tau, d_max, instance="", expect_failure=False):
 
 
 @timed
-def check_d_squared_report(X, n_max, d_max, instance="", expect_failure=False):
-    ok, witness = check_d_squared(X, min(n_max, X.n_max), d_max)
+def check_d_squared_report(X, n_max, d_max, instance="", expect_failure=False,
+                           columns=None):
+    ok, witness = check_d_squared(X, min(n_max, X.n_max), d_max, columns)
     wit = ""
     if witness is not None:
         n, comp, word, left = witness
@@ -258,11 +258,12 @@ def check_d_squared_report(X, n_max, d_max, instance="", expect_failure=False):
 
 @timed
 def check_exactness_report(X, n_max, d_max, graded, instance="",
-                           expect_failure=False):
+                           expect_failure=False, columns=None):
     # looked up on the module at each call, so a wrapper installed on
     # complexes.check_truncated_exactness sees every strand
     report = complexes.check_truncated_exactness(X, min(n_max, X.n_max - 1),
-                                                 d_max, graded=graded)
+                                                 d_max, graded=graded,
+                                                 columns=columns)
     bad = [e for e in report.entries if not e.exact]
     wit = ""
     if bad:

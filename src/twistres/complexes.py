@@ -3,16 +3,17 @@
 All complexes expose the same oracle surface: term signatures, a
 differential on basis words, an augmentation in degree 0, the bimodule
 action of the resolved algebra evaluated on basis words, and free
-generators per (homological degree, internal degree).  Matrices are only
-assembled per block when ranks are needed.
+generators per (homological degree, internal degree).  The checks read the
+differentials by column (DColumns); matrices are only assembled per block
+when ranks are needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InstanceError, TwistresError
-from .linalg import (Memo, SparseMatrix, accumulate, products, rank,
+from .errors import BudgetExceeded, InstanceError, TwistresError
+from .linalg import (Memo, SparseMatrix, accumulate, linear_extension, rank,
                      subspace_intersection)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
@@ -33,23 +34,18 @@ class Complex:
         t = self._terms.get(n)
         if t is None:
             if n < 0 or n > self.n_max:
-                raise TwistresError(
-                    f"degree {n} outside homological budget of {self.name}")
+                raise BudgetExceeded(
+                    f"degree {n} outside homological budget of {self.name}",
+                    degree=n)
             t = self._terms[n] = self._build_term(n)
         return t
 
     def differential(self, n, elt):
         if n == 0:
-            raise TwistresError("use augmentation() in degree 0")
+            raise TwistresError("d_0 is the augmentation: use aug_word()")
         out = FreeElement(self.term(n - 1))
         for (comp, word), c in elt.data.items():
             out.add_elt(self.diff_word(n, comp, word), factor=c)
-        return out
-
-    def augmentation(self, elt):
-        out = self.A.element()
-        for (comp, word), c in elt.data.items():
-            out = out + self.aug_word(comp, word).scale(c)
         return out
 
     def act(self, n, left, elt, right):
@@ -470,106 +466,156 @@ def down(X, n, comp, word):
     return X.aug_word(comp, word) if n == 0 else X.diff_word(n, comp, word)
 
 
-def block_basis(X, n, degrees):
-    """Basis keys of X_n over the internal degrees; the algebra's at n = -1."""
-    out = []
-    for d in degrees:
-        out.extend(X.A.basis(d) if n == -1 else X.basis(n, d))
-    return out
+class DColumns:
+    """The differentials of one complex by column, over internal degrees 0..d_max.
 
-
-def block_matrix(X, n, degrees):
-    """Matrix of d_n on the internal-degree block; d_0 is the augmentation.
-
-    Returns ``(matrix, domain, codomain)``, the two lists from
-    ``block_basis`` indexing its columns and rows.
+    ``basis(n)`` lists the words of X_n degree by degree (the algebra's
+    basis at n = -1).  ``column(n, j)`` is d_n (the augmentation at n = 0)
+    of its j-th word, a dict {row: coeff} over the positions of
+    ``basis(n - 1)``, evaluated when first read and kept while the object
+    lives: the checks sharing one evaluate each d(w) once.
     """
-    domain = block_basis(X, n, degrees)
-    codomain = block_basis(X, n - 1, degrees)
-    index = {key: i for i, key in enumerate(codomain)}
-    rows = [dict() for _ in codomain]
-    for jcol, (comp, word) in enumerate(domain):
-        for key, c in down(X, n, comp, word).data.items():
-            irow = index.get(key)
-            if irow is None:
+
+    def __init__(self, X, d_max):
+        self.X, self.d_max = X, d_max
+        self._layouts, self._columns = {}, {}
+
+    def _layout(self, n):
+        """(words, {word: position}, position of each degree's first word)."""
+        if n not in self._layouts:
+            words, starts = [], []
+            for d in range(self.d_max + 1):
+                starts.append(len(words))
+                words.extend(self.X.A.basis(d) if n == -1 else self.X.basis(n, d))
+            self._layouts[n] = (words, {w: i for i, w in enumerate(words)},
+                                starts + [len(words)])
+        return self._layouts[n]
+
+    def basis(self, n):
+        return self._layout(n)[0]
+
+    def span(self, n, degrees):
+        """Positions [lo, hi) of the words of X_n in the run ``degrees``."""
+        starts = self._layout(n)[2]
+        return starts[degrees[0]], starts[degrees[-1] + 1]
+
+    def positions(self, n, data, label):
+        """``data``, an element of X_n keyed by word, keyed by position."""
+        index = self._layout(n)[1]
+        try:
+            return {index[key]: c for key, c in data.items()}
+        except KeyError as exc:
+            raise TwistresError(
+                f"{label} leaves the degree block "
+                f"{list(range(self.d_max + 1))} at {exc.args[0]}") from None
+
+    def element(self, n, data):
+        """The element of X_n with coefficient c at each position i of ``data``."""
+        words = self.basis(n)
+        return FreeElement(self.X.term(n), {words[i]: c for i, c in data.items()})
+
+    def column(self, n, j):
+        cols = self._columns.get(n)
+        if cols is None:
+            cols = self._columns[n] = [None] * len(self.basis(n))
+        if cols[j] is None:
+            comp, word = self.basis(n)[j]
+            cols[j] = self.positions(n - 1, down(self.X, n, comp, word).data,
+                                     f"d_{n} of {self.X.name}")
+        return cols[j]
+
+    def columns(self, n):
+        return [self.column(n, j) for j in range(len(self.basis(n)))]
+
+
+def d_columns(shared, X, d_max):
+    """X's DColumns over degrees 0..d_max from ``shared``, a dict keyed by
+    complex or None, entered there when it holds none for that window."""
+    cols = None if shared is None else shared.get(X)
+    if cols is None or cols.d_max != d_max:
+        cols = DColumns(X, d_max)
+        if shared is not None:
+            shared[X] = cols
+    return cols
+
+
+def block_matrix(columns, n, degrees):
+    """Matrix of d_n (the augmentation at n = 0) on the run of internal
+    degrees ``degrees``, read from the DColumns ``columns``.
+
+    Returns ``(matrix, domain, codomain)``, the words indexing its columns
+    and rows.
+    """
+    lo, hi = columns.span(n, degrees)
+    row_lo, row_hi = columns.span(n - 1, degrees)
+    rows = [{} for _ in range(row_lo, row_hi)]
+    for j in range(lo, hi):
+        for i, c in columns.column(n, j).items():
+            if not row_lo <= i < row_hi:
                 raise TwistresError(
-                    f"d_{n} of {X.name} leaves the degree block "
-                    f"{list(degrees)} at {key}")
-            rows[irow][jcol] = c
-    return SparseMatrix(len(codomain), len(domain), rows), domain, codomain
+                    f"d_{n} of {columns.X.name} leaves the degree block "
+                    f"{list(degrees)} at {columns.basis(n - 1)[i]}")
+            rows[i - row_lo][j - lo] = c
+    return (SparseMatrix(row_hi - row_lo, hi - lo, rows),
+            columns.basis(n)[lo:hi], columns.basis(n - 1)[row_lo:row_hi])
 
 
-def check_truncated_exactness(X, n_max, d_max, graded=True):
+def check_truncated_exactness(X, n_max, d_max, graded=True, columns=None):
     """Rank bookkeeping certifying no homology in the truncated strands.
 
-    Graded complexes are checked per internal degree; filtered ones on the
-    whole block of degrees <= d_max (the differential may drop degree).
+    Graded complexes are checked per internal degree, on blocks sliced out
+    of the d-columns over degrees 0..d_max (``d_columns(columns, ...)``);
+    filtered ones on the whole range (the differential may drop degree).
     """
+    cols = d_columns(columns, X, d_max)
     report = ExactnessReport(X.name)
     blocks = [(d,) for d in range(d_max + 1)] if graded else [tuple(range(d_max + 1))]
     for degrees in blocks:
-        ranks = {}
-        dims = {}
-        mats = {}
-        for n in range(n_max + 1):
-            m, dom, _ = block_matrix(X, n, degrees)
-            mats[n] = m
-            ranks[n] = rank(m)
-            dims[n] = len(dom)
-        a_dim = len(block_basis(X, -1, degrees))
-        report.entries.append(ExactnessEntry(-1, degrees, a_dim, 0, ranks[0]))
+        mats = [block_matrix(cols, n, degrees)[0] for n in range(n_max + 1)]
+        ranks = [rank(m) for m in mats]
+        lo, hi = cols.span(-1, degrees)
+        report.entries.append(ExactnessEntry(-1, degrees, hi - lo, 0, ranks[0]))
         for n in range(n_max):
-            composite_zero = first_nonzero_column(mats[n], mats[n + 1]) is None
+            lo, hi = cols.span(n + 1, degrees)
+            composite_zero = first_nonzero_column(
+                cols.columns(n), cols.columns(n + 1)[lo:hi]) is None
             report.entries.append(
-                ExactnessEntry(n, degrees, dims[n], ranks[n], ranks[n + 1],
+                ExactnessEntry(n, degrees, mats[n].ncols, ranks[n], ranks[n + 1],
                                composite_zero))
     return report
-
-
-# columns of the inner block that first_nonzero_column multiplies at a time
-PRODUCT_CHUNK = 1024
 
 
 def first_nonzero_column(outer, inner):
     """The first column of ``inner`` whose product with ``outer`` is nonzero.
 
-    Returns ``(index, column)``, the column of ``outer * inner`` as a dict
-    over the rows of ``outer``, or ``None`` when the product vanishes
-    (im d_in <= ker d_out).  The columns of ``inner`` are taken
-    ``PRODUCT_CHUNK`` at a time, so neither its transpose nor the whole
-    product is ever held, and the search stops at the first chunk holding
-    a nonzero column.
+    ``inner`` is an iterable of columns, dicts {row: coeff}, and ``outer``
+    a list of columns indexed by their rows.  Returns ``(index, column)``, the column of
+    ``outer * inner`` as a dict over the rows of ``outer``, or ``None``
+    when the product vanishes (im d_in <= ker d_out).
     """
-    for lo in range(0, inner.ncols, PRODUCT_CHUNK):
-        hi = min(lo + PRODUCT_CHUNK, inner.ncols)
-        cols = [{} for _ in range(hi - lo)]
-        for i, row in enumerate(inner.rows):
-            for j, c in row.items():
-                if lo <= j < hi:
-                    cols[j - lo][i] = c
-        for k, column in enumerate(products(outer, cols)):
-            if column:
-                return lo + k, column
+    for j, column in enumerate(inner):
+        product = linear_extension(outer.__getitem__, column)
+        if product:
+            return j, product
     return None
 
 
-def check_d_squared(X, n_max, d_max):
+def check_d_squared(X, n_max, d_max, columns=None):
     """d o d = 0 as products of consecutive blocks over degrees 0..d_max.
 
-    Tests d_(n-1) d_n for n = 2..n_max, then eps d_1 at n = 1.  Returns
-    ``(True, None)``, or ``(False, (n, comp, word, twice))`` for the first
-    basis word of the first failing degree (``block_basis`` order) with
-    d(d(w)) != 0; ``twice`` is d(d(w)) in X_(n-2), ``None`` at n = 1.
+    Tests d_(n-1) d_n for n = 2..n_max, then eps d_1 at n = 1, on the
+    columns of ``d_columns(columns, X, d_max)``.  Returns ``(True, None)``,
+    or ``(False, (n, comp, word, twice))`` for the first basis word of the
+    first failing degree (``DColumns.basis`` order) with d(d(w)) != 0;
+    ``twice`` is d(d(w)) in X_(n-2), ``None`` at n = 1.
     """
-    blocks = [block_matrix(X, n, range(d_max + 1)) for n in range(n_max + 1)]
+    cols = d_columns(columns, X, d_max)
+    blocks = [cols.columns(n) for n in range(n_max + 1)]
     for n in [*range(2, n_max + 1), 1] if n_max >= 1 else []:
-        outer, _, codomain = blocks[n - 1]
-        inner, domain, _ = blocks[n]
-        hit = first_nonzero_column(outer, inner)
+        hit = first_nonzero_column(blocks[n - 1], blocks[n])
         if hit is not None:
             j, column = hit
-            comp, word = domain[j]
-            twice = None if n == 1 else FreeElement(
-                X.term(n - 2), {codomain[i]: c for i, c in column.items()})
-            return False, (n, comp, word, twice)
+            comp, word = cols.basis(n)[j]
+            return False, (n, comp, word,
+                           None if n == 1 else cols.element(n - 2, column))
     return True, None

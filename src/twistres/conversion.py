@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .awez import ChainMap
-from .complexes import KoszulComplex, TwistedProductComplex, block_matrix, down
+from .complexes import (DColumns, KoszulComplex, TwistedProductComplex,
+                        block_matrix, down)
 from .errors import NotLiftable
 from .hopf import BarComoduleCompat, KoszulActionCompat
 from .linalg import (SparseMatrix, SparseVector, accumulate, columns, rref,
@@ -248,7 +249,8 @@ class BootstrapLift:
                           if k not in pivot_set)
         if not wanted:
             return {}
-        system, dom, cod = block_matrix(self.X, n, range(self.d_max + 1))
+        system, dom, cod = block_matrix(DColumns(self.X, self.d_max), n,
+                                        range(self.d_max + 1))
         index = {key: i for i, key in enumerate(cod)}
         keys, targets, failure = [], [], None
         try:

@@ -138,6 +138,14 @@ def accumulate_scaled(dst, src, factor=None):
             del dst[key]
 
 
+def linear_extension(value, data):
+    """The sum of c * value(key) over the terms c * key of ``data``."""
+    out = {}
+    for key, c in data.items():
+        accumulate_scaled(out, value(key), c)
+    return out
+
+
 def rref(rows, ncols):
     """Reduced row echelon form of a list of dict-rows.
 
@@ -220,14 +228,13 @@ def solve_linear_system(matrix: SparseMatrix, b):
         for i, c in v.entries.items():
             aug[i][ncols + k] = c
     echelon, pivots = rref(aug, ncols) if rhs else ([], [])
-    answers = []
-    for k in range(len(rhs)):
-        x = {}
-        for i, col in enumerate(pivots):
-            c = echelon[i].get(ncols + k)
-            if c:
-                x[col] = c
-        answers.append(x)
+    # one pass over the echelon rows: the right-hand-side entries of the
+    # row of pivot col are the answers' values at col
+    answers = [{} for _ in rhs]
+    for row, col in zip(echelon, pivots):
+        for j, c in row.items():
+            if j >= ncols and c:
+                answers[j - ncols][col] = c
     checked = products(matrix, answers)
     out = [SparseVector(ncols, x) if ax == v.entries else None
            for x, ax, v in zip(answers, checked, rhs)]

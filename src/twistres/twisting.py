@@ -101,6 +101,19 @@ class TwistingMap:
                                 accumulate(rhs, (rw, sw), base * cr * cs)
         return lhs, rhs
 
+    def creates_units(self, deg_budget):
+        """Whether tau(s (x) r) has a term with a unit factor for some basis
+        words s != 1 and r != 1 of total internal degree within budget."""
+        R, S = self.R, self.S
+        for s in S.basis_upto(min(deg_budget, S.max_degree)):
+            for r in R.basis_upto(min(deg_budget, R.max_degree)):
+                if s == S.unit or r == R.unit or \
+                        S.degree(s) + R.degree(r) > deg_budget:
+                    continue
+                if any(r2 == R.unit or s2 == S.unit for r2, s2 in self.apply(s, r)):
+                    return True
+        return False
+
     def axiom_quadruples(self, deg_budget):
         """Basis quadruples (s, s', r, r') with total internal degree in budget."""
         s_words = self.S.basis_upto(min(deg_budget, self.S.max_degree))

@@ -315,3 +315,53 @@ def test_differential_bimodule_witness_of_a_scaled_action_is_pinned(
     report = check_differential_bimodule(X, 2, 2, seed=0)
     assert not report.passed
     assert report.witness == SCALED_ACTION_WITNESS
+
+
+@pytest.mark.parametrize("name, window", [("example-5.2", None), ("c2-skew", 2)])
+def test_suite_evaluates_each_differential_once(monkeypatch, name, window):
+    # inside the d^2, exactness and chain-map checks of one battery, each
+    # (complex, n, comp, word) has its differential (the augmentation at
+    # n = 0) evaluated at most once; only outermost calls count, so a
+    # product complex's calls into its factors are not counted twice
+    from twistres import checks, complexes, suite
+
+    calls = Counter()
+    state = {"family": False, "depth": 0}
+
+    def counted(method, with_degree):
+        def wrapper(self, *args):
+            state["depth"] += 1
+            try:
+                if state["family"] and state["depth"] == 1:
+                    calls[(self, *args) if with_degree else (self, 0, *args)] += 1
+                return method(self, *args)
+            finally:
+                state["depth"] -= 1
+        return wrapper
+
+    for module in (complexes, checks):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, complexes.Complex):
+                for attr, with_degree in (("diff_word", True), ("aug_word", False)):
+                    if attr in vars(cls):
+                        monkeypatch.setattr(cls, attr,
+                                            counted(vars(cls)[attr], with_degree))
+
+    def in_family(check):
+        def wrapper(*args, **kwargs):
+            state["family"] = True
+            try:
+                return check(*args, **kwargs)
+            finally:
+                state["family"] = False
+        return wrapper
+
+    for attr in ("check_d_squared_report", "check_exactness_report",
+                 "check_chain_map"):
+        monkeypatch.setattr(suite, attr, in_family(getattr(suite, attr)))
+    inst = builtin_instance(name, hdeg=window, gdeg=window)
+    reports = run_suite(inst, hdeg=window, gdeg=window)
+    assert all(r.ok for r in reports)
+    assert any(r.name.startswith("koszul pipeline") for r in reports) \
+        == (name == "c2-skew")
+    assert calls and max(calls.values()) == 1

@@ -295,7 +295,7 @@ def test_product_is_zero_matches_dense_product(field, from_kernel, data):
     # im(inner) <= ker(outer) exactly when the dense product vanishes; inner
     # is drawn from ker(outer) or at random, so both verdicts occur
     from twistres.complexes import first_nonzero_column
-    from twistres.linalg import SparseMatrix, kernel_basis
+    from twistres.linalg import SparseMatrix, columns, kernel_basis
 
     entries = st.integers(-2, 2)
     a, b, c = (data.draw(st.integers(1, 4)) for _ in range(3))
@@ -315,45 +315,43 @@ def test_product_is_zero_matches_dense_product(field, from_kernel, data):
         not sum((dense_outer[i][j] * dense_inner[j][k] for j in range(b)),
                 field.zero)
         for i in range(a) for k in range(c))
-    assert (first_nonzero_column(outer, inner) is None) == product_zero
+    hit = first_nonzero_column(columns(outer.rows, outer.ncols),
+                               columns(inner.rows, inner.ncols))
+    assert (hit is None) == product_zero
 
 
+def test_product_is_zero_stops_at_the_first_nonzero_column():
+    # a zero product reads every column of inner, and a nonzero column
+    # stops the test there
+    from twistres.complexes import first_nonzero_column
+    from twistres.linalg import SparseMatrix, columns
 
-def test_product_is_zero_tests_columns_in_chunks(monkeypatch):
-    # with two columns per chunk, a zero product takes every chunk, and a
-    # nonzero column stops the test at the chunk that holds it
-    from twistres import complexes
-    from twistres.linalg import SparseMatrix, products
+    read = []
 
-    chunks = []
+    def counted(matrix):
+        for j, column in enumerate(columns(matrix.rows, matrix.ncols)):
+            read.append(j)
+            yield column
 
-    def counted(matrix, vectors):
-        chunks.append(len(vectors))
-        return products(matrix, vectors)
-
-    monkeypatch.setattr(complexes, "PRODUCT_CHUNK", 2)
-    monkeypatch.setattr(complexes, "products", counted)
-    outer = SparseMatrix.from_dense([[1, 1, 0]], Q)
+    outer = columns(SparseMatrix.from_dense([[1, 1, 0]], Q).rows, 3)
     zero = SparseMatrix.from_dense([[1, 0, 2, 3, 1], [-1, 0, -2, -3, -1],
                                     [0, 4, 0, 0, 0]], Q)
-    assert complexes.first_nonzero_column(outer, zero) is None
-    assert chunks == [2, 2, 1]
-    chunks.clear()
+    assert first_nonzero_column(outer, counted(zero)) is None
+    assert read == [0, 1, 2, 3, 4]
+    read.clear()
     nonzero = SparseMatrix.from_dense([[1, 0, 2, 1, 1], [-1, 0, -2, 3, -1],
                                        [0, 4, 0, 0, 0]], Q)
-    assert complexes.first_nonzero_column(outer, nonzero) is not None
-    assert chunks == [2, 2]
+    assert first_nonzero_column(outer, counted(nonzero)) == (3, {0: Q.from_int(4)})
+    assert read == [0, 1, 2, 3]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([Q, PrimeField(5)]), st.integers(1, 3), st.data())
-def test_first_nonzero_column_is_the_dense_products_first(field, chunk, data):
+@given(st.sampled_from([Q, PrimeField(5)]), st.data())
+def test_first_nonzero_column_is_the_dense_products_first(field, data):
     # each column of inner is drawn from ker(outer) or at random, so the first
-    # nonzero product column falls anywhere, also across chunk boundaries
-    from unittest import mock
-
-    from twistres import complexes
-    from twistres.linalg import SparseMatrix, kernel_basis
+    # nonzero product column falls anywhere
+    from twistres.complexes import first_nonzero_column
+    from twistres.linalg import SparseMatrix, columns, kernel_basis
 
     entries = st.integers(-2, 2)
     a, b = (data.draw(st.integers(1, 4)) for _ in range(2))
@@ -367,8 +365,6 @@ def test_first_nonzero_column_is_the_dense_products_first(field, chunk, data):
             picks.append(data.draw(st.sampled_from(kernel)))
         else:
             picks.append({j: field.from_int(data.draw(entries)) for j in range(b)})
-    inner = SparseMatrix.from_dense(
-        [[pick.get(j, field.zero) for pick in picks] for j in range(b)], field)
     dense_outer = [[row.get(j, field.zero) for j in range(b)] for row in outer.rows]
     expected = None
     for k, pick in enumerate(picks):
@@ -381,8 +377,8 @@ def test_first_nonzero_column_is_the_dense_products_first(field, chunk, data):
         if column:
             expected = (k, column)
             break
-    with mock.patch.object(complexes, "PRODUCT_CHUNK", chunk):
-        assert complexes.first_nonzero_column(outer, inner) == expected
+    inner = [{j: c for j, c in pick.items() if c} for pick in picks]
+    assert first_nonzero_column(columns(outer.rows, b), inner) == expected
 
 
 def corrupted_bar(A, augmented=None, shifted=None):

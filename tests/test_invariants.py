@@ -295,3 +295,13 @@ def test_no_swallowed_exceptions():
             if SWALLOW.search(line):
                 broad.append(f"{path.name}:{lineno}: {line.strip()}")
     assert broad == []
+
+
+def test_chain_map_check_reads_differentials_from_columns():
+    # both sides of the square read d from the shared d-columns; the check
+    # itself evaluates no differential
+    from twistres.checks import check_chain_map
+
+    body = inspect.getsource(check_chain_map)
+    assert body.startswith("@timed\ndef check_chain_map(")
+    assert ".diff_word(" not in body and ".differential(" not in body

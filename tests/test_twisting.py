@@ -7,7 +7,7 @@ from twistres.errors import NotInvertible, TwistInconsistent
 from twistres.fields import PrimeField, Rationals
 from twistres.hopf import (BarComoduleCompat, group_hopf, linear_group_action,
                            smash_twist)
-from twistres.instances import builtin_instance
+from twistres.instances import BUILTIN_NAMES, builtin_instance
 from twistres.complexes import BarComplex
 from twistres.twisting import (BarLeftCompat, BarRightCompat, CompatMap,
                                TwistingMap, bicharacter_twist,
@@ -281,3 +281,13 @@ def test_reduced_and_unreduced_compat_keep_separate_values():
     assert projected == red._apply(1, (1,), word)
     assert full.apply(1, (1,), word) is raw
     assert red.apply(1, (1,), word) is projected
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_unit_creation_matches_the_strongly_graded_flag(name):
+    # the in_2 expectation of the battery reads creates_units; on every
+    # built-in it agrees with the strongly_graded flag it replaced, at the
+    # windows the battery uses
+    tau = builtin_instance(name).tau
+    for budget in (3, 5):
+        assert tau.creates_units(budget) == (not tau.strongly_graded)
