@@ -10,7 +10,7 @@ import sys
 import time
 
 from twistres.instances import BUILTIN_NAMES, builtin_instance
-from twistres.suite import group_closed_form_reports, run_suite
+from twistres.suite import verify_reports
 
 
 def main(argv=None):
@@ -28,10 +28,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         instance = builtin_instance(name, field=args.field,
                                     hdeg=args.hdeg, gdeg=args.gdeg)
-        reports = run_suite(instance, hdeg=args.hdeg, gdeg=args.gdeg,
-                            seed=args.seed)
-        if instance.action is not None and name != "corrupted-twist":
-            reports.extend(group_closed_form_reports(instance))
+        reports = verify_reports(instance, seed=args.seed)
         bad = [r for r in reports if not r.ok]
         failures += len(bad)
         elapsed = time.perf_counter() - t0

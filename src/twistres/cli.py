@@ -19,11 +19,11 @@ from .checks import check_chain_map, check_identity_composition
 from .errors import TwistresError
 from .instances import BUILTIN_NAMES, builtin_instance, parse_instance
 from .serialize import complex_registry, element_to_json, json_text, parse_element
-from .suite import group_closed_form_reports, pipeline_reports, run_suite
+from .suite import pipeline_reports, verify_reports
 
 
-def _load_instance(args):
-    name = args.instance
+def _load_instance(args, name=None):
+    name = args.instance if name is None else name
     if name is None:
         raise TwistresError("no --instance given")
     kwargs = dict(field=args.field, hdeg=args.hdeg, gdeg=args.gdeg)
@@ -181,16 +181,9 @@ def cmd_verify(args):
     names = [args.instance] if args.instance else list(BUILTIN_NAMES)
     all_reports = []
     for name in names:
-        if name in BUILTIN_NAMES:
-            instance = builtin_instance(name, field=args.field,
-                                        hdeg=args.hdeg, gdeg=args.gdeg)
-        else:
-            instance = parse_instance(name, field_override=args.field,
-                                      hdeg=args.hdeg, gdeg=args.gdeg)
-        reports = run_suite(instance, seed=args.seed, exhaustive=args.exhaustive)
-        if instance.action is not None and instance.name != "corrupted-twist":
-            reports.extend(group_closed_form_reports(instance))
-        all_reports.extend(reports)
+        all_reports.extend(verify_reports(_load_instance(args, name),
+                                          seed=args.seed,
+                                          exhaustive=args.exhaustive))
     ok = all(r.ok for r in all_reports)
     if args.json:
         print(json_text({"reports": [r.to_json() for r in all_reports],

@@ -133,30 +133,19 @@ def generators_in_reduced_window(chain_map, n_max, d_max):
     return True, None
 
 
-@dataclass
-class _ImageBlock:
-    """iota's images of the degree-(n, d) generators as rows over the inner
-    words of B, with their reduced echelon form."""
-
-    d: int
-    gens: list
-    words: list
-    rows: list
-    echelon: list
-    pivots: list
-
-
 class BootstrapLift:
     """One-sided inverse of an injective chain map into a reduced bar complex.
 
-    Built degree by degree, as in the comparison-theorem diagram chase: on
-    the image of iota invert directly; on an echelon-pivot complement of
-    the degree-n free generators lift through the differential by solving
-    an exact sparse linear system.  The degree -1 seed is the identity on
-    the resolved algebra, realized here as the augmentation-preserving
-    solve in degree 0.  Each homological degree takes one elimination for
-    all its complement generators and one per internal degree for the
-    image, every right-hand side riding on the same column-major pivots.
+    Built block by block, as in the comparison-theorem diagram chase, over
+    the (n, d) blocks in order: on the image of iota invert directly; on an
+    echelon-pivot complement of the generator words lift through the
+    differential by solving an exact sparse linear system on X's degree-d
+    block ``block_matrix(cols, n, [d])``.  The degree -1 seed is the
+    identity on the resolved algebra, realized here as the
+    augmentation-preserving solve in degree 0.  X must be graded (d_X keeps
+    the internal degree); a differential leaving the block is refused by
+    ``block_matrix``, which names it.  The first failing block raises at
+    once.
     """
 
     def __init__(self, iota, n_max, d_max):
@@ -168,26 +157,20 @@ class BootstrapLift:
         self.d_max = d_max
         self._gen_values = {}          # (n, inner_word) -> FreeElement of X_n
         self.chain_map = ChainMap(self.B, self.X, self._oracle, "bootstrap pi")
-        self._build()
+        cols = DColumns(self.X, d_max)
+        for n in range(n_max + 1):
+            for d in range(d_max + 1):
+                self._lift_block(cols, n, d)
 
-    def _build(self):
-        for n in range(self.n_max + 1):
-            blocks, failure = [], None
-            for d in range(self.d_max + 1):
-                try:
-                    blocks.append(self._image_block(n, d))
-                except NotLiftable as exc:
-                    failure = exc
-                    break
-            # the blocks before a failing one are lifted first, so that the
-            # failure reported is the one in the first failing block
-            comp_values = self._lift_complement(n, blocks)
-            if failure is not None:
-                raise failure
-            for block in blocks:
-                self._invert_block(n, block, comp_values)
+    def _lift_block(self, cols, n, d):
+        """pi on the generator words of B at (n, d).
 
-    def _image_block(self, n, d):
+        iota's images of X's generators, as rows over the words, are brought
+        to reduced echelon form.  A complement word takes its lift.  A pivot
+        word is its echelon row minus the row's non-pivot part, so it takes
+        the row's coordinates over the images (one solve for all rows) minus
+        the lifts of that part.
+        """
         unit = self.A.unit
         gens = self.X.free_generators(n, d)
         words = self.B.generator_words(n, d)
@@ -203,85 +186,51 @@ class BootstrapLift:
                 row[index[word[1:-1]]] = c
             rows.append(row)
         echelon, pivots = rref(rows, len(words))
-        return _ImageBlock(d, gens, words, rows, echelon, pivots)
-
-    def _invert_block(self, n, block, comp_values):
-        """pi on the block's generator words.  A complement word takes its
-        lift.  A pivot word is its echelon row minus the row's non-pivot
-        part, so it takes the row's coordinates over the images (one solve
-        for all rows) minus the lifts of that part."""
-        for w in block.words:
-            if w in comp_values:
-                self._gen_values[(n, w)] = comp_values[w]
-        if not block.pivots:
+        pivot_set = set(pivots)
+        complement = [w for k, w in enumerate(words) if k not in pivot_set]
+        if complement:
+            self._lift_complement(cols, n, d, complement)
+        if not pivots:
             return
-        width = len(block.words)
+        width = len(words)
         coords = solve_linear_system(
-            SparseMatrix(width, len(block.gens), columns(block.rows, width)),
-            [SparseVector(width, row) for row in block.echelon])
-        for k, row, x in zip(block.pivots, block.echelon, coords):
+            SparseMatrix(width, len(gens), columns(rows, width)),
+            [SparseVector(width, row) for row in echelon])
+        for k, row, x in zip(pivots, echelon, coords):
             if x is None:
                 raise NotLiftable("internal: echelon row not in image span",
-                                  block=(n, block.d))
+                                  block=(n, d))
             value = FreeElement(self.X.term(n))
             for t, c in x.entries.items():
-                value.add_elt(block.gens[t], factor=c)
+                value.add_elt(gens[t], factor=c)
             for j, c in row.items():
                 if j != k:
-                    value.add_elt(comp_values[block.words[j]], factor=-c)
-            self._gen_values[(n, block.words[k])] = value
+                    value.add_elt(self._gen_values[(n, words[j])], factor=-c)
+            self._gen_values[(n, words[k])] = value
 
-    def _lift_complement(self, n, blocks):
-        """Solve d_X xi = pi_(n-1)(d_B e) for every complement generator e
-        of the blocks in one elimination (eps_X xi = eps_B e at n = 0).
-
-        The system is ``block_matrix`` of X at n over internal degrees
-        0..d_max, built only when there is a complement generator.  Returns
-        the lifts keyed by inner word.  Failures are raised in block order:
-        a right-hand side that cannot be built is raised only after the
-        systems before it are found consistent.
-        """
+    def _lift_complement(self, cols, n, d, words):
+        """Solve d_X xi = pi_(n-1)(d_B e) for the complement words e of the
+        block in one elimination (eps_X xi = eps_B e at n = 0)."""
         unit = self.A.unit
-        wanted = []
-        for block in blocks:
-            pivot_set = set(block.pivots)
-            wanted.extend((block.d, w) for k, w in enumerate(block.words)
-                          if k not in pivot_set)
-        if not wanted:
-            return {}
-        system, dom, cod = block_matrix(DColumns(self.X, self.d_max), n,
-                                        range(self.d_max + 1))
+        system, dom, cod = block_matrix(cols, n, [d])
         index = {key: i for i, key in enumerate(cod)}
-        keys, targets, failure = [], [], None
-        try:
-            for d, w in wanted:
-                rhs = down(self.B, n, (), (unit,) + w + (unit,))
-                if n:
-                    rhs = self.evaluate(n - 1, rhs)
-                if not rhs.data.keys() <= index.keys():
-                    raise NotLiftable("lift target outside the degree block",
-                                      block=(n, d))
-                keys.append((d, w))
-                targets.append(SparseVector(
-                    len(cod), {index[key]: c for key, c in rhs.data.items()}))
-        except NotLiftable as exc:
-            failure = exc
-        values = {}
-        if targets:
-            solutions = solve_linear_system(system, targets)
-            for (d, w), sol in zip(keys, solutions):
-                if sol is None:
-                    raise NotLiftable(
-                        "inconsistent lift system (free-complement hypothesis failed)",
-                        block=(n, d))
-                out = FreeElement(self.X.term(n))
-                for jcol, c in sol.entries.items():
-                    comp, word = dom[jcol]
-                    out.add_term(comp, word, c)
-                values[w] = out
-        if failure is not None:
-            raise failure
-        return values
+        targets = []
+        for w in words:
+            rhs = down(self.B, n, (), (unit,) + w + (unit,))
+            if n:
+                rhs = self.evaluate(n - 1, rhs)
+            if not rhs.data.keys() <= index.keys():
+                raise NotLiftable("lift target outside the degree block",
+                                  block=(n, d))
+            targets.append(SparseVector(
+                len(cod), {index[key]: c for key, c in rhs.data.items()}))
+        for w, sol in zip(words, solve_linear_system(system, targets)):
+            if sol is None:
+                raise NotLiftable(
+                    "inconsistent lift system (free-complement hypothesis failed)",
+                    block=(n, d))
+            self._gen_values[(n, w)] = FreeElement(
+                self.X.term(n), {dom[j]: c for j, c in sol.entries.items()})
 
     def _oracle(self, n, comp, word):
         inner = word[1:-1]

@@ -4,7 +4,7 @@ import pytest
 
 from twistres.awez import ChainMap
 from twistres.checks import check_chain_map, check_identity_composition
-from twistres.complexes import TwistedProductComplex
+from twistres.complexes import TwistedProductComplex, block_matrix
 from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
                                  generators_in_reduced_window, koszul_inclusion,
@@ -197,9 +197,25 @@ def test_inadmissible_action_rejected():
         KoszulActionCompat(inst.action, K)
 
 
-# sha256 of pi's values on the 432 generators of rbar(A) at n, d <= 3, one
-# line per term in the kernel's sort order (as perfbench's lift workload
-# hashes them); pins the bootstrap lift bit for bit
+def pi_digest(inst, pipe, n_max, d_max):
+    """sha256 of pi's values on the generators of rbar(A) at n <= n_max,
+    d <= d_max, one line per term in the kernel's sort order (as
+    perfbench's lift workload hashes them), and the number of generators."""
+    rbar = inst.bar_maps().rbar_A
+    h = hashlib.sha256()
+    count = 0
+    for n in range(n_max + 1):
+        for d in range(d_max + 1):
+            for g in rbar.free_generators(n, d):
+                for (comp, word), c in pipe.pi.apply(n, g).items_sorted():
+                    h.update(f"{n}|{count}|{comp!r}|{word!r}|{c}\n".encode())
+                h.update(b"end\n")
+                count += 1
+    return count, h.hexdigest()
+
+
+# pi's digests on the 432 generators of rbar(A) at n, d <= 3; pin the
+# bootstrap lift bit for bit
 PI_DIGESTS = {
     None: "a74493729b5717ef58aa9809d68502fe0c5c1f6ecefb363da69205273e2564ef",
     "F3": "79b2952afef7d2fe49c0b9c311e0d56ffcbf9ebae82c51b3982bc1980ec56b99",
@@ -210,18 +226,35 @@ PI_DIGESTS = {
 @pytest.mark.parametrize("field", sorted(PI_DIGESTS, key=str))
 def test_bootstrap_pi_values_pinned(field):
     inst, pipe = koszul_setup(field=field, n_max=3, d_max=3)
-    rbar = inst.bar_maps().rbar_A
-    h = hashlib.sha256()
-    count = 0
-    for n in range(4):
-        for d in range(4):
-            for g in rbar.free_generators(n, d):
-                for (comp, word), c in pipe.pi.apply(n, g).items_sorted():
-                    h.update(f"{n}|{count}|{comp!r}|{word!r}|{c}\n".encode())
-                h.update(b"end\n")
-                count += 1
-    assert count == 432
-    assert h.hexdigest() == PI_DIGESTS[field]
+    assert pi_digest(inst, pipe, 3, 3) == (432, PI_DIGESTS[field])
+
+
+def test_bootstrap_pi_on_s3_pinned():
+    # the first pin over a non-abelian group: pi's values on the 229
+    # generators of rbar(A) at n <= 2, d <= 1 on s3-perm-kxyz over Q
+    inst, pipe = koszul_setup("s3-perm-kxyz", n_max=2, d_max=1)
+    assert inst.field.name == "Q"
+    assert pi_digest(inst, pipe, 2, 1) == (
+        229, "c8e45f9d547aade31ef1397f381410795ac7d3c141fdd17bfb31682cd04efa6e")
+
+
+def test_bootstrap_lift_solves_one_degree_per_system(monkeypatch):
+    # X is graded, so every complement system is one internal degree's block
+    from twistres import conversion
+
+    inst, pipe = koszul_setup(field="F3", n_max=3, d_max=3)
+    calls = []
+
+    def recording(columns, n, degrees):
+        calls.append((n, tuple(degrees)))
+        return block_matrix(columns, n, degrees)
+
+    monkeypatch.setattr(conversion, "block_matrix", recording)
+    lift = BootstrapLift(pipe.iota, 3, 3)
+    assert calls and all(len(degrees) == 1 for _, degrees in calls)
+    assert len(set(calls)) == len(calls)
+    g = inst.bar_maps().rbar_A.free_generators(3, 3)[0]
+    assert lift.chain_map.apply(3, g) == pipe.pi.apply(3, g)
 
 
 def test_pipeline_cache_keyed_on_window():

@@ -8,14 +8,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_run_verification_on_one_instance():
+def run_verification(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verification.py"),
-         "--instances", "quantum-plane"],
+        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "0 unexpected" in done.stdout
-    assert "unexpected outcomes: 0" in done.stdout
+    return done.stdout
+
+
+def test_run_verification_on_one_instance():
+    out = run_verification("--instances", "quantum-plane")
+    assert "0 unexpected" in out
+    assert "unexpected outcomes: 0" in out
+
+
+def test_negative_controls_fail_at_a_small_internal_budget():
+    # the controls run at their own internal degrees, so at --gdeg 1 they
+    # still fail as expected
+    out = run_verification("--instances", "example-5.2", "quantum-plane",
+                           "corrupted-twist", "--hdeg", "2", "--gdeg", "1")
+    assert "unexpected outcomes: 0" in out
