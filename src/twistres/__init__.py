@@ -27,10 +27,9 @@ from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
                    permutation_group_action, smash_twist)
 from .instances import (BUILTIN_NAMES, Budgets, Instance, builtin_instance,
                         parse_instance)
-from .linalg import (SparseMatrix, SparseVector, kernel_basis, rank,
-                     solve_linear_system, subspace_intersection)
+from .linalg import SparseMatrix, null_space, rank, solve_linear_system
 from .suite import run_suite
-from .twisting import (TwistingMap, bicharacter_twist, iterate_twist_bar,
+from .twisting import (TwistingMap, bicharacter_twist,
                        twist_from_generator_rules)
 
 __all__ = [
@@ -40,14 +39,14 @@ __all__ = [
     "Group", "GroupAlgebra", "HopfAction", "HopfAlgebra", "Instance",
     "InstanceError", "IntermediateComplex", "KoszulComplex", "NotInvertible",
     "NotLiftable", "PolynomialAlgebra", "PrimeField", "Rationals",
-    "RewritingAlgebra", "Shuffle", "SparseMatrix", "SparseVector",
+    "RewritingAlgebra", "Shuffle", "SparseMatrix",
     "TwistInconsistent", "TwistedBarMaps", "TwistedProductAlgebra",
     "TwistedProductComplex", "TwistingMap", "TwistresError",
     "bicharacter_twist", "builtin_instance", "check_compatible",
     "check_d_squared", "check_truncated_exactness", "conversion_pi_iota",
-    "enumerate_shuffles", "field_from_name", "group_hopf", "iterate_twist_bar",
-    "kernel_basis", "linear_group_action", "parse_instance",
+    "enumerate_shuffles", "field_from_name", "group_hopf",
+    "linear_group_action", "null_space", "parse_instance",
     "permutation_group_action", "rank", "run_suite", "smash_koszul_pipeline",
-    "smash_twist", "solve_linear_system", "subspace_intersection",
+    "smash_twist", "solve_linear_system",
     "tensor_chain_maps", "twist_from_generator_rules",
 ]

@@ -10,11 +10,12 @@ when ranks are needed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
-from .linalg import (Memo, SparseMatrix, accumulate, linear_extension, rank,
-                     subspace_intersection)
+from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
+                     null_space, rank)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
 from .twisting import BarLeftCompat, BarRightCompat
@@ -151,8 +152,8 @@ class KoszulComplex(Complex):
     """Koszul resolution of a quadratic algebra R = T(V)/(relations).
 
     The middle factor of K_n is the intersection of shifted relation
-    spaces, computed by exact subspace intersection and stored with an
-    abstract echelon basis.  The differential is the reduced-bar
+    spaces, computed as the null space of their annihilators and stored
+    with an abstract echelon basis.  The differential is the reduced-bar
     differential restricted along the standard inclusion: only the two
     outer multiplications survive because relations multiply to zero.
     """
@@ -171,25 +172,26 @@ class KoszulComplex(Complex):
             self.spaces[n] = self._intersect(n)
 
     def _intersect(self, n):
+        """K_n, the null space of the annihilator rows pre (x) phi (x) suf of
+        every V^j (x) R (x) V^(n-2-j), for phi in R^perp and words pre, suf."""
         v_words = self.A.basis(1)
+        one = self.A.field.one
+        pairs = tuple_power(v_words, 2)
+        at = {pair: t for t, pair in enumerate(pairs)}
+        perp = null_space([{at[pair]: c for pair, c in rel.items()}
+                           for rel in self.relations], len(pairs), one)
         words = tuple_power(v_words, n)
         index = {w: i for i, w in enumerate(words)}
-        mats = []
+        rows = []
         for j in range(n - 1):
-            rows = []
             suffixes = tuple_power(v_words, n - 2 - j)
             for pre in tuple_power(v_words, j):
-                for rel in self.relations:
+                for phi in perp:
                     for suf in suffixes:
-                        row = {}
-                        for (a, b), c in rel.items():
-                            row[index[pre + (a, b) + suf]] = c
-                        rows.append(row)
-            mats.append(SparseMatrix(len(rows), len(words), rows))
-        if not self.relations or any(m.nrows == 0 for m in mats):
-            return TensorSubspace(self.A, n, [], f"K{n}")
-        inter = subspace_intersection(mats)
-        vectors = [{words[j]: c for j, c in row.items()} for row in inter.rows]
+                        rows.append({index[pre + pairs[t] + suf]: c
+                                     for t, c in phi.items()})
+        vectors = [{words[j]: c for j, c in vec.items()}
+                   for vec in null_space(rows, len(words), one)]
         return TensorSubspace(self.A, n, vectors, f"K{n}")
 
     def dim_tilde(self, n):
@@ -499,15 +501,17 @@ class DColumns:
         starts = self._layout(n)[2]
         return starts[degrees[0]], starts[degrees[-1] + 1]
 
-    def positions(self, n, data, label):
-        """``data``, an element of X_n keyed by word, keyed by position."""
+    def positions(self, n, data, label, degrees=None):
+        """``data``, an element of X_n keyed by word, keyed by position; a
+        word outside the window is refused, naming the run ``degrees``
+        (all of 0..d_max by default) that ``data`` belongs to."""
         index = self._layout(n)[1]
         try:
             return {index[key]: c for key, c in data.items()}
         except KeyError as exc:
             raise TwistresError(
                 f"{label} leaves the degree block "
-                f"{list(range(self.d_max + 1))} at {exc.args[0]}") from None
+                f"{list(degrees or range(self.d_max + 1))} at {exc.args[0]}") from None
 
     def element(self, n, data):
         """The element of X_n with coefficient c at each position i of ``data``."""
@@ -520,8 +524,10 @@ class DColumns:
             cols = self._columns[n] = [None] * len(self.basis(n))
         if cols[j] is None:
             comp, word = self.basis(n)[j]
+            # the degree of the j-th word: the last degree starting at or before j
+            degree = bisect_right(self._layout(n)[2], j) - 1
             cols[j] = self.positions(n - 1, down(self.X, n, comp, word).data,
-                                     f"d_{n} of {self.X.name}")
+                                     f"d_{n} of {self.X.name}", [degree])
         return cols[j]
 
     def columns(self, n):

@@ -17,7 +17,7 @@ from .complexes import (DColumns, KoszulComplex, TwistedProductComplex,
                         block_matrix, down)
 from .errors import NotLiftable
 from .hopf import BarComoduleCompat, KoszulActionCompat
-from .linalg import (SparseMatrix, SparseVector, accumulate, columns, rref,
+from .linalg import (SparseMatrix, accumulate, columns, rref,
                      solve_linear_system)
 from .tensors import FreeElement
 
@@ -194,14 +194,13 @@ class BootstrapLift:
             return
         width = len(words)
         coords = solve_linear_system(
-            SparseMatrix(width, len(gens), columns(rows, width)),
-            [SparseVector(width, row) for row in echelon])
+            SparseMatrix(width, len(gens), columns(rows, width)), echelon)
         for k, row, x in zip(pivots, echelon, coords):
             if x is None:
                 raise NotLiftable("internal: echelon row not in image span",
                                   block=(n, d))
             value = FreeElement(self.X.term(n))
-            for t, c in x.entries.items():
+            for t, c in x.items():
                 value.add_elt(gens[t], factor=c)
             for j, c in row.items():
                 if j != k:
@@ -222,15 +221,14 @@ class BootstrapLift:
             if not rhs.data.keys() <= index.keys():
                 raise NotLiftable("lift target outside the degree block",
                                   block=(n, d))
-            targets.append(SparseVector(
-                len(cod), {index[key]: c for key, c in rhs.data.items()}))
+            targets.append({index[key]: c for key, c in rhs.data.items()})
         for w, sol in zip(words, solve_linear_system(system, targets)):
             if sol is None:
                 raise NotLiftable(
                     "inconsistent lift system (free-complement hypothesis failed)",
                     block=(n, d))
             self._gen_values[(n, w)] = FreeElement(
-                self.X.term(n), {dom[j]: c for j, c in sol.entries.items()})
+                self.X.term(n), {dom[j]: c for j, c in sol.items()})
 
     def _oracle(self, n, comp, word):
         inner = word[1:-1]

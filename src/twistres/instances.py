@@ -145,9 +145,7 @@ def _parse_algebra(field, data, gdeg, location):
         elif kind == "symmetric":
             group = Group.symmetric(int(_need(spec, "degree", f"{location}.group")))
         elif kind == "table":
-            elements = _need(spec, "elements", f"{location}.group")
-            table = _need(spec, "table", f"{location}.group")
-            group = Group(elements, table, name=spec.get("name", "G"))
+            group = _parse_group_table(spec, f"{location}.group", by_name=False)
         else:
             raise InstanceError(f"unknown group kind {kind!r}", f"{location}.group")
         return GroupAlgebra(field, group, gdeg)
@@ -172,17 +170,42 @@ def _parse_algebra(field, data, gdeg, location):
             rules[(j, i)] = value
         return RewritingAlgebra(field, gens, rules, gdeg)
     if family == "structure_constants":
-        elements = _need(data, "elements", location)
-        table_in = _need(data, "table", location)
-        n = len(elements)
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entry = table_in[i][j]
-                table[i][j] = elements.index(entry)
-        group = Group(elements, table, name=data.get("name", "G"))
+        group = _parse_group_table(data, location, by_name=True)
         return GroupAlgebra(field, group, gdeg)
     raise InstanceError(f"unknown algebra family {family!r}", f"{location}.family")
+
+
+def _parse_group_table(data, location, by_name):
+    """The group of ``data``'s ``elements`` and n x n Cayley ``table``, whose
+    entries are indices 0..n-1, or element names when ``by_name``."""
+    elements = _need(data, "elements", location)
+    table = _need(data, "table", location)
+    if not (isinstance(elements, list) and elements
+            and all(isinstance(e, str) for e in elements)
+            and len(set(elements)) == len(elements)):
+        raise InstanceError("elements must be a nonempty list of distinct names",
+                            f"{location}.elements")
+    n = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    location = f"{location}.table"
+    if not isinstance(table, list) or len(table) != n:
+        raise InstanceError(f"the table must have {n} rows", location)
+    rows = []
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n:
+            raise InstanceError(f"each row must have {n} entries",
+                                f"{location}[{i}]")
+        rows.append([])
+        for j, entry in enumerate(row):
+            k = entry
+            if by_name:
+                k = index.get(entry) if isinstance(entry, str) else None
+            if type(k) is not int or not 0 <= k < n:
+                expected = "an element name" if by_name else f"an index in 0..{n - 1}"
+                raise InstanceError(f"entry {entry!r} is not {expected}",
+                                    f"{location}[{i}][{j}]")
+            rows[i].append(k)
+    return Group(elements, rows, name=data.get("name", "G"))
 
 
 def _parse_twist(field, R, S, data, location):

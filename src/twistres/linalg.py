@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra: echelon forms, solving, kernels, intersections.
+"""Exact sparse linear algebra: echelon forms, rank, solving, null spaces.
 
 Vectors are dicts ``column -> nonzero scalar``; matrices are lists of such
 rows.  Pivots are chosen column-major (leftmost column first, first usable
@@ -11,42 +11,6 @@ from types import MappingProxyType
 
 from .errors import DimensionMismatch
 from .fields import field_of
-
-
-class SparseVector:
-    """Sparse vector with an explicit ambient dimension."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n, entries=None):
-        self.n = n
-        self.entries = {}
-        if entries:
-            for j, c in entries.items():
-                if c:
-                    if not 0 <= j < n:
-                        raise DimensionMismatch(f"index {j} outside dimension {n}")
-                    self.entries[j] = c
-
-    @classmethod
-    def from_dense(cls, values, field):
-        ent = {j: field.from_int(v) if isinstance(v, int) else v
-               for j, v in enumerate(values) if v}
-        return cls(len(values), ent)
-
-    def get(self, j):
-        return self.entries.get(j)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVector) and self.n == other.n \
-            and self.entries == other.entries
-
-    def __repr__(self):
-        body = ", ".join(f"{j}: {c}" for j, c in sorted(self.entries.items()))
-        return f"SparseVector({self.n}, {{{body}}})"
 
 
 class SparseMatrix:
@@ -65,17 +29,6 @@ class SparseMatrix:
             for j in r:
                 if not 0 <= j < ncols:
                     raise DimensionMismatch(f"column {j} outside width {ncols}")
-
-    @classmethod
-    def from_dense(cls, rows, field):
-        ncols = len(rows[0]) if rows else 0
-        data = []
-        for row in rows:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            data.append({j: field.from_int(v) if isinstance(v, int) else v
-                         for j, v in enumerate(row) if v})
-        return cls(len(rows), ncols, data)
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols})"
@@ -206,26 +159,24 @@ def member_coords(echelon, pivots, vec):
     return None if residue else coords
 
 
-def solve_linear_system(matrix: SparseMatrix, b):
-    """First solution of A x = b under the fixed pivot order, or None.
+def solve_linear_system(matrix: SparseMatrix, rhs):
+    """First solution of A x = b for each b of ``rhs``, or None for each.
 
-    ``b`` is a SparseVector, or a list of them; a list is solved in one
-    elimination and gives a list of answers.  Pivots are chosen among the
-    columns of A only, with every right-hand side carried to their right,
-    so each answer is the one it would get alone.  Free variables are set
-    to zero, so the answer is deterministic; every answer is checked
-    exactly against A x = b, and a right-hand side that fails gives None.
+    ``rhs`` is a list of dict-vectors over the rows of A, solved in one
+    elimination; the answers are dict-vectors over its columns.  Pivots are
+    chosen among the columns of A only, with every right-hand side carried
+    to their right, so each answer is the one it would get alone.  Free
+    variables are set to zero, so the answer is deterministic; every answer
+    is checked exactly against A x = b, and a right-hand side that fails
+    gives None.
     """
-    single = isinstance(b, SparseVector)
-    rhs = [b] if single else list(b)
-    for v in rhs:
-        if v.n != matrix.nrows:
-            raise DimensionMismatch(
-                f"rhs dimension {v.n} does not match {matrix.nrows} rows")
     ncols = matrix.ncols
     aug = [dict(row) for row in matrix.rows]
-    for k, v in enumerate(rhs):
-        for i, c in v.entries.items():
+    for k, b in enumerate(rhs):
+        for i, c in b.items():
+            if not 0 <= i < matrix.nrows:
+                raise DimensionMismatch(
+                    f"rhs index {i} outside the {matrix.nrows} rows")
             aug[i][ncols + k] = c
     echelon, pivots = rref(aug, ncols) if rhs else ([], [])
     # one pass over the echelon rows: the right-hand-side entries of the
@@ -236,9 +187,7 @@ def solve_linear_system(matrix: SparseMatrix, b):
             if j >= ncols and c:
                 answers[j - ncols][col] = c
     checked = products(matrix, answers)
-    out = [SparseVector(ncols, x) if ax == v.entries else None
-           for x, ax, v in zip(answers, checked, rhs)]
-    return out[0] if single else out
+    return [x if ax == b else None for x, ax, b in zip(answers, checked, rhs)]
 
 
 def products(matrix, vectors):
@@ -260,89 +209,19 @@ def products(matrix, vectors):
     return out
 
 
-def kernel_basis(matrix: SparseMatrix):
-    """Basis of the null space of A, one vector per free column."""
-    echelon, pivots = rref(matrix.rows, matrix.ncols)
-    pivot_set = set(pivots)
-    one = _one_like(matrix)
-    basis = []
-    for free in range(matrix.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: one}
-        for i, col in enumerate(pivots):
-            c = echelon[i].get(free)
-            if c:
-                vec[col] = -c
-        vector = SparseVector(matrix.ncols, vec)
-        if __debug__:
-            assert matrix_product_vec(matrix, vector).is_zero()
-        basis.append(vector)
-    return basis
+def null_space(rows, ncols, one):
+    """Basis of the vectors x with row . x = 0 for every row, one per free
+    column of ``rref(rows, ncols)``.
 
-
-def _one_like(matrix):
-    # The unit of the field of any stored coefficient; for the all-zero
-    # matrix the integer unit interoperates with every scalar type.
-    for row in matrix.rows:
-        for c in row.values():
-            return field_of(c).one
-    return 1
-
-
-def matrix_product_vec(matrix: SparseMatrix, x: SparseVector) -> SparseVector:
-    if x.n != matrix.ncols:
-        raise DimensionMismatch("vector does not match column count")
-    out = {}
-    for i, row in enumerate(matrix.rows):
-        acc = None
-        for j, c in row.items():
-            xc = x.get(j)
-            if xc:
-                acc = c * xc if acc is None else acc + c * xc
-        if acc:
-            out[i] = acc
-    return SparseVector(matrix.nrows, out)
-
-
-def intersect_pair(a_rows, b_rows, ncols):
-    """Row-span intersection of two sparse row lists."""
-    a_rows = [r for r in a_rows if r]
-    b_rows = [r for r in b_rows if r]
-    if not a_rows or not b_rows:
-        return []
-    # Kernel of the (ncols) x (len(a)+len(b)) matrix whose columns are the
-    # a-rows and the negated b-rows; the a-part of each kernel vector maps
-    # back to an intersection vector.
-    na = len(a_rows)
-    negated = [{j: -c for j, c in row.items()} for row in b_rows]
-    stacked = SparseMatrix(ncols, na + len(b_rows), columns(a_rows + negated, ncols))
-    vectors = []
-    for k in kernel_basis(stacked):
-        vec = {}
-        for t, c in k.entries.items():
-            if t < na:
-                accumulate_scaled(vec, a_rows[t], c)
-        if vec:
-            vectors.append(vec)
-    echelon, _ = rref(vectors, ncols)
-    return echelon
-
-
-def subspace_intersection(bases):
-    """Intersection of row spans, as a reduced-echelon SparseMatrix.
-
-    ``bases`` is a nonempty list of SparseMatrix with equal column counts.
+    The vector of free column f is 1 at f and minus column f of each
+    echelon row at that row's pivot.  ``one`` is the field's unit, so no
+    rows give the unit vectors.
     """
-    if not bases:
-        raise DimensionMismatch("subspace_intersection needs at least one basis")
-    ncols = bases[0].ncols
-    for m in bases:
-        if m.ncols != ncols:
-            raise DimensionMismatch("ambient dimensions differ")
-    current, _ = rref(bases[0].rows, ncols)
-    for m in bases[1:]:
-        current = intersect_pair(current, m.rows, ncols)
-        if not current:
-            break
-    return SparseMatrix(len(current), ncols, current)
+    echelon, pivots = rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = {f: {f: one} for f in range(ncols) if f not in pivot_set}
+    for row, col in zip(echelon, pivots):
+        for j, c in row.items():
+            if c and j != col:
+                basis[j][col] = -c
+    return list(basis.values())

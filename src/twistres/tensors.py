@@ -77,9 +77,9 @@ class TensorSubspace:
                     raise TwistresError(f"vector word {w} outside V^{power}")
         rows = [{self._index[w]: c for w, c in vec.items()} for vec in vectors]
         self._echelon, self._pivots = rref(rows, len(self.vwords))
-        self.basis = []
-        for row in self._echelon:
-            self.basis.append({self.vwords[j]: c for j, c in row.items()})
+        # words in ambient order: the basis depends on the span only
+        self.basis = [{self.vwords[j]: c for j, c in sorted(row.items())}
+                      for row in self._echelon]
 
     @property
     def dim(self):

@@ -10,7 +10,7 @@ that this fixed order is consistent on all basis quadruples within budget.
 from __future__ import annotations
 
 from .errors import NotInvertible, TwistInconsistent
-from .linalg import Memo, accumulate, rref
+from .linalg import Memo, SparseMatrix, accumulate, solve_linear_system
 
 
 class TwistingMap:
@@ -208,13 +208,12 @@ class TwistingMap:
 
 
 def _invert_block(tau, dom, cod):
-    """Invert tau restricted to a finite block via [A | I] echelon."""
+    """Invert tau restricted to a finite block: solve for every unit vector."""
     n = len(dom)
     if n != len(cod):
         raise NotInvertible("truncated block is not square")
     index = {pair: t for t, pair in enumerate(cod)}
-    one = tau.R.field.one
-    aug = [dict() for _ in range(n)]
+    rows = [{} for _ in range(n)]
     for jcol, (s, r) in enumerate(dom):
         for pair, c in tau.apply(s, r).items():
             irow = index.get(pair)
@@ -222,21 +221,14 @@ def _invert_block(tau, dom, cod):
                 raise NotInvertible(
                     f"{tau.name}: image of block leaves the block at "
                     f"({tau.S.format_word(s)}, {tau.R.format_word(r)})")
-            aug[irow][jcol] = c
-    for irow in range(n):
-        aug[irow][n + irow] = one
-    echelon, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+            rows[irow][jcol] = c
+    one = tau.R.field.one
+    inverse = solve_linear_system(SparseMatrix(n, n, rows),
+                                  [{t: one} for t in range(n)])
+    if None in inverse:
         raise NotInvertible(f"{tau.name}: singular truncated block")
-    columns = {}
-    for t in range(n):
-        col = {}
-        for jrow in range(n):
-            c = echelon[jrow].get(n + t)
-            if c:
-                col[dom[jrow]] = c
-        columns[cod[t]] = col
-    return columns
+    return {cod[t]: {dom[j]: c for j, c in x.items()}
+            for t, x in enumerate(inverse)}
 
 
 def _format_pairs(tau, pairs):
@@ -298,19 +290,6 @@ def bicharacter_twist(S, R, q, name="tau_q"):
 
     return TwistingMap(S, R, rule, name=name, inverse_rule=inverse_rule,
                        strongly_graded=True)
-
-
-def iterate_twist_bar(tau, side, reduced=False):
-    """Compatibility map of a bar complex, as iterated single-slot twists.
-
-    ``side = "left"`` gives S (x) B_R -> B_R (x) S; ``side = "right"`` gives
-    B_S (x) R -> R (x) B_S.  The reduced variants project inner slots.
-    """
-    if side == "left":
-        return BarLeftCompat(tau, reduced=reduced)
-    if side == "right":
-        return BarRightCompat(tau, reduced=reduced)
-    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 class CompatMap:

@@ -294,6 +294,30 @@ def test_cli_verify_exit_codes(capsys):
     assert axiom["passed"] is False and axiom["ok"] is True
 
 
+@pytest.mark.parametrize("S, path", [
+    ({"family": "structure_constants", "elements": ["e", "g"],
+      "table": [["e", "h"], ["g", "e"]]}, "$.S.table[0][1]"),
+    ({"family": "group", "group": {"kind": "table", "elements": ["e", "g"],
+                                   "table": [[0, 1]]}}, "$.S.group.table"),
+    ({"family": "group", "group": {"kind": "table", "elements": ["e", "g"],
+                                   "table": [[0, 5], [1, 0]]}},
+     "$.S.group.table[0][1]"),
+])
+def test_cli_malformed_group_tables_are_parse_errors(tmp_path, capsys, S, path):
+    # an unknown element name, a ragged table and an out-of-range index are
+    # all refused by the parser (exit 2) at their JSON path
+    desc = {"name": "bad-table", "field": "Q",
+            "R": {"family": "polynomial", "variables": ["x"]}, "S": S,
+            "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
+                      "action": {}}}
+    instance = tmp_path / "bad-table.json"
+    instance.write_text(json.dumps(desc))
+    rc = main(["verify", "--instance", str(instance)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {path}: " in err
+
+
 def test_cli_verify_flags_broken_instance(tmp_path, capsys):
     # an instance whose twist is corrupted but NOT marked as a control
     # must make verify exit 1

@@ -8,7 +8,7 @@ from twistres.complexes import (BarComplex, KoszulComplex, check_d_squared,
                                 polynomial_quadratic_relations,
                                 quadratic_relations_for)
 from twistres.errors import InstanceError
-from twistres.fields import PrimeField, Rationals
+from twistres.fields import Fp, PrimeField, Rationals
 from twistres.instances import builtin_instance
 
 Q = Rationals()
@@ -100,6 +100,55 @@ def test_koszul_differential_squares_to_zero():
     K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
     ok, witness = check_d_squared(K, 4, 4)
     assert ok, witness
+
+
+# The stored echelon bases of K_n for the polynomial rings k[x,y,z] and
+# k[x,y,z,w], each vector as its words (sorted) with their coefficients.
+KOSZUL_BASES = {
+    ("Q", "xyz", 3): [
+        "xyz:1 xzy:-1 yxz:-1 yzx:1 zxy:1 zyx:-1",
+    ],
+    ("Q", "xyzw", 3): [
+        "xyz:1 xzy:-1 yxz:-1 yzx:1 zxy:1 zyx:-1",
+        "wxy:1 wyx:-1 xwy:-1 xyw:1 ywx:1 yxw:-1",
+        "wxz:1 wzx:-1 xwz:-1 xzw:1 zwx:1 zxw:-1",
+        "wyz:1 wzy:-1 ywz:-1 yzw:1 zwy:1 zyw:-1",
+    ],
+    ("Q", "xyzw", 4): [
+        "wxyz:-1 wxzy:1 wyxz:1 wyzx:-1 wzxy:-1 wzyx:1 xwyz:1 xwzy:-1 "
+        "xywz:-1 xyzw:1 xzwy:1 xzyw:-1 ywxz:-1 ywzx:1 yxwz:1 yxzw:-1 "
+        "yzwx:-1 yzxw:1 zwxy:1 zwyx:-1 zxwy:-1 zxyw:1 zywx:1 zyxw:-1",
+    ],
+    ("F5", "xyz", 3): [
+        "xyz:1 xzy:4 yxz:4 yzx:1 zxy:1 zyx:4",
+    ],
+    ("F5", "xyzw", 3): [
+        "xyz:1 xzy:4 yxz:4 yzx:1 zxy:1 zyx:4",
+        "wxy:1 wyx:4 xwy:4 xyw:1 ywx:1 yxw:4",
+        "wxz:1 wzx:4 xwz:4 xzw:1 zwx:1 zxw:4",
+        "wyz:1 wzy:4 ywz:4 yzw:1 zwy:1 zyw:4",
+    ],
+    ("F5", "xyzw", 4): [
+        "wxyz:4 wxzy:1 wyxz:1 wyzx:4 wzxy:4 wzyx:1 xwyz:1 xwzy:4 "
+        "xywz:4 xyzw:1 xzwy:1 xzyw:4 ywxz:4 ywzx:1 yxwz:1 yxzw:4 "
+        "yzwx:4 yzxw:1 zwxy:1 zwyx:4 zxwy:4 zxyw:1 zywx:1 zyxw:4",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(KOSZUL_BASES))
+def test_koszul_bases_pinned(key):
+    field_name, names, n = key
+    field = Q if field_name == "Q" else PrimeField(5)
+    R = PolynomialAlgebra(field, list(names), 2)
+    K = KoszulComplex(R, polynomial_quadratic_relations(R), n)
+    scalar = int if field is Q else Fp
+    got = []
+    for vec in K.spaces[n].basis:
+        assert all(type(c) is scalar for c in vec.values())
+        words = {"".join(map(R.format_word, vs)): str(c) for vs, c in vec.items()}
+        got.append(" ".join(f"{w}:{c}" for w, c in sorted(words.items())))
+    assert got == KOSZUL_BASES[key]
 
 
 def test_koszul_quantum_plane_relations():
@@ -289,34 +338,35 @@ def test_boundary_shifted_d2_fails_through_previous_degree_images():
     assert str(twice) == "-1 * 1 # 1 (x) 1 # 1 (x) x # 1"
 
 
+def field_rows(field, dense):
+    """Dict rows of a dense integer matrix over ``field``, zeros dropped."""
+    reduced = [[field.from_int(v) for v in row] for row in dense]
+    return [{j: c for j, c in enumerate(row) if c} for row in reduced]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([Q, PrimeField(5)]), st.booleans(), st.data())
 def test_product_is_zero_matches_dense_product(field, from_kernel, data):
     # im(inner) <= ker(outer) exactly when the dense product vanishes; inner
     # is drawn from ker(outer) or at random, so both verdicts occur
     from twistres.complexes import first_nonzero_column
-    from twistres.linalg import SparseMatrix, columns, kernel_basis
+    from twistres.linalg import columns, null_space
 
     entries = st.integers(-2, 2)
     a, b, c = (data.draw(st.integers(1, 4)) for _ in range(3))
-    outer = SparseMatrix.from_dense(
-        [[data.draw(entries) for _ in range(b)] for _ in range(a)], field)
+    outer = field_rows(field, [[data.draw(entries) for _ in range(b)]
+                               for _ in range(a)])
     if from_kernel:
-        kernel = [v.entries for v in kernel_basis(outer)] or [{}]
-        picks = [data.draw(st.sampled_from(kernel)) for _ in range(c)]
-        dense_inner = [[pick.get(j, field.zero) for pick in picks]
-                       for j in range(b)]
+        kernel = null_space(outer, b, field.one) or [{}]
+        inner = [data.draw(st.sampled_from(kernel)) for _ in range(c)]
     else:
-        dense_inner = [[field.from_int(data.draw(entries)) for _ in range(c)]
-                       for _ in range(b)]
-    inner = SparseMatrix.from_dense(dense_inner, field)
-    dense_outer = [[row.get(j, field.zero) for j in range(b)] for row in outer.rows]
+        inner = field_rows(field, [[data.draw(entries) for _ in range(b)]
+                                   for _ in range(c)])
     product_zero = all(
-        not sum((dense_outer[i][j] * dense_inner[j][k] for j in range(b)),
-                field.zero)
-        for i in range(a) for k in range(c))
-    hit = first_nonzero_column(columns(outer.rows, outer.ncols),
-                               columns(inner.rows, inner.ncols))
+        not sum((row.get(j, field.zero) * col.get(j, field.zero)
+                 for j in range(b)), field.zero)
+        for row in outer for col in inner)
+    hit = first_nonzero_column(columns(outer, b), inner)
     assert (hit is None) == product_zero
 
 
@@ -324,23 +374,21 @@ def test_product_is_zero_stops_at_the_first_nonzero_column():
     # a zero product reads every column of inner, and a nonzero column
     # stops the test there
     from twistres.complexes import first_nonzero_column
-    from twistres.linalg import SparseMatrix, columns
+    from twistres.linalg import columns
 
     read = []
 
-    def counted(matrix):
-        for j, column in enumerate(columns(matrix.rows, matrix.ncols)):
+    def counted(rows):
+        for j, column in enumerate(columns(rows, 5)):
             read.append(j)
             yield column
 
-    outer = columns(SparseMatrix.from_dense([[1, 1, 0]], Q).rows, 3)
-    zero = SparseMatrix.from_dense([[1, 0, 2, 3, 1], [-1, 0, -2, -3, -1],
-                                    [0, 4, 0, 0, 0]], Q)
+    outer = columns(field_rows(Q, [[1, 1, 0]]), 3)
+    zero = field_rows(Q, [[1, 0, 2, 3, 1], [-1, 0, -2, -3, -1], [0, 4, 0, 0, 0]])
     assert first_nonzero_column(outer, counted(zero)) is None
     assert read == [0, 1, 2, 3, 4]
     read.clear()
-    nonzero = SparseMatrix.from_dense([[1, 0, 2, 1, 1], [-1, 0, -2, 3, -1],
-                                       [0, 4, 0, 0, 0]], Q)
+    nonzero = field_rows(Q, [[1, 0, 2, 1, 1], [-1, 0, -2, 3, -1], [0, 4, 0, 0, 0]])
     assert first_nonzero_column(outer, counted(nonzero)) == (3, {0: Q.from_int(4)})
     assert read == [0, 1, 2, 3]
 
@@ -351,34 +399,32 @@ def test_first_nonzero_column_is_the_dense_products_first(field, data):
     # each column of inner is drawn from ker(outer) or at random, so the first
     # nonzero product column falls anywhere
     from twistres.complexes import first_nonzero_column
-    from twistres.linalg import SparseMatrix, columns, kernel_basis
+    from twistres.linalg import columns, null_space
 
     entries = st.integers(-2, 2)
     a, b = (data.draw(st.integers(1, 4)) for _ in range(2))
     c = data.draw(st.integers(1, 7))
-    outer = SparseMatrix.from_dense(
-        [[data.draw(entries) for _ in range(b)] for _ in range(a)], field)
-    kernel = [v.entries for v in kernel_basis(outer)] or [{}]
-    picks = []
+    outer = field_rows(field, [[data.draw(entries) for _ in range(b)]
+                               for _ in range(a)])
+    kernel = null_space(outer, b, field.one) or [{}]
+    inner = []
     for _ in range(c):
         if data.draw(st.booleans()):
-            picks.append(data.draw(st.sampled_from(kernel)))
+            inner.append(data.draw(st.sampled_from(kernel)))
         else:
-            picks.append({j: field.from_int(data.draw(entries)) for j in range(b)})
-    dense_outer = [[row.get(j, field.zero) for j in range(b)] for row in outer.rows]
+            inner.extend(field_rows(field, [[data.draw(entries) for _ in range(b)]]))
     expected = None
-    for k, pick in enumerate(picks):
+    for k, pick in enumerate(inner):
         column = {}
-        for i in range(a):
-            value = sum((dense_outer[i][j] * pick.get(j, field.zero)
-                         for j in range(b)), field.zero)
+        for i, row in enumerate(outer):
+            value = sum((c * pick.get(j, field.zero) for j, c in row.items()),
+                        field.zero)
             if value:
                 column[i] = value
         if column:
             expected = (k, column)
             break
-    inner = [{j: c for j, c in pick.items() if c} for pick in picks]
-    assert first_nonzero_column(columns(outer.rows, b), inner) == expected
+    assert first_nonzero_column(columns(outer, b), inner) == expected
 
 
 def corrupted_bar(A, augmented=None, shifted=None):

@@ -291,19 +291,22 @@ def test_bootstrap_lift_names_failing_block():
 
 def test_lift_names_the_block_a_differential_leaves():
     # X's differential raises the internal degree by one, so d_1 of a
-    # degree-1 word leaves the block of degrees [0, 1]; the lift's system is
-    # refused by block_matrix, which names the block
+    # degree-1 word leaves the block [1] the lift is building: at (1, 1) the
+    # image lies outside the window and DColumns refuses it, at (2, 2)
+    # block_matrix does, and both name [1]
     inst = builtin_instance("c2-koszul-kxy")
-    pipe = inst.koszul_pipeline(n_max=1, d_max=1)
-    X = pipe.X
-    x = X.A.monomial(X.A.basis(1)[0])
+    for window in ((1, 1), (2, 2)):
+        pipe = inst.koszul_pipeline(n_max=window[0], d_max=window[1])
+        X = pipe.X
+        x = X.A.monomial(X.A.basis(1)[0])
 
-    class Raised(TwistedProductComplex):
-        def diff_word(self, n, comp, word):
-            return self.act(n - 1, x, super().diff_word(n, comp, word), X.A.one())
+        class Raised(TwistedProductComplex):
+            def diff_word(self, n, comp, word):
+                return self.act(n - 1, x, super().diff_word(n, comp, word),
+                                X.A.one())
 
-    raised = Raised(X.A, X.C, X.D, X.tau_C, X.tau_D, X.n_max, name="raised")
-    iota = ChainMap(raised, pipe.iota.target, pipe.iota.apply_word, "iota")
-    with pytest.raises(TwistresError,
-                       match=r"d_1 of raised leaves the degree block \[0, 1\]"):
-        BootstrapLift(iota, 1, 1)
+        raised = Raised(X.A, X.C, X.D, X.tau_C, X.tau_D, X.n_max, name="raised")
+        iota = ChainMap(raised, pipe.iota.target, pipe.iota.apply_word, "iota")
+        with pytest.raises(TwistresError, match=(
+                r"d_1 of raised leaves the degree block \[1\] at ")):
+            BootstrapLift(iota, *window)

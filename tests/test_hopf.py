@@ -10,7 +10,7 @@ from twistres.fields import Rationals
 from twistres.hopf import (BarComoduleCompat, KoszulActionCompat, group_hopf,
                            linear_group_action, smash_twist)
 from twistres.instances import builtin_instance, parse_instance
-from twistres.twisting import iterate_twist_bar
+from twistres.twisting import BarLeftCompat, BarRightCompat
 
 from test_twisting import assert_memo_matches_fresh
 
@@ -121,15 +121,13 @@ def test_smash_inverse_antipode_formula():
     assert inst.tau.inverse(xw, 0) == {((0, xw)): Q.one}
 
 
-def test_iterate_twist_bar_factory():
+def test_bar_compat_maps_on_c2_skew():
     inst = builtin_instance("c2-skew")
-    left = iterate_twist_bar(inst.tau, "left")
-    right = iterate_twist_bar(inst.tau, "right", reduced=True)
+    left = BarLeftCompat(inst.tau)
+    right = BarRightCompat(inst.tau, reduced=True)
     x = (1,)
     assert left.apply(0, 1, (x, x)) == {(((x, x)), 1): Q.one}
     assert right.apply(0, (0, 0), x) == {((x, (0, 0))): Q.one}
-    with pytest.raises(ValueError):
-        iterate_twist_bar(inst.tau, "middle")
 
 
 def test_hopf_action_tables_via_json():

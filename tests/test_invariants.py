@@ -305,3 +305,15 @@ def test_chain_map_check_reads_differentials_from_columns():
     body = inspect.getsource(check_chain_map)
     assert body.startswith("@timed\ndef check_chain_map(")
     assert ".diff_word(" not in body and ".differential(" not in body
+
+
+def test_public_names_resolve():
+    # every name the package exports exists, and a star import takes them all
+    import twistres
+
+    assert len(set(twistres.__all__)) == len(twistres.__all__)
+    missing = [name for name in twistres.__all__ if not hasattr(twistres, name)]
+    assert missing == []
+    namespace = {}
+    exec("from twistres import *", namespace)
+    assert set(twistres.__all__) <= set(namespace)

@@ -7,42 +7,65 @@ from hypothesis import given, settings, strategies as st
 
 from twistres.errors import DimensionMismatch
 from twistres.fields import PrimeField, Rationals
-from twistres.linalg import (Memo, SparseMatrix, SparseVector, kernel_basis,
-                             matrix_product_vec, member_coords, rank, rref,
-                             solve_linear_system, subspace_intersection)
+from twistres.linalg import (Memo, SparseMatrix, member_coords, null_space,
+                             products, rank, rref, solve_linear_system)
 
 Q = Rationals()
+F5 = PrimeField(5)
 
 
-def dense(rows):
-    return SparseMatrix.from_dense(rows, Q)
+def rows_of(dense_rows, field=Q):
+    # integer entries reduced into the field, zeros (3 in F3 too) dropped
+    reduced = [[field.from_int(v) for v in row] for row in dense_rows]
+    return [{j: c for j, c in enumerate(row) if c} for row in reduced]
+
+
+def dense(dense_rows, field=Q):
+    ncols = len(dense_rows[0]) if dense_rows else 0
+    return SparseMatrix(len(dense_rows), ncols, rows_of(dense_rows, field))
+
+
+def vec(values, field=Q):
+    (row,) = rows_of([values], field)
+    return row
+
+
+def product(matrix, x):
+    """A x, one row at a time: the oracle for the batched ``products``."""
+    out = {}
+    for i, row in enumerate(matrix.rows):
+        total = sum((c * x[j] for j, c in row.items() if j in x), 0)
+        if total:
+            out[i] = total
+    return out
 
 
 def test_solve_identity_case():
     A = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    b = SparseVector.from_dense([0, 1, 0], Q)
-    assert solve_linear_system(A, b) == b
+    b = vec([0, 1, 0])
+    assert solve_linear_system(A, [b]) == [b]
 
 
 def test_solve_2x2_verified_by_substitution():
     # oracle: substitute the solution back into the system
     A = dense([[1, 2], [3, 4]])
-    b = SparseVector.from_dense([5, 11], Q)
-    x = solve_linear_system(A, b)
-    assert x == SparseVector.from_dense([1, 2], Q)
-    assert matrix_product_vec(A, x) == b
+    b = vec([5, 11])
+    (x,) = solve_linear_system(A, [b])
+    assert x == vec([1, 2])
+    assert product(A, x) == b
 
 
 def test_solve_inconsistent_rows():
     A = dense([[1, 1], [1, 1]])
-    b = SparseVector.from_dense([0, 1], Q)
-    assert solve_linear_system(A, b) is None
+    assert solve_linear_system(A, [vec([0, 1])]) == [None]
 
 
 def test_solve_dimension_mismatch():
+    # a right-hand side indexing outside the rows of A is refused
     A = dense([[1, 2], [3, 4]])
-    with pytest.raises(DimensionMismatch):
-        solve_linear_system(A, SparseVector.from_dense([1, 2, 3], Q))
+    for b in ({2: Q.one}, {-1: Q.one}):
+        with pytest.raises(DimensionMismatch):
+            solve_linear_system(A, [vec([1, 0]), b])
 
 
 def test_rank_examples():
@@ -51,130 +74,107 @@ def test_rank_examples():
     assert rank(dense([[1, 2], [2, 4]])) == 1
 
 
-def test_kernel_basis_annihilates():
+def test_null_space_annihilates():
     A = dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    for v in kernel_basis(A):
-        assert matrix_product_vec(A, v).is_zero()
-    assert rank(A) + len(kernel_basis(A)) == A.ncols
+    kernel = null_space(A.rows, A.ncols, Q.one)
+    assert kernel == [{2: 1, 0: -1, 1: -1}]
+    assert all(product(A, v) == {} for v in kernel)
 
 
-def brute_force_intersection_dim(mats, ncols):
-    """Oracle: intersect by enumerating the joint solution space.
+def test_null_space_of_no_rows_is_the_unit_vectors():
+    for field in (Q, F5):
+        assert null_space([], 3, field.one) == [
+            {0: field.one}, {1: field.one}, {2: field.one}]
+        assert null_space([{}, {}], 2, field.one) == [
+            {0: field.one}, {1: field.one}]
+    assert null_space([], 0, Q.one) == []
 
-    A vector is in every row span iff it is orthogonal to the kernel of
-    each basis-matrix transpose; solve the combined membership system via
-    rank counting on stacked coefficient matrices.
-    """
-    # dim(U cap W) = dim U + dim W - dim(U + W), folded pairwise
-    def pair_dim(a_rows, b_rows):
-        da = rank(SparseMatrix(len(a_rows), ncols, a_rows))
-        db = rank(SparseMatrix(len(b_rows), ncols, b_rows))
-        dsum = rank(SparseMatrix(len(a_rows) + len(b_rows), ncols,
-                                 a_rows + b_rows))
-        return da + db - dsum
 
-    current = mats[0].rows
-    for m in mats[1:]:
-        inter = subspace_intersection(
-            [SparseMatrix(len(current), ncols, current), m])
-        assert len(inter.rows) == pair_dim(current, m.rows)
-        current = inter.rows
-    return len(current)
+def intersection(row_lists, ncols, one):
+    """Row-span intersection as the null space of the stacked annihilators,
+    the way KoszulComplex computes K_n."""
+    annihilators = [phi for rows in row_lists
+                    for phi in null_space(rows, ncols, one)]
+    return rref(null_space(annihilators, ncols, one), ncols)[0]
 
 
 def test_single_subspace_is_echelonized():
+    # the annihilator of the annihilator is the span itself
     A = dense([[2, 4], [1, 3]])
-    result = subspace_intersection([A])
-    echelon, pivots = rref(A.rows, 2)
-    assert result.rows == echelon
+    assert intersection([A.rows], 2, Q.one) == rref(A.rows, 2)[0]
+    B = dense([[2, 4, 0], [1, 2, 0]])
+    assert intersection([B.rows], 3, Q.one) == [{0: 1, 1: 2}]
+
+
+def shifted_relation_rows(relations, nvars, first):
+    """R (x) V (first) or V (x) R inside (k^nvars)^(x3), as rows over the
+    index of each word (a, b, c)."""
+    index = {w: i for i, w in enumerate(itertools.product(range(nvars), repeat=3))}
+    rows = []
+    for rel in relations:
+        for v in range(nvars):
+            rows.append({index[(a, b, v) if first else (v, a, b)]: Q.from_int(c)
+                         for (a, b), c in rel.items()})
+    return rows
+
+
+def brute_force_intersection_dim(a_rows, b_rows, ncols):
+    """dim(U cap W) = dim U + dim W - dim(U + W)."""
+    def dim(rows):
+        return rank(SparseMatrix(len(rows), ncols, rows))
+    return dim(a_rows) + dim(b_rows) - dim(a_rows + b_rows)
 
 
 def test_intersection_shifted_relation_spaces_k2():
     # R (x) V cap V (x) R inside (k^2)^(x3) for R = span(x(x)y - y(x)x):
-    # brute-force coefficient matching gives the zero subspace
-    words = list(itertools.product(range(2), repeat=3))
-    index = {w: i for i, w in enumerate(words)}
-    one = Q.one
-
-    def emb(rel_pos_first):
-        rows = []
-        for v in range(2):
-            row = {}
-            if rel_pos_first:
-                row[index[(0, 1, v)]] = one
-                row[index[(1, 0, v)]] = -one
-            else:
-                row[index[(v, 0, 1)]] = one
-                row[index[(v, 1, 0)]] = -one
-            rows.append(row)
-        return SparseMatrix(2, 8, rows)
-
-    mats = [emb(True), emb(False)]
-    inter = subspace_intersection(mats)
-    assert inter.nrows == 0
-    assert brute_force_intersection_dim(mats, 8) == 0
+    # the zero subspace
+    rel = [{(0, 1): 1, (1, 0): -1}]
+    spaces = [shifted_relation_rows(rel, 2, first) for first in (True, False)]
+    assert intersection(spaces, 8, Q.one) == []
+    assert brute_force_intersection_dim(*spaces, 8) == 0
 
 
 def test_intersection_alternating_cube_k3():
-    # same intersection over (k^3)^(x3) with R = Lambda^2(k^3): dimension 1,
-    # cross-checked against dim Lambda^3(k^3) = 1
-    words = list(itertools.product(range(3), repeat=3))
-    index = {w: i for i, w in enumerate(words)}
-    one = Q.one
-    pairs = [(0, 1), (0, 2), (1, 2)]
-
-    def emb(rel_first):
-        rows = []
-        for (a, b) in pairs:
-            for v in range(3):
-                row = {}
-                if rel_first:
-                    row[index[(a, b, v)]] = one
-                    row[index[(b, a, v)]] = -one
-                else:
-                    row[index[(v, a, b)]] = one
-                    row[index[(v, b, a)]] = -one
-                rows.append(row)
-        return SparseMatrix(len(rows), 27, rows)
-
-    mats = [emb(True), emb(False)]
-    inter = subspace_intersection(mats)
-    assert inter.nrows == 1
-    assert brute_force_intersection_dim(mats, 27) == 1
-
-
-def test_intersection_requires_input():
-    with pytest.raises(DimensionMismatch):
-        subspace_intersection([])
+    # the same intersection over (k^3)^(x3) with R = Lambda^2(k^3):
+    # dimension 1, cross-checked against dim Lambda^3(k^3) = 1
+    rels = [{(a, b): 1, (b, a): -1} for a, b in ((0, 1), (0, 2), (1, 2))]
+    spaces = [shifted_relation_rows(rels, 3, first) for first in (True, False)]
+    assert len(intersection(spaces, 27, Q.one)) == 1
+    assert brute_force_intersection_dim(*spaces, 27) == 1
 
 
 small_entries = st.integers(-3, 3)
 
 
 @st.composite
-def small_matrix(draw, max_rows=4, max_cols=4):
+def small_matrix(draw, max_rows=4, max_cols=4, field=Q):
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(1, max_cols))
     rows = [[draw(small_entries) for _ in range(ncols)] for _ in range(nrows)]
-    return SparseMatrix.from_dense(rows, Q)
+    return dense(rows, field)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrix())
-def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+@given(st.sampled_from([Q, PrimeField(3), F5, PrimeField(7)]), st.data())
+def test_rank_nullity(field, data):
+    # null_space: every vector is annihilated by every row, and the vectors
+    # and the pivots share out the columns
+    m = data.draw(small_matrix(field=field))
+    kernel = null_space(m.rows, m.ncols, field.one)
+    assert rank(m) + len(kernel) == m.ncols
+    assert all(product(m, v) == {} for v in kernel)
+    assert rank(SparseMatrix(len(kernel), m.ncols, kernel)) == len(kernel)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(), st.lists(small_entries, min_size=1, max_size=4))
 def test_solve_solves_when_consistent(m, coeffs):
     # build a consistent rhs from a known solution, then verify A x = b
-    coeffs = (coeffs + [0] * m.ncols)[:m.ncols]
-    x0 = SparseVector.from_dense(coeffs, Q)
-    b = matrix_product_vec(m, x0)
-    x = solve_linear_system(m, b)
+    x0 = vec((coeffs + [0] * m.ncols)[:m.ncols])
+    b = product(m, x0)
+    (x,) = solve_linear_system(m, [b])
     assert x is not None
-    assert matrix_product_vec(m, x) == b
+    assert product(m, x) == b
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,51 +182,49 @@ def test_solve_solves_when_consistent(m, coeffs):
        st.lists(small_entries, min_size=3, max_size=3))
 def test_intersection_contains_and_is_contained(a, b, coeffs):
     ncols = max(a.ncols, b.ncols)
-    a = SparseMatrix(a.nrows, ncols, a.rows)
-    b = SparseMatrix(b.nrows, ncols, b.rows)
-    inter = subspace_intersection([a, b])
+    inter = intersection([a.rows, b.rows], ncols, Q.one)
+    assert len(inter) == brute_force_intersection_dim(a.rows, b.rows, ncols)
     ech_a, piv_a = rref(a.rows, ncols)
     ech_b, piv_b = rref(b.rows, ncols)
     # every intersection vector lies in both spans
-    for row in inter.rows:
+    for row in inter:
         assert member_coords(ech_a, piv_a, row) is not None
         assert member_coords(ech_b, piv_b, row) is not None
     # a random combination of intersection vectors stays in its span
-    ech_i, piv_i = rref(inter.rows, ncols)
-    vec = {}
-    for c, row in zip(coeffs, inter.rows):
+    ech_i, piv_i = rref(inter, ncols)
+    combo = {}
+    for c, row in zip(coeffs, inter):
         for j, v in row.items():
-            new = vec.get(j, Q.zero) + Q.from_int(c) * v
+            new = combo.get(j, Q.zero) + Q.from_int(c) * v
             if new:
-                vec[j] = new
+                combo[j] = new
             else:
-                vec.pop(j, None)
-    if vec:
-        assert member_coords(ech_i, piv_i, vec) is not None
+                combo.pop(j, None)
+    if combo:
+        assert member_coords(ech_i, piv_i, combo) is not None
 
 
 def test_prime_field_solve():
-    F = PrimeField(5)
-    A = SparseMatrix.from_dense([[1, 2], [3, 4]], F)
-    b = SparseVector.from_dense([0, 1], F)
-    x = solve_linear_system(A, b)
+    A = dense([[1, 2], [3, 4]], F5)
+    b = vec([0, 1], F5)
+    (x,) = solve_linear_system(A, [b])
     assert x is not None
-    assert matrix_product_vec(A, x) == b
+    assert product(A, x) == b
 
 
-@pytest.mark.parametrize("field", [Q, PrimeField(3), PrimeField(5)])
+@pytest.mark.parametrize("field", [Q, PrimeField(3), F5])
 def test_list_solve_matches_single_solves(field):
     # rank 2 on three columns: column 2 is free, and the third row is the sum
     # of the first two, so b = (0, 0, 1) has no solution
-    A = SparseMatrix.from_dense([[1, 2, 1], [0, 1, 2], [1, 3, 3], [0, 0, 0]], field)
-    rhs = [SparseVector.from_dense(v, field) for v in
+    A = dense([[1, 2, 1], [0, 1, 2], [1, 3, 3], [0, 0, 0]], field)
+    rhs = [vec(v, field) for v in
            ([1, 0, 1, 0], [2, 1, 3, 0], [0, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0])]
     batch = solve_linear_system(A, rhs)
-    assert batch == [solve_linear_system(A, b) for b in rhs]
+    assert batch == [solve_linear_system(A, [b])[0] for b in rhs]
     assert batch[2] is None
     for k in (0, 1, 3, 4):
-        assert matrix_product_vec(A, batch[k]) == rhs[k]
-        assert 2 not in batch[k].entries      # free variable set to zero
+        assert product(A, batch[k]) == rhs[k]
+        assert 2 not in batch[k]      # free variable set to zero
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,18 +232,15 @@ def test_list_solve_matches_single_solves(field):
                                 max_size=5))
 def test_batched_check_products_match_single_products(m, vectors):
     # solve_linear_system checks every answer through one pass over A
-    from twistres.linalg import products
-
-    xs = [SparseVector.from_dense(v[:m.ncols], Q).entries for v in vectors]
-    assert products(m, xs) == [
-        matrix_product_vec(m, SparseVector(m.ncols, x)).entries for x in xs]
+    xs = [vec(v[:m.ncols]) for v in vectors]
+    assert products(m, xs) == [product(m, x) for x in xs]
 
 
 def test_list_solve_empty_and_mismatch():
     A = dense([[1, 0], [0, 1]])
     assert solve_linear_system(A, []) == []
     with pytest.raises(DimensionMismatch):
-        solve_linear_system(A, [SparseVector(2, {0: Q.one}), SparseVector(3)])
+        solve_linear_system(A, [{0: Q.one}, {2: Q.one}])
 
 
 def _exact(values):
@@ -259,14 +254,13 @@ def test_q_elimination_with_non_unit_pivots_is_exact():
     assert echelon == [{0: 1, 2: -1}, {1: 1, 2: 2}]
     assert all(_exact(row.values()) for row in echelon)
 
-    A = dense([[2, 1], [4, 3]])
-    x = solve_linear_system(A, SparseVector.from_dense([1, 0], Q))
-    assert x.entries == {0: Fraction(3, 2), 1: -2}
-    assert _exact(x.entries.values())
+    (x,) = solve_linear_system(dense([[2, 1], [4, 3]]), [vec([1, 0])])
+    assert x == {0: Fraction(3, 2), 1: -2}
+    assert _exact(x.values())
 
-    (k,) = kernel_basis(dense([[2, 3, 5], [4, 6, 9]]))
-    assert k.entries == {0: Fraction(-3, 2), 1: 1}
-    assert _exact(k.entries.values())
+    (k,) = null_space(dense([[2, 3, 5], [4, 6, 9]]).rows, 3, Q.one)
+    assert k == {0: Fraction(-3, 2), 1: 1}
+    assert _exact(k.values())
 
 
 def test_accumulate_adds_and_drops_zero_sums():
