@@ -3,8 +3,10 @@
 Both maps factor through the intermediate complex Y:
 
 * the twisted perfect unshuffle moves every S-factor of a bar word of
-  R (x)_tau S rightward past the remaining R-factors, one twist per
-  crossing, and its inverse interleaves back with inverse twists;
+  R (x)_tau S rightward past the R-factors to its right, the whole block
+  at once by the iterated twist tau_B (Y's memoized ``BarLeftCompat``),
+  and its inverse moves each S-factor back by the iterated inverse twist
+  (a ``BarRightCompat`` over tau^(-1));
 * the front/back face map multiplies a leading run of R-factors and a
   trailing run of S-factors;
 * the shuffle map spreads the two inner blocks over signed (l, n-l)
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from .complexes import BarComplex, IntermediateComplex, TwistedProductComplex
 from .linalg import accumulate, accumulate_scaled
 from .tensors import FreeElement
-from .twisting import BarLeftCompat, BarRightCompat
+from .twisting import BarLeftCompat, BarRightCompat, TwistingMap
 
 
 @dataclass(frozen=True)
@@ -156,54 +158,45 @@ class TwistedBarMaps:
             self.prod_rbar, self.prod_bar,
             lambda n, comp, word: self.prod_bar.single(n, comp, word),
             "in_2")
+        # tau^(-1): R (x) S -> S (x) R, a twist with the roles of R and S
+        # swapped, crossed over R-blocks by the shuffle
+        self._back = BarRightCompat(
+            TwistingMap(A.R, A.S, A.tau.inverse, name=f"{A.tau.name}^-1"))
 
     # -- twisted perfect unshuffle and its inverse ---------------------------
 
     def _unshuffle_word(self, n, comp, word):
-        # word: n+2 pair-slots of A; flatten to r0 s0 r1 s1 ...
-        flat = tuple(x for pair in word for x in pair)
-        states = {flat: self.A.field.one}
-        s_unit, r_unit = self.S.unit, self.R.unit
-        for layer in range(1, n + 2):
-            positions = [layer + 2 * t for t in range(n + 2 - layer)]
-            for p in positions:
-                new = {}
-                for slots, c in states.items():
-                    s, r = slots[p], slots[p + 1]
-                    if s == s_unit or r == r_unit:
-                        # tau fixes units: the crossing is a plain swap
-                        accumulate(new, slots[:p] + (r, s) + slots[p + 2:], c)
-                        continue
-                    for (rw, sw), c2 in self.tau.apply(s, r).items():
-                        accumulate(new, slots[:p] + (rw, sw) + slots[p + 2:], c * c2)
-                states = new
+        # last pair first, s_k crosses the R-block already moved to its
+        # right by one lookup of Y's tau_B, keyed as Y's action keys it
+        *head, (r, s) = word
+        states = {((r,), (s,)): self.A.field.one}
+        for r, s in reversed(head):
+            new = {}
+            for (rblock, sblock), c in states.items():
+                for (moved, s2), c2 in self.Y._left.apply(
+                        len(rblock) - 2, s, rblock).items():
+                    accumulate(new, ((r,) + moved, (s2,) + sblock), c * c2)
+            states = new
         out = FreeElement(self.Y.term(n))
-        for slots, c in states.items():
-            out.add_term((), slots, c)
+        for (rblock, sblock), c in states.items():
+            out.add_term((), rblock + sblock, c)
         return out
 
     def _shuffle_word(self, n, comp, word):
-        # word: r-block then s-block; interleave with inverse twists
-        states = {tuple(word): self.A.field.one}
-        s_unit, r_unit = self.S.unit, self.R.unit
-        for layer in range(n + 1, 0, -1):
-            positions = [layer + 2 * t for t in range(n + 2 - layer)]
-            for p in positions:
-                new = {}
-                for slots, c in states.items():
-                    r, s = slots[p], slots[p + 1]
-                    if s == s_unit or r == r_unit:
-                        # and so does its inverse
-                        accumulate(new, slots[:p] + (s, r) + slots[p + 2:], c)
-                        continue
-                    for (sw, rw), c2 in self.tau.inverse(r, s).items():
-                        accumulate(new, slots[:p] + (sw, rw) + slots[p + 2:], c * c2)
-                states = new
+        # first pair first, s_k crosses back over the R-block to the right
+        # of r_k by the iterated inverse twist
+        rpart, spart = word[:n + 2], word[n + 2:]
+        states = {((), rpart): self.A.field.one}
+        for s in spart[:-1]:
+            new = {}
+            for (pairs, rblock), c in states.items():
+                r, block = rblock[0], rblock[1:]
+                for (s2, moved), c2 in self._back.apply(len(block) - 2, block, s).items():
+                    accumulate(new, (pairs + ((r, s2),), moved), c * c2)
+            states = new
         out = FreeElement(self.bar_A.term(n))
-        for slots, c in states.items():
-            pairs = tuple((slots[2 * k], slots[2 * k + 1])
-                          for k in range(n + 2))
-            out.add_term((), pairs, c)
+        for (pairs, (r,)), c in states.items():
+            out.add_term((), pairs + ((r, spart[-1]),), c)
         return out
 
     # -- front/back face and shuffle maps ------------------------------------

@@ -230,12 +230,14 @@ def check_twist_inverse(tau, d_max, instance="", expect_failure=False):
         for r in R.basis_upto(min(d_max, R.max_degree)):
             if S.degree(s) + R.degree(r) > d_max:
                 continue
-            round_trip = tau.inverse_elt(tau.apply(s, r))
+            round_trip = linear_extension(lambda pair: tau.inverse(*pair),
+                                          tau.apply(s, r))
             if round_trip != {(s, r): tau.R.field.one}:
                 wit = f"tau^-1(tau({S.format_word(s)}, {R.format_word(r)})) != id"
                 return CheckReport(f"twist inverse: {tau.name}", instance,
                                    budget, False, expect_failure, wit)
-            round_trip = tau.apply_elt(tau.inverse(r, s))
+            round_trip = linear_extension(lambda pair: tau.apply(*pair),
+                                          tau.inverse(r, s))
             if round_trip != {(r, s): tau.R.field.one}:
                 wit = f"tau(tau^-1({R.format_word(r)}, {S.format_word(s)})) != id"
                 return CheckReport(f"twist inverse: {tau.name}", instance,

@@ -123,9 +123,16 @@ class Instance:
 # -- JSON parsing -------------------------------------------------------------
 
 
-def _need(data, key, location):
+def _need(data, key, location, kind=object):
+    """``data[key]``, refused at its path unless ``data`` is an object
+    holding ``key`` and the value is a ``kind``."""
+    if not isinstance(data, dict):
+        raise InstanceError(f"expected an object with field {key!r}", location)
     if key not in data:
         raise InstanceError(f"missing field {key!r}", location)
+    if not isinstance(data[key], kind):
+        raise InstanceError(f"field {key!r} must be a {kind.__name__}",
+                            f"{location}.{key}")
     return data[key]
 
 
@@ -140,21 +147,24 @@ def _parse_algebra(field, data, gdeg, location):
     if family == "group":
         spec = _need(data, "group", location)
         kind = _need(spec, "kind", f"{location}.group")
-        if kind == "cyclic":
-            group = Group.cyclic(int(_need(spec, "order", f"{location}.group")))
-        elif kind == "symmetric":
-            group = Group.symmetric(int(_need(spec, "degree", f"{location}.group")))
+        if kind in ("cyclic", "symmetric"):
+            key = "order" if kind == "cyclic" else "degree"
+            size = _need(spec, key, f"{location}.group")
+            if type(size) is not int or size < 1:
+                raise InstanceError(f"{key} must be a positive integer",
+                                    f"{location}.group.{key}")
+            group = (Group.cyclic if kind == "cyclic" else Group.symmetric)(size)
         elif kind == "table":
             group = _parse_group_table(spec, f"{location}.group", by_name=False)
         else:
             raise InstanceError(f"unknown group kind {kind!r}", f"{location}.group")
         return GroupAlgebra(field, group, gdeg)
     if family == "rewriting":
-        gens = _need(data, "generators", location)
+        gens = _need(data, "generators", location, list)
         rules = {}
-        for k, rule in enumerate(_need(data, "rules", location)):
+        for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
-            left = _need(rule, "left", loc)
+            left = _need(rule, "left", loc, str)
             pieces = left.split("*")
             if len(pieces) != 2:
                 raise InstanceError("rule left side must be a length-2 word", loc)
@@ -163,9 +173,13 @@ def _parse_algebra(field, data, gdeg, location):
             except ValueError:
                 raise InstanceError(f"undeclared generator in {left!r}", loc) from None
             value = {}
-            for t, term in enumerate(_need(rule, "value", loc)):
-                word = tuple(gens.index(g) for g in term["word"].split("*")
-                             if g != "1")
+            for t, term in enumerate(_need(rule, "value", loc, list)):
+                text = _need(term, "word", f"{loc}.value[{t}]", str)
+                try:
+                    word = tuple(gens.index(g) for g in text.split("*") if g != "1")
+                except ValueError:
+                    raise InstanceError(f"undeclared generator in {text!r}",
+                                        f"{loc}.value[{t}].word") from None
                 value[word] = field.parse(term.get("coeff", "1"))
             rules[(j, i)] = value
         return RewritingAlgebra(field, gens, rules, gdeg)

@@ -73,14 +73,6 @@ class TwistingMap:
             f"{self.R.format_word(r_word)}) and the words cannot be split",
             witness=(s_word, r_word))
 
-    def apply_elt(self, pairs):
-        """Linear extension on a sparse dict over (s_word, r_word) pairs."""
-        out = {}
-        for (s, r), c in pairs.items():
-            for pair, c2 in self.apply(s, r).items():
-                accumulate(out, pair, c * c2)
-        return out
-
     # -- the hexagon axiom ---------------------------------------------------
 
     def hexagon_sides(self, s1, s2, r1, r2):
@@ -167,13 +159,6 @@ class TwistingMap:
         if self._inverse_rule is None:
             return self._invert_linear(*key)
         return {pair: c for pair, c in self._inverse_rule(*key).items() if c}
-
-    def inverse_elt(self, pairs):
-        out = {}
-        for (r, s), c in pairs.items():
-            for pair, c2 in self.inverse(r, s).items():
-                accumulate(out, pair, c * c2)
-        return out
 
     def _block_pairs(self, block_key):
         """Domain/codomain bases of a truncated block: bidegree (i, j) when
@@ -336,12 +321,10 @@ class BarLeftCompat(CompatMap):
                 for (r2, s2), c2 in self.tau.apply(s_cur, slot).items():
                     accumulate(new, (prefix + (r2,), s2), c * c2)
             states = new
-        out = {}
-        for (full, s_cur), c in states.items():
-            if self.reduced and any(w == self.unit for w in full[1:-1]):
-                continue
-            accumulate(out, (full, s_cur), c)
-        return out
+        if self.reduced:
+            states = {(full, s): c for (full, s), c in states.items()
+                      if self.unit not in full[1:-1]}
+        return states
 
 
 class BarRightCompat(CompatMap):
@@ -361,9 +344,7 @@ class BarRightCompat(CompatMap):
                 for (r2, s2), c2 in self.tau.apply(slot, r_cur).items():
                     accumulate(new, (r2, (s2,) + suffix), c * c2)
             states = new
-        out = {}
-        for (r_cur, full), c in states.items():
-            if self.reduced and any(w == self.unit for w in full[1:-1]):
-                continue
-            accumulate(out, (r_cur, full), c)
-        return out
+        if self.reduced:
+            states = {(r, full): c for (r, full), c in states.items()
+                      if self.unit not in full[1:-1]}
+        return states

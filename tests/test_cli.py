@@ -318,6 +318,45 @@ def test_cli_malformed_group_tables_are_parse_errors(tmp_path, capsys, S, path):
     assert f"error: {path}: " in err
 
 
+POLY = {"family": "polynomial", "variables": ["x"]}
+C2 = {"family": "group", "group": {"kind": "cyclic", "order": 2}}
+
+
+def rewriting(*terms):
+    return {"family": "rewriting", "generators": ["x", "y"],
+            "rules": [{"left": "y*x", "value": [{"word": "x*y"}, *terms]}]}
+
+
+@pytest.mark.parametrize("R, S, path", [
+    (POLY, {"family": "group", "group": {"kind": "cyclic", "order": "x"}},
+     "$.S.group.order"),
+    (POLY, {"family": "group", "group": {"kind": "symmetric", "degree": 2.5}},
+     "$.S.group.degree"),
+    (rewriting({"word": "x*z"}), C2, "$.R.rules[0].value[1].word"),
+    (rewriting({"coeff": "1"}), C2, "$.R.rules[0].value[1]"),
+    (rewriting({"word": 3}), C2, "$.R.rules[0].value[1].word"),
+    ({"family": "rewriting", "generators": ["x", "y"], "rules": 7}, C2,
+     "$.R.rules"),
+    ({"family": "rewriting", "generators": 3, "rules": []}, C2, "$.R.generators"),
+    ({"family": "rewriting", "generators": ["x", "y"],
+      "rules": [{"left": 5, "value": []}]}, C2, "$.R.rules[0].left"),
+])
+def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
+    # a group size that is not an integer, a rule word naming an undeclared
+    # generator, a rule term without a string word and a rewriting field of
+    # the wrong type are refused by the parser (exit 2) at their JSON path,
+    # not raised as Python errors
+    desc = {"name": "bad-algebra", "field": "Q", "R": R, "S": S,
+            "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
+                      "action": {}}}
+    instance = tmp_path / "bad-algebra.json"
+    instance.write_text(json.dumps(desc))
+    rc = main(["verify", "--instance", str(instance)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {path}: " in err
+
+
 def test_cli_verify_flags_broken_instance(tmp_path, capsys):
     # an instance whose twist is corrupted but NOT marked as a control
     # must make verify exit 1

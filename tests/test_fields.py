@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from twistres.checks import check_identity_composition
 from twistres.complexes import check_truncated_exactness
 from twistres.errors import FieldError
 from twistres.fields import Fp, PrimeField, Rationals, field_from_name
@@ -131,7 +132,10 @@ def test_quantum_plane_over_q_has_fraction_inverse():
         "fffe390fa6b8edd8c7268ce696c9b1fe019af88468fdc050352b3f92ce876c5e")
 
 
-@pytest.mark.parametrize("name", ["example-5.2", "c2-skew", "quantum-plane"])
+Q_AND_FP = ["example-5.2", "c2-skew", "quantum-plane", "c2-koszul-kxy"]
+
+
+@pytest.mark.parametrize("name", Q_AND_FP)
 def test_exactness_agrees_over_q_and_prime_fields(name):
     # none of these instances has a denominator or group order divisible by
     # 5 or 7, so the truncated strands have the same ranks over Q, F5 and F7
@@ -141,13 +145,22 @@ def test_exactness_agrees_over_q_and_prime_fields(name):
         out = []
         for X in (maps.bar_A, maps.rbar_A, maps.Y, maps.prod_rbar):
             report = check_truncated_exactness(X, 2, 2, inst.graded)
-            out.append([(e.dim, e.rank_out, e.rank_in, e.composite_zero)
-                        for e in report.entries])
+            out.append([(e.position, e.degrees, e.dim, e.rank_out, e.rank_in,
+                         e.composite_zero) for e in report.entries])
         return out
 
     over_q = ranks("Q")
     assert ranks("F5") == over_q
     assert ranks("F7") == over_q
+
+
+@pytest.mark.parametrize("name", Q_AND_FP)
+@pytest.mark.parametrize("field", ["Q", "F7"])
+def test_aw_ez_is_the_identity_over_q_and_prime_fields(name, field):
+    maps = builtin_instance(name, field=field, hdeg=2, gdeg=2).bar_maps()
+    report = check_identity_composition(maps.aw_reduced, maps.ez_reduced, 2, 2,
+                                        instance=name)
+    assert report.passed, report.witness
 
 
 def test_fp_residues_are_shared_and_immutable():

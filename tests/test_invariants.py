@@ -282,6 +282,16 @@ def test_sparse_sums_go_through_linalg():
     assert copies == []
 
 
+def test_awez_crosses_through_the_twisting_maps():
+    # the (un)shuffle crosses S-letters over R-blocks by the iterated twists
+    # of twisting.py; a tau call in awez.py is a second crossing loop
+    path = Path(inspect.getfile(FreeElement)).parent / "awez.py"
+    calls = [f"awez.py:{lineno}: {line.strip()}"
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "tau.apply(" in line or "tau.inverse(" in line]
+    assert calls == []
+
+
 SWALLOW = re.compile(r"\bexcept\s*(:|[^:]*\b(Base)?Exception\b)")
 
 
