@@ -18,7 +18,7 @@ from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
                      null_space, rank)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
-from .twisting import BarLeftCompat, BarRightCompat
+from .twisting import BarLeftCompat, BarRightCompat, CompatMap
 
 
 class Complex:
@@ -265,6 +265,34 @@ class KoszulComplex(Complex):
         r0, idx, r1 = word
         return {(r0,) + vs + (r1,): c
                 for vs, c in self.spaces[n].basis[idx].items()}
+
+
+class KoszulLeftCompat(CompatMap):
+    """tau_K: S (x) K_n -> K_n (x) S, the reduced-bar crossing restricted to K.
+
+    A Koszul word is expanded by the inclusion into reduced-bar words, each
+    is crossed by one ``BarLeftCompat``, and the middle letters are read
+    back in K_n's basis; an image that leaves K_n raises ``TwistresError``.
+    """
+
+    def __init__(self, tau, koszul):
+        super().__init__()
+        self.koszul = koszul
+        self.bar = BarLeftCompat(tau, reduced=True)
+
+    def _apply(self, n, s_word, word):
+        if n == 0:
+            return self.bar.apply(0, s_word, word)
+        middles = {}             # (r0, r1, s) -> {middle letters: coeff}
+        for bar_word, c in self.koszul.include_word(n, (), word).items():
+            for (full, s2), c2 in self.bar.apply(n, s_word, bar_word).items():
+                accumulate(middles.setdefault((full[0], full[-1], s2), {}),
+                           full[1:-1], c * c2)
+        out = {}
+        for (r0, r1, s2), vec in middles.items():
+            for idx, c in self.koszul.spaces[n].coordinatize(vec).items():
+                out[((r0, idx, r1), s2)] = c
+        return out
 
 
 class IntermediateComplex(Complex):

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .awez import ChainMap
-from .complexes import (DColumns, KoszulComplex, TwistedProductComplex,
-                        block_matrix, down)
-from .errors import NotLiftable
-from .hopf import BarComoduleCompat, KoszulActionCompat
+from .complexes import (DColumns, KoszulComplex, KoszulLeftCompat,
+                        TwistedProductComplex, block_matrix, down)
+from .errors import ActionNotAdmissible, NotLiftable, TwistresError
 from .linalg import (SparseMatrix, accumulate, columns, rref,
                      solve_linear_system)
 from .tensors import FreeElement
+from .twisting import BarRightCompat
 
 
 @dataclass
@@ -247,14 +247,18 @@ class BootstrapLift:
 
 @dataclass
 class KoszulSmashPipeline:
-    """The Koszul-smash conversion package: X = K_R (x)_tau rbar(H) with pi iota = 1."""
+    """The Koszul-smash conversion package: X = K_R (x)_tau rbar(H) with pi iota = 1.
 
-    action: object
+    X crosses through the bar compatibility maps: ``tau_K`` restricts the
+    reduced-bar crossing of R to K_R, and ``tau_D`` is ``maps.prod_rbar``'s
+    own ``BarRightCompat``.
+    """
+
     maps: object            # TwistedBarMaps over A = R (x)_tau H
     koszul: KoszulComplex
     X: TwistedProductComplex
-    tau_K: KoszulActionCompat
-    tau_D: BarComoduleCompat
+    tau_K: KoszulLeftCompat
+    tau_D: BarRightCompat
     iota_R: ChainMap
     iota_tensor: ChainMap   # iota_R (x) 1 into rbar(R) (x)_tau rbar(H)
     iota: ChainMap          # EZ o iota_tensor
@@ -262,28 +266,42 @@ class KoszulSmashPipeline:
     pi_RH: ChainMap         # pi o EZ: rbar(R) (x) rbar(H) -> X
 
 
-def smash_product_complex(maps, action, relations, n_max):
-    """K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps."""
-    A = maps.A
-    R = maps.R
+def smash_product_complex(maps, relations, n_max):
+    """K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps.
+
+    tau_K is the reduced-bar crossing of A's twist restricted to K_R and
+    tau_D is ``maps.prod_rbar.tau_D`` itself, so both complexes share its
+    memo.  X is a complex only if tau_K keeps K_R, so tau_K is evaluated on
+    K_2 for every degree-0 word h of H first; an image leaving K_2 raises
+    ``ActionNotAdmissible`` with witness (h, index of the K_2 basis vector).
+    """
+    R, H = maps.R, maps.S
     K = KoszulComplex(R, relations, n_max)
-    tau_K = KoszulActionCompat(action, K)
-    tau_D = BarComoduleCompat(action, reduced=True)
-    X = TwistedProductComplex(A, K, maps.rbar_S, tau_K, tau_D, n_max,
-                              name=f"K({R.name})(x)rbar({maps.S.name})")
+    tau_K = KoszulLeftCompat(maps.A.tau, K)
+    for h in H.basis(0):
+        for idx in range(K.spaces[2].dim):
+            try:
+                tau_K.apply(2, h, (R.unit, idx, R.unit))
+            except TwistresError:
+                raise ActionNotAdmissible(
+                    f"{H.format_word(h)} does not preserve the relation "
+                    f"space (basis vector {idx})", witness=(h, idx)) from None
+    tau_D = maps.prod_rbar.tau_D
+    X = TwistedProductComplex(maps.A, K, maps.rbar_S, tau_K, tau_D, n_max,
+                              name=f"K({R.name})(x)rbar({H.name})")
     return K, tau_K, tau_D, X
 
 
-def smash_koszul_pipeline(maps, action, relations, n_max, d_max):
+def smash_koszul_pipeline(maps, relations, n_max, d_max):
     """Build X = K_R (x)_tau rbar(H) and its conversion maps.
 
-    ``maps`` is the TwistedBarMaps bundle of A = R (x)_tau H for the smash
-    twist of ``action``.  pi is produced by bootstrap lifting from
-    iota = EZ o (iota_R (x) 1), per the injective-only conversion route,
-    whose hypothesis (generator images inside k (x) Rbar^n (x) k) is
-    checked before lifting.
+    ``maps`` is the TwistedBarMaps bundle of A = R (x)_tau H for a smash
+    twist, and X comes from ``smash_product_complex``.  pi is produced by
+    bootstrap lifting from iota = EZ o (iota_R (x) 1), per the
+    injective-only conversion route, whose hypothesis (generator images
+    inside k (x) Rbar^n (x) k) is checked before lifting.
     """
-    K, tau_K, tau_D, X = smash_product_complex(maps, action, relations, n_max)
+    K, tau_K, tau_D, X = smash_product_complex(maps, relations, n_max)
     iota_R = koszul_inclusion(K, maps.rbar_R)
     ok, witness = generators_in_reduced_window(iota_R, n_max, d_max)
     if not ok:
@@ -304,7 +322,7 @@ def smash_koszul_pipeline(maps, action, relations, n_max, d_max):
     lift = BootstrapLift(iota, n_max, d_max)
     pi = lift.chain_map
     pi_RH = pi.compose(maps.ez_reduced)
-    return KoszulSmashPipeline(action=action, maps=maps, koszul=K, X=X,
-                               tau_K=tau_K, tau_D=tau_D, iota_R=iota_R,
+    return KoszulSmashPipeline(maps=maps, koszul=K, X=X, tau_K=tau_K,
+                               tau_D=tau_D, iota_R=iota_R,
                                iota_tensor=iota_tensor, iota=iota, pi=pi,
                                pi_RH=pi_RH)

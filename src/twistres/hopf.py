@@ -1,4 +1,4 @@
-"""Hopf algebras, Hopf module actions, smash-product twists, comodules.
+"""Hopf algebras, Hopf module actions and smash-product twists.
 
 The built-in family is a group algebra kG with group-like coproduct, but
 all oracles (coproduct, counit, antipode, action) are word-level callables,
@@ -7,9 +7,9 @@ so table-driven Hopf algebras plug in the same way.
 
 from __future__ import annotations
 
-from .errors import ActionNotAdmissible, TwistresError
+from .errors import ActionNotAdmissible
 from .linalg import Memo, accumulate, accumulate_scaled
-from .twisting import CompatMap, TwistingMap
+from .twisting import TwistingMap
 
 
 class HopfAlgebra:
@@ -21,7 +21,6 @@ class HopfAlgebra:
         self._counit = counit
         self._antipode = antipode
         self._antipode_inv = antipode_inv
-        self._sweedler_cache = Memo(self._sweedler)
 
     def coproduct(self, w):
         return self._coproduct(w)
@@ -34,24 +33,6 @@ class HopfAlgebra:
 
     def antipode_inv(self, w):
         return self._antipode_inv(w)
-
-    def sweedler(self, w, m):
-        """Iterated coproduct with m output legs as {m-tuple: coeff}.
-
-        Coassociativity makes the bracketing irrelevant; we always expand
-        the final leg, so results are reproducible.
-        """
-        if m == 1:
-            return {(w,): self.algebra.field.one}
-        return self._sweedler_cache[w, m]
-
-    def _sweedler(self, key):
-        w, m = key
-        legs_out = {}
-        for legs, c in self.sweedler(w, m - 1).items():
-            for (h1, h2), c2 in self.coproduct(legs[-1]).items():
-                accumulate(legs_out, legs[:-1] + (h1, h2), c * c2)
-        return legs_out
 
     def check_axioms(self, budget=0):
         """Coassociativity, counit and antipode laws on basis words."""
@@ -281,139 +262,3 @@ def smash_twist(action, name="smash"):
                       strongly_graded=True)
     tau.action = action
     return tau
-
-
-def hopf_act_slotwise(hopf, slot_actions, h_word, word):
-    """Diagonal Hopf action with one Sweedler leg per slot, last leg out.
-
-    ``slot_actions[k](h_word, w) -> {w: coeff}``; returns a sparse dict over
-    ``(new_word, h_out)`` pairs.
-    """
-    m = len(word)
-    if m != len(slot_actions):
-        raise TwistresError("word length does not match slot actions")
-    out = {}
-    for legs, c in hopf.sweedler(h_word, m + 1).items():
-        states = {(): c}
-        for k, slot_word in enumerate(word):
-            new = {}
-            image = slot_actions[k](legs[k], slot_word)
-            for prefix, cp in states.items():
-                for w2, c2 in image.items():
-                    accumulate(new, prefix + (w2,), cp * c2)
-            states = new
-        for new_word, cw in states.items():
-            accumulate(out, (new_word, legs[-1]), cw)
-    return out
-
-
-class KoszulActionCompat(CompatMap):
-    """tau_K: H (x) K -> K (x) H for a Koszul resolution carrying an action.
-
-    The middle slot is an abstract subspace index acted on through its
-    expansion and re-coordinatization; admissibility (^h of the relation
-    space staying inside it) is checked at construction.
-    """
-
-    def __init__(self, action, koszul):
-        super().__init__()
-        self.action = action
-        self.koszul = koszul
-        if koszul.spaces[2].dim:
-            koszul_relations_preserved(action, koszul.spaces[2])
-        self._slot_actions = {}
-
-    def _actions_for(self, n):
-        cached = self._slot_actions.get(n)
-        if cached is None:
-            act = self.action.act
-            if n == 0:
-                cached = (act, act)
-            else:
-                mid = subspace_slot_action(self.action, self.koszul.spaces[n])
-                cached = (act, mid, act)
-            self._slot_actions[n] = cached
-        return cached
-
-    def _apply(self, n, h_word, word):
-        return hopf_act_slotwise(self.action.hopf, self._actions_for(n),
-                                 h_word, word)
-
-
-class BarComoduleCompat(CompatMap):
-    """tau_D: (B_H)_n (x) R -> R (x) (B_H)_n from the bar comodule structure.
-
-    The comodule map sends h^0 (x) ... (x) h^(n+1) to the product of first
-    Sweedler legs tensor the word of second legs; that product acts on R.
-    """
-
-    def __init__(self, action, reduced=False):
-        super().__init__()
-        self.action = action
-        self.hopf = action.hopf
-        self.reduced = reduced
-        self.unit = action.hopf.algebra.unit
-
-    def _apply(self, n, word, r_word):
-        H = self.hopf.algebra
-        out = {}
-        states = {(H.unit, ()): H.field.one}
-        for slot in word:
-            new = {}
-            for (prod, prefix), c in states.items():
-                for (h1, h2), c2 in self.hopf.coproduct(slot).items():
-                    for pw, cp in H.mul_words(prod, h1).items():
-                        accumulate(new, (pw, prefix + (h2,)), c * c2 * cp)
-            states = new
-        for (prod, new_word), c in states.items():
-            if self.reduced and any(w == self.unit for w in new_word[1:-1]):
-                continue
-            for rw, cr in self.action.act(prod, r_word).items():
-                accumulate(out, (rw, new_word), c * cr)
-        return out
-
-
-def koszul_relations_preserved(action, relation_space):
-    """Check ^h R <= R for the quadratic relation space; witness on failure."""
-    H = action.hopf.algebra
-    for h in H.basis(0):
-        for idx, vec in enumerate(relation_space.basis):
-            image = _act_on_vwords(action, h, vec)
-            if not relation_space.contains_vector(image):
-                raise ActionNotAdmissible(
-                    f"group element {H.format_word(h)} does not preserve the "
-                    f"relation space (basis vector {idx})",
-                    witness=(h, idx))
-
-
-def _act_on_vwords(action, h_word, vec):
-    """Diagonal action of h on a sparse combination of V-word tuples."""
-    out = {}
-    for words, c in vec.items():
-        for legs, cl in action.hopf.sweedler(h_word, len(words)).items():
-            states = {(): c * cl}
-            for leg, w in zip(legs, words):
-                new = {}
-                image = action.act(leg, w)
-                for prefix, cp in states.items():
-                    for w2, c2 in image.items():
-                        accumulate(new, prefix + (w2,), cp * c2)
-                states = new
-            for tup, cc in states.items():
-                accumulate(out, tup, cc)
-    return out
-
-
-def subspace_slot_action(action, space):
-    """Slot action on an abstract subspace slot, via expand/act/coordinatize."""
-
-    def image(key):
-        h_word, idx = key
-        return space.coordinatize(_act_on_vwords(action, h_word, space.basis[idx]))
-
-    cache = Memo(image)
-
-    def act(h_word, idx):
-        return cache[h_word, idx]
-
-    return act

@@ -17,7 +17,7 @@ from .algebras import (Group, GroupAlgebra, PolynomialAlgebra,
 from .awez import TwistedBarMaps
 from .complexes import KoszulComplex, quadratic_relations_for
 from .conversion import smash_koszul_pipeline, smash_product_complex
-from .errors import InstanceError
+from .errors import InstanceError, TwistresError
 from .fields import FieldError, field_from_name
 from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
                    permutation_group_action, smash_twist)
@@ -81,7 +81,7 @@ class Instance:
                d_max if d_max is not None else min(self.budgets.gdeg, 3))
         if key not in self._pipelines:
             self._pipelines[key] = smash_koszul_pipeline(
-                self.bar_maps(), self.action, self.koszul_relations(), *key)
+                self.bar_maps(), self.koszul_relations(), *key)
         return self._pipelines[key]
 
     def koszul_smash_complex(self):
@@ -94,8 +94,7 @@ class Instance:
             if n_max == self.budgets.hdeg:
                 return pipe.X
         _, _, _, X = smash_product_complex(
-            self.bar_maps(), self.action, self.koszul_relations(),
-            self.budgets.hdeg)
+            self.bar_maps(), self.koszul_relations(), self.budgets.hdeg)
         return X
 
     def complexes(self):
@@ -180,7 +179,8 @@ def _parse_algebra(field, data, gdeg, location):
                 except ValueError:
                     raise InstanceError(f"undeclared generator in {text!r}",
                                         f"{loc}.value[{t}].word") from None
-                value[word] = field.parse(term.get("coeff", "1"))
+                value[word] = _scalar(field, term.get("coeff", "1"),
+                                      f"{loc}.value[{t}].coeff")
             rules[(j, i)] = value
         return RewritingAlgebra(field, gens, rules, gdeg)
     if family == "structure_constants":
@@ -222,23 +222,33 @@ def _parse_group_table(data, location, by_name):
     return Group(elements, rows, name=data.get("name", "G"))
 
 
+def _scalar(field, text, location):
+    """``field.parse(text)``, refused at ``location`` when it is no scalar."""
+    try:
+        return field.parse(text)
+    except (TwistresError, ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(str(exc), location) from None
+
+
 def _parse_twist(field, R, S, data, location):
     kind = _need(data, "kind", location)
     if kind == "generator_rules":
         rules = {}
-        for k, rule in enumerate(_need(data, "rules", location)):
+        for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
-            s_word = S.parse_word(_need(rule, "s", loc))
-            r_word = R.parse_word(_need(rule, "r", loc))
+            s_word = S.parse_word(_need(rule, "s", loc, str))
+            r_word = R.parse_word(_need(rule, "r", loc, str))
             value = {}
-            for term in _need(rule, "value", loc):
-                pair = (R.parse_word(_need(term, "r", loc)),
-                        S.parse_word(_need(term, "s", loc)))
-                value[pair] = field.parse(term.get("coeff", "1"))
+            for t, term in enumerate(_need(rule, "value", loc, list)):
+                tloc = f"{loc}.value[{t}]"
+                pair = (R.parse_word(_need(term, "r", tloc, str)),
+                        S.parse_word(_need(term, "s", tloc, str)))
+                value[pair] = _scalar(field, term.get("coeff", "1"),
+                                      f"{tloc}.coeff")
             rules[(s_word, r_word)] = value
         return twist_from_generator_rules(S, R, rules), None
     if kind == "bicharacter":
-        q = field.parse(_need(data, "q", location))
+        q = _scalar(field, _need(data, "q", location), f"{location}.q")
         return bicharacter_twist(S, R, q), None
     if kind == "group_action":
         if not isinstance(S, GroupAlgebra):
@@ -248,21 +258,28 @@ def _parse_twist(field, R, S, data, location):
         if data.get("permutation_on_variables"):
             action = permutation_group_action(hopf, R)
         else:
-            matrices = _need(data, "matrices", location)
+            matrices = _need(data, "matrices", location, dict)
             action = linear_group_action(hopf, R, matrices)
         return smash_twist(action), action
     if kind == "hopf_action":
         hopf = _parse_hopf_tables(field, S, _need(data, "hopf", location),
                                   f"{location}.hopf")
-        table = _need(data, "action", location)
         parsed = {}
-        for key, terms in table.items():
-            h_name, r_name = (piece.strip() for piece in key.split("|", 1))
-            h_word = S.parse_word(h_name)
-            r_word = R.parse_word(r_name)
-            parsed[(h_word, r_word)] = {
-                R.parse_word(t["word"]): field.parse(t.get("coeff", "1"))
-                for t in terms}
+        for key, terms in _need(data, "action", location, dict).items():
+            loc = f"{location}.action[{json.dumps(key)}]"
+            h_name, bar, r_name = key.partition("|")
+            if not bar:
+                raise InstanceError('action keys read "h | r"', loc)
+            if not isinstance(terms, list):
+                raise InstanceError("expected a list of terms", loc)
+            image = {}
+            for t, term in enumerate(terms):
+                tloc = f"{loc}[{t}]"
+                word = R.parse_word(_need(term, "word", tloc, str))
+                image[word] = _scalar(field, term.get("coeff", "1"),
+                                      f"{tloc}.coeff")
+            parsed[(S.parse_word(h_name.strip()),
+                    R.parse_word(r_name.strip()))] = image
 
         def oracle(h_word, r_word):
             try:
@@ -284,9 +301,9 @@ def _parse_hopf_tables(field, S, data, location):
             raise InstanceError("group_algebra Hopf structure needs a group S",
                                 location)
         return group_hopf(S)
-    coproduct_in = _need(data, "coproduct", location)
-    counit_in = _need(data, "counit", location)
-    antipode_in = _need(data, "antipode", location)
+    coproduct_in = _need(data, "coproduct", location, dict)
+    counit_in = _need(data, "counit", location, dict)
+    antipode_in = _need(data, "antipode", location, dict)
     antipode_inv_in = data.get("antipode_inv", antipode_in)
 
     def parse_map1(table):

@@ -357,6 +357,45 @@ def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
     assert f"error: {path}: " in err
 
 
+def hopf_action(action):
+    return {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
+            "action": action}
+
+
+def generator_rules(rules):
+    return {"kind": "generator_rules", "rules": rules}
+
+
+@pytest.mark.parametrize("S, twist, path", [
+    (POLY, generator_rules(7), "$.twist.rules"),
+    (POLY, generator_rules([{"s": "x", "r": "x", "value": 7}]),
+     "$.twist.rules[0].value"),
+    (POLY, {"kind": "bicharacter", "q": [1]}, "$.twist.q"),
+    (C2, hopf_action({"g x": [{"word": "x"}]}), '$.twist.action["g x"]'),
+    (C2, hopf_action([]), "$.twist.action"),
+    (C2, hopf_action({"g | x": [{"coeff": "-1"}]}),
+     '$.twist.action["g | x"][0]'),
+    (C2, {"kind": "group_action", "matrices": 7}, "$.twist.matrices"),
+    (C2, {"kind": "hopf_action", "action": {},
+          "hopf": {"kind": "tables", "coproduct": 7, "counit": {},
+                   "antipode": {}}}, "$.twist.hopf.coproduct"),
+])
+def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
+    # a rules or value field that is no list, a scalar that is no literal
+    # of the field, an action key without "|", an action, matrix table or
+    # Hopf table that is no object and an action term without a string
+    # word are refused by the parser (exit 2) at their JSON path, not
+    # raised as Python errors
+    desc = {"name": "bad-twist", "field": "Q", "R": POLY, "S": S,
+            "twist": twist}
+    instance = tmp_path / "bad-twist.json"
+    instance.write_text(json.dumps(desc))
+    rc = main(["verify", "--instance", str(instance)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {path}: " in err
+
+
 def test_cli_verify_flags_broken_instance(tmp_path, capsys):
     # an instance whose twist is corrupted but NOT marked as a control
     # must make verify exit 1

@@ -8,10 +8,9 @@ from twistres.complexes import TwistedProductComplex, block_matrix
 from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
                                  generators_in_reduced_window, koszul_inclusion,
-                                 tensor_chain_maps)
+                                 smash_product_complex, tensor_chain_maps)
 from twistres.errors import ActionNotAdmissible, NotLiftable, TwistresError
 from twistres.fields import Rationals
-from twistres.hopf import KoszulActionCompat
 from twistres.instances import builtin_instance
 from twistres.twisting import BarLeftCompat, BarRightCompat
 
@@ -184,17 +183,35 @@ def test_trivial_group_pipeline_degenerates():
 
 
 def test_inadmissible_action_rejected():
-    # the compatibility oracle refuses a middle subspace the group does not
+    # the Koszul-smash complex refuses a middle subspace the group does not
     # preserve: against a swap action, the line spanned by x (x) y alone is
     # not invariant
-    from twistres.tensors import TensorSubspace
-
     inst = builtin_instance("c2-swap-kxy")
-    K = inst.koszul_complex(n_max=2)
-    K.spaces[2] = TensorSubspace(
-        inst.R, 2, [{(inst.R.var_word(0), inst.R.var_word(1)): Q.one}], "K2")
-    with pytest.raises(ActionNotAdmissible):
-        KoszulActionCompat(inst.action, K)
+    x, y = inst.R.var_word(0), inst.R.var_word(1)
+    with pytest.raises(ActionNotAdmissible) as caught:
+        smash_product_complex(inst.bar_maps(), [{(x, y): Q.one}], 2)
+    assert caught.value.witness == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["c2-skew", "c2-koszul-kxy", "c2-swap-kxy",
+                                  "s3-perm-kxyz"])
+def test_koszul_smash_crosses_through_bar_maps(name):
+    # X's right crossing is prod_rbar's own map, and its left crossing is
+    # the reduced-bar crossing of R restricted along the Koszul inclusion
+    # (through K_3 = x^y^z, on which S3 acts by the sign, for s3-perm-kxyz)
+    inst = builtin_instance(name)
+    maps = inst.bar_maps()
+    K, tau_K, tau_D, X = smash_product_complex(maps, inst.koszul_relations(), 3)
+    assert X.tau_D is tau_D is maps.prod_rbar.tau_D
+    pair = CompatibleChainMapPair(
+        psi_R=koszul_inclusion(K, maps.rbar_R),
+        psi_S=ChainMap.identity(maps.rbar_S),
+        tau_C=tau_K,
+        tau_Cp=BarLeftCompat(inst.tau, reduced=True),
+        tau_D=tau_D,
+        tau_Dp=tau_D)
+    ok, witness = check_compatible(pair, inst.S, inst.R, 3, 3)
+    assert ok, witness
 
 
 def pi_digest(inst, pipe, n_max, d_max):

@@ -4,11 +4,10 @@ import pytest
 
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
 from twistres.checks import check_identity_composition
-from twistres.complexes import (BarComplex, KoszulComplex,
+from twistres.complexes import (KoszulComplex, KoszulLeftCompat,
                                 polynomial_quadratic_relations)
 from twistres.fields import Rationals
-from twistres.hopf import (BarComoduleCompat, KoszulActionCompat, group_hopf,
-                           linear_group_action, smash_twist)
+from twistres.hopf import group_hopf, linear_group_action
 from twistres.instances import builtin_instance, parse_instance
 from twistres.twisting import BarLeftCompat, BarRightCompat
 
@@ -49,12 +48,6 @@ def test_broken_hopf_axioms_detected():
     assert any(kind == "counit" for kind, *_ in failures)
 
 
-def test_sweedler_group_like():
-    hopf = c2_hopf()
-    g = 1
-    assert hopf.sweedler(g, 3) == {(g, g, g): Q.one}
-
-
 def test_action_axiom_check_catches_shear():
     # g -> unipotent shear is multiplicative only if g^2 maps to the square;
     # for C2 the shear has infinite order, so the action table is invalid
@@ -79,7 +72,7 @@ def test_koszul_compat_sign_on_wedge():
     # tau_K(g (x) 1 (x) x^y (x) 1) = -(1 (x) x^y (x) 1) (x) g
     inst = builtin_instance("c2-swap-kxy")
     K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 3)
-    compat = KoszulActionCompat(inst.action, K)
+    compat = KoszulLeftCompat(inst.tau, K)
     unit = inst.R.unit
     g = 1
     result = compat.apply(2, g, (unit, 0, unit))
@@ -92,7 +85,7 @@ def test_koszul_compat_sign_on_wedge():
 def test_koszul_compat_degree_zero_is_diagonal_action():
     inst = builtin_instance("c2-skew")
     K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 2)
-    compat = KoszulActionCompat(inst.action, K)
+    compat = KoszulLeftCompat(inst.tau, K)
     x = (1,)
     g = 1
     assert compat.apply(0, g, (x, x)) == {((x, x), g): Q.one}
@@ -174,8 +167,8 @@ def test_c2_skew_pipeline_small():
     assert check_identity_composition(pipe.pi, pipe.iota, 3, 3).passed
 
 
-# quantum-plane carries no Hopf action, so only the bar compatibility maps
-# (tests/test_twisting.py) run on it
+# the right crossing of a Koszul-smash complex is the bar map
+# BarRightCompat, whose memo tests/test_twisting.py checks on these instances
 @pytest.mark.parametrize("name", ["c2-skew", "c2-koszul-kxy"])
 def test_hopf_compat_memo_matches_fresh_apply(name):
     inst = builtin_instance(name)
@@ -184,13 +177,7 @@ def test_hopf_compat_memo_matches_fresh_apply(name):
     h_words = H.basis(0)
     koszul = [(n, h, word) for n in range(4) for d in range(4)
               for _, word in K.basis(n, d) for h in h_words]
-    assert_memo_matches_fresh(KoszulActionCompat(inst.action, K), koszul)
-    bar = BarComplex(H, reduced=False, n_max=3)
-    comodule = [(n, word, r) for n in range(4) for _, word in bar.basis(n, 0)
-                for r in R.basis_upto(3)]
-    for reduced in (False, True):
-        assert_memo_matches_fresh(BarComoduleCompat(inst.action, reduced=reduced),
-                                  comodule)
+    assert_memo_matches_fresh(KoszulLeftCompat(inst.tau, K), koszul)
 
 
 def test_koszul_compat_memo_keys_on_degree():
@@ -198,7 +185,7 @@ def test_koszul_compat_memo_keys_on_degree():
     # fixes x^y, so one map must keep the two degrees apart
     inst = builtin_instance("c2-koszul-kxy")
     K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 3)
-    compat = KoszulActionCompat(inst.action, K)
+    compat = KoszulLeftCompat(inst.tau, K)
     unit, g = inst.R.unit, 1
     word = (unit, 0, unit)
     assert compat.apply(1, g, word) == {(word, g): Q.from_int(-1)}

@@ -1,5 +1,6 @@
 """Structural identities behind the chain-map theorems, checked directly."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -216,11 +217,9 @@ def reachable_caches(root):
 KERNEL_CACHES = {
     "TwistingMap._cache", "TwistingMap._inv_cache", "TwistingMap._inv_blocks",
     "TwistedProductAlgebra._mul_cache", "PolynomialAlgebra._mul_cache",
-    "GroupAlgebra._mul_cache", "HopfAlgebra._sweedler_cache",
-    "HopfAction._cache", "BarLeftCompat._cache", "BarRightCompat._cache",
-    "KoszulActionCompat._cache", "BarComoduleCompat._cache",
-    "TwistedProductComplex._factor_cache",
-    "subspace_slot_action.<locals>.act"}
+    "GroupAlgebra._mul_cache", "HopfAction._cache", "BarLeftCompat._cache",
+    "BarRightCompat._cache", "KoszulLeftCompat._cache",
+    "TwistedProductComplex._factor_cache"}
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +289,28 @@ def test_awez_crosses_through_the_twisting_maps():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "tau.apply(" in line or "tau.inverse(" in line]
     assert calls == []
+
+
+def test_koszul_smash_crosses_through_the_bar_maps():
+    # X = K(R) (x)_tau rbar(H) crosses through the bar compatibility maps,
+    # restricted to K in complexes.py; a compatibility map in hopf.py, or a
+    # hopf import in conversion.py, is a second, Hopf-only crossing layer
+    from twistres import hopf
+    from twistres.twisting import CompatMap
+
+    defined = [name for name, value in vars(hopf).items()
+               if isinstance(value, type) and value.__module__ == hopf.__name__
+               and issubclass(value, CompatMap)]
+    assert defined == []
+    path = Path(inspect.getfile(FreeElement)).parent / "conversion.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            if any(name.split(".")[-1] == "hopf" for name in names):
+                imported.append(node.lineno)
+    assert imported == []
 
 
 SWALLOW = re.compile(r"\bexcept\s*(:|[^:]*\b(Base)?Exception\b)")

@@ -31,3 +31,9 @@ def test_negative_controls_fail_at_a_small_internal_budget():
     out = run_verification("--instances", "example-5.2", "quantum-plane",
                            "corrupted-twist", "--hdeg", "2", "--gdeg", "1")
     assert "unexpected outcomes: 0" in out
+
+
+def test_run_verification_through_the_koszul_smash_pipeline():
+    # c2-skew carries a Hopf action, so its battery builds K (x)_tau rbar(kC2)
+    out = run_verification("--instances", "c2-skew", "--hdeg", "2", "--gdeg", "2")
+    assert "unexpected outcomes: 0" in out

@@ -5,8 +5,7 @@ import pytest
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
 from twistres.errors import NotInvertible, TwistInconsistent
 from twistres.fields import PrimeField, Rationals
-from twistres.hopf import (BarComoduleCompat, group_hopf, linear_group_action,
-                           smash_twist)
+from twistres.hopf import group_hopf, linear_group_action, smash_twist
 from twistres.instances import BUILTIN_NAMES, builtin_instance
 from twistres.linalg import linear_extension
 from twistres.complexes import BarComplex
@@ -191,31 +190,44 @@ def test_reduced_iterated_twist_projects_inner_units():
                          if all(w != unit for w in k[0][1:-1])}
 
 
+def group_comodule_crossing(action, word, r_word):
+    """The comodule crossing for group-likes: word (x) r goes to
+    (g0 g1 ... g_(n+1)).r (x) word."""
+    G = action.hopf.algebra.group
+    product = G.identity
+    for g in word:
+        product = G.mul(product, g)
+    return {(rw, word): c for rw, c in action.act(product, r_word).items()}
+
+
 def test_right_iterated_twist_matches_comodule_formula():
-    # for the reduced bar of a group algebra, the
-    # iterated twist equals the comodule-structure compatibility map
+    # for the reduced bar of a group algebra, the iterated twist equals the
+    # comodule-structure compatibility map
     tau, action = sign_action_twist()
     iterated = BarRightCompat(tau, reduced=True)
-    comodule = BarComoduleCompat(action, reduced=True)
-    H = tau.S
     e, g = 0, 1
     words = [(e, g, e), (g, g, g), (e, g, g), (g, g, e)]
     for word in words:
         for r in ((1,), (2,), (3,)):
-            assert iterated.apply(1, word, r) == comodule.apply(1, word, r)
+            assert iterated.apply(1, word, r) == \
+                group_comodule_crossing(action, word, r)
 
 
 def test_comodule_compat_group_product_acts():
     R = PolynomialAlgebra(Q, ["x", "y"], 8)
     H = GroupAlgebra(Q, Group.cyclic(2), 8)
     action = linear_group_action(group_hopf(H), R, {"g": [[0, 1], [1, 0]]})
-    comodule = BarComoduleCompat(action, reduced=True)
+    crossing = BarRightCompat(smash_twist(action), reduced=True)
     x = R.parse_word("x")
     y = R.parse_word("y")
     e, g = 0, 1
     # (g (x) g (x) e) twists r by g*g*e = e; (e (x) g (x) e) twists by g
-    assert comodule.apply(1, (g, g, e), x) == {(x, (g, g, e)): Q.one}
-    assert comodule.apply(1, (e, g, e), x) == {(y, (e, g, e)): Q.one}
+    assert crossing.apply(1, (g, g, e), x) == {(x, (g, g, e)): Q.one}
+    assert crossing.apply(1, (e, g, e), x) == {(y, (e, g, e)): Q.one}
+    for word in ((g, g, e), (e, g, e), (g, g, g)):
+        for r in (x, y, R.parse_word("x*y")):
+            assert crossing.apply(1, word, r) == \
+                group_comodule_crossing(action, word, r)
 
 
 def test_bicharacter_twist_values():
