@@ -4,8 +4,13 @@
 Builds A = k[x] (x)_tau k[y] with tau(y (x) x) = x (x) y + x (x) 1 (so that
 yx = xy + x), then prints the twisting values, the unshuffle of
 a = 1 (x) y^2 (x) x (x) x (x) 1, and the round trip a -> b -> c through the
-twisted Alexander-Whitney and Eilenberg-Zilber maps.
+twisted Alexander-Whitney and Eilenberg-Zilber maps.  Exits 1 when
+AW o EZ = 1 fails on b or EZ o AW = 1 holds on a, as it must not here.
+
+Run: PYTHONPATH=src python scripts/example_52_walkthrough.py
 """
+
+import sys
 
 from twistres.instances import builtin_instance
 
@@ -52,11 +57,12 @@ def main():
     for (comp, word), coeff in c_elt.items_sorted():
         print(f"   {coeff} * {maps.rbar_A.term(3).format(comp, word)}")
     print()
-    print("AW(c) == b:        ", maps.aw_reduced.apply(3, c_elt) == b)
-    print("AW(EZ(b)) == b:    ", maps.aw_reduced.apply(3, c_elt) == b)
-    print("EZ(AW(a)) == a:    ", maps.ez_reduced.apply(3, b) == a,
-          "   (and must be False)")
+    round_trip = maps.aw_reduced.apply(3, c_elt) == b
+    back = c_elt == a
+    print("AW(EZ(b)) == b:    ", round_trip)
+    print("EZ(AW(a)) == a:    ", back, "   (and must be False)")
+    return 0 if round_trip and not back else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

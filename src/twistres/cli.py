@@ -148,7 +148,7 @@ def cmd_convert(args):
             "instance": instance.name,
             "pipeline": "koszul-smash",
             "complex": pipe.X.name,
-            "koszul_dims": {str(n): pipe.koszul.dim_tilde(n)
+            "koszul_dims": {str(n): pipe.X.C.dim_tilde(n)
                             for n in range(pipe.X.n_max + 1)},
             "generator_images": samples,
             "checks": [r.to_json() for r in reports],

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from .awez import ChainMap
 from .complexes import (DColumns, KoszulComplex, KoszulLeftCompat,
                         TwistedProductComplex, block_matrix, down)
-from .errors import ActionNotAdmissible, NotLiftable, TwistresError
+from .errors import (ActionNotAdmissible, NotLiftable, TwistInconsistent,
+                     TwistresError)
 from .linalg import (SparseMatrix, accumulate, columns, rref,
                      solve_linear_system)
 from .tensors import FreeElement
-from .twisting import BarRightCompat
 
 
 @dataclass
@@ -72,7 +72,7 @@ def check_compatible(pair, S, R, n_max, d_max):
     return True, None
 
 
-def tensor_chain_maps(pair, X, Xp):
+def tensor_chain_maps(pair, X, Xp, name=None):
     """psi_R (x) psi_S on the twisted product complexes.
 
     Both chain maps have homological degree 0, so the Koszul sign
@@ -89,23 +89,49 @@ def tensor_chain_maps(pair, X, Xp):
                 out.add_term((i, j), cw2 + dw2, c1 * c2)
         return out
 
-    return ChainMap(X, Xp, oracle, f"{psi_R.name}(x){psi_S.name}")
+    return ChainMap(X, Xp, oracle, name or f"{psi_R.name}(x){psi_S.name}")
 
 
-def conversion_pi_iota(maps, X, inclusions, projections=None):
-    """pi = (pi_R (x) pi_S) AW and iota = EZ (iota_R (x) iota_S).
+@dataclass
+class Conversion:
+    """Chain maps between X = C (x)_tau D and rbar(R (x)_tau S) with
+    pi o iota = 1."""
 
-    ``inclusions`` carries iota_R: C -> rbar(R) and iota_S: D -> rbar(S);
-    ``projections``, when given, carries pi_R and pi_S the other way.
-    Without projections, pi is omitted (build it with BootstrapLift).
+    X: TwistedProductComplex
+    pair: CompatibleChainMapPair  # iota_C: C -> rbar(R), iota_D: D -> rbar(S)
+    iota_tensor: ChainMap   # iota_C (x) iota_D into rbar(R) (x)_tau rbar(S)
+    iota: ChainMap          # EZ o iota_tensor
+    pi: ChainMap            # rbar(R (x)_tau S) -> X
+    pi_RH: ChainMap         # pi o EZ: rbar(R) (x)_tau rbar(S) -> X
+
+
+def conversion_pi_iota(maps, X, inclusions, n_max, d_max, projections=None,
+                       name=None):
+    """iota = EZ (iota_C (x) iota_D), and pi = (pi_C (x) pi_D) AW or a lift.
+
+    ``inclusions`` carries iota_C: C -> rbar(R) and iota_D: D -> rbar(S);
+    ``projections``, when given, carries pi_C and pi_D the other way.
+    Without projections, pi is the ``BootstrapLift`` of iota through
+    (n_max, d_max).  Each given pair must pass ``check_compatible`` on that
+    window, else ``TwistInconsistent`` carries its witness.  ``name``
+    names iota_C (x) iota_D.
     """
-    iota_tensor = tensor_chain_maps(inclusions, X, maps.prod_rbar)
+    for pair in filter(None, (inclusions, projections)):
+        ok, witness = check_compatible(pair, maps.S, maps.R, n_max, d_max)
+        if not ok:
+            raise TwistInconsistent(
+                f"{pair.psi_R.name}, {pair.psi_S.name}: the {witness[0]} "
+                f"compatibility square fails in degree {witness[1]}",
+                witness=witness)
+    iota_tensor = tensor_chain_maps(inclusions, X, maps.prod_rbar, name)
     iota = maps.ez_reduced.compose(iota_tensor)
-    pi = None
-    if projections is not None:
+    if projections is None:
+        pi = BootstrapLift(iota, n_max, d_max).chain_map
+    else:
         pi_tensor = tensor_chain_maps(projections, maps.prod_rbar, X)
         pi = pi_tensor.compose(maps.aw_reduced)
-    return pi, iota
+    return Conversion(X, inclusions, iota_tensor, iota, pi,
+                      pi.compose(maps.ez_reduced))
 
 
 def koszul_inclusion(K, rbar_R):
@@ -118,19 +144,6 @@ def koszul_inclusion(K, rbar_R):
         return out
 
     return ChainMap(K, rbar_R, oracle, "koszul inclusion")
-
-
-def generators_in_reduced_window(chain_map, n_max, d_max):
-    """Check that images of free generators land in k (x) Abar^n (x) k."""
-    unit = chain_map.target.A.unit
-    for n in range(n_max + 1):
-        for d in range(d_max + 1):
-            for g in chain_map.source.free_generators(n, d):
-                img = chain_map.apply(n, g)
-                for ((), word), _ in img.data.items():
-                    if word[0] != unit or word[-1] != unit:
-                        return False, (n, d, g)
-    return True, None
 
 
 class BootstrapLift:
@@ -245,33 +258,12 @@ class BootstrapLift:
         return self.chain_map.apply(n, elt)
 
 
-@dataclass
-class KoszulSmashPipeline:
-    """The Koszul-smash conversion package: X = K_R (x)_tau rbar(H) with pi iota = 1.
-
-    X crosses through the bar compatibility maps: ``tau_K`` restricts the
-    reduced-bar crossing of R to K_R, and ``tau_D`` is ``maps.prod_rbar``'s
-    own ``BarRightCompat``.
-    """
-
-    maps: object            # TwistedBarMaps over A = R (x)_tau H
-    koszul: KoszulComplex
-    X: TwistedProductComplex
-    tau_K: KoszulLeftCompat
-    tau_D: BarRightCompat
-    iota_R: ChainMap
-    iota_tensor: ChainMap   # iota_R (x) 1 into rbar(R) (x)_tau rbar(H)
-    iota: ChainMap          # EZ o iota_tensor
-    pi: ChainMap            # bootstrap lift with pi o iota = 1
-    pi_RH: ChainMap         # pi o EZ: rbar(R) (x) rbar(H) -> X
-
-
 def smash_product_complex(maps, relations, n_max):
-    """K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps.
+    """X = K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps.
 
-    tau_K is the reduced-bar crossing of A's twist restricted to K_R and
-    tau_D is ``maps.prod_rbar.tau_D`` itself, so both complexes share its
-    memo.  X is a complex only if tau_K keeps K_R, so tau_K is evaluated on
+    X.tau_C is the reduced-bar crossing of A's twist restricted to K_R and
+    X.tau_D is ``maps.prod_rbar.tau_D`` itself, so both complexes share its
+    memo.  X is a complex only if tau_C keeps K_R, so it is evaluated on
     K_2 for every degree-0 word h of H first; an image leaving K_2 raises
     ``ActionNotAdmissible`` with witness (h, index of the K_2 basis vector).
     """
@@ -286,43 +278,21 @@ def smash_product_complex(maps, relations, n_max):
                 raise ActionNotAdmissible(
                     f"{H.format_word(h)} does not preserve the relation "
                     f"space (basis vector {idx})", witness=(h, idx)) from None
-    tau_D = maps.prod_rbar.tau_D
-    X = TwistedProductComplex(maps.A, K, maps.rbar_S, tau_K, tau_D, n_max,
-                              name=f"K({R.name})(x)rbar({H.name})")
-    return K, tau_K, tau_D, X
+    return TwistedProductComplex(maps.A, K, maps.rbar_S, tau_K,
+                                 maps.prod_rbar.tau_D, n_max,
+                                 name=f"K({R.name})(x)rbar({H.name})")
 
 
 def smash_koszul_pipeline(maps, relations, n_max, d_max):
-    """Build X = K_R (x)_tau rbar(H) and its conversion maps.
-
-    ``maps`` is the TwistedBarMaps bundle of A = R (x)_tau H for a smash
-    twist, and X comes from ``smash_product_complex``.  pi is produced by
-    bootstrap lifting from iota = EZ o (iota_R (x) 1), per the
-    injective-only conversion route, whose hypothesis (generator images
-    inside k (x) Rbar^n (x) k) is checked before lifting.
-    """
-    K, tau_K, tau_D, X = smash_product_complex(maps, relations, n_max)
-    iota_R = koszul_inclusion(K, maps.rbar_R)
-    ok, witness = generators_in_reduced_window(iota_R, n_max, d_max)
-    if not ok:
-        raise NotLiftable(
-            "koszul inclusion leaves the free-generator window at "
-            f"degree {witness[0]}", block=witness[:2])
-
-    def iota_tensor_oracle(n, comp, word):
-        i, j = comp
-        cw, dw = X.split(comp, word)
-        out = FreeElement(maps.prod_rbar.term(n))
-        for ((), cw2), c in iota_R.apply_word(i, (), cw).data.items():
-            out.add_term((i, j), cw2 + dw, c)
-        return out
-
-    iota_tensor = ChainMap(X, maps.prod_rbar, iota_tensor_oracle, "iota_R (x) 1")
-    iota = maps.ez_reduced.compose(iota_tensor)
-    lift = BootstrapLift(iota, n_max, d_max)
-    pi = lift.chain_map
-    pi_RH = pi.compose(maps.ez_reduced)
-    return KoszulSmashPipeline(maps=maps, koszul=K, X=X, tau_K=tau_K,
-                               tau_D=tau_D, iota_R=iota_R,
-                               iota_tensor=iota_tensor, iota=iota, pi=pi,
-                               pi_RH=pi_RH)
+    """The conversion of X = K_R (x)_tau rbar(H) (``smash_product_complex``)
+    through the Koszul inclusion of K_R and the identity of rbar(H), with
+    pi lifted from iota.  ``maps`` is the TwistedBarMaps bundle of
+    A = R (x)_tau H for a smash twist."""
+    X = smash_product_complex(maps, relations, n_max)
+    pair = CompatibleChainMapPair(
+        psi_R=koszul_inclusion(X.C, maps.rbar_R),
+        psi_S=ChainMap.identity(maps.rbar_S),
+        tau_C=X.tau_C, tau_Cp=maps.prod_rbar.tau_C,
+        tau_D=X.tau_D, tau_Dp=X.tau_D)
+    return conversion_pi_iota(maps, X, pair, n_max, d_max,
+                              name="iota_R (x) 1")

@@ -47,7 +47,7 @@ class Instance:
         self.description = description
         self.run_pipeline = run_pipeline
         self._maps = None
-        self._pipelines = {}           # (n_max, d_max) -> KoszulSmashPipeline
+        self._pipelines = {}           # (n_max, d_max) -> Conversion
 
     @property
     def graded(self):
@@ -93,9 +93,8 @@ class Instance:
         for (n_max, _), pipe in self._pipelines.items():
             if n_max == self.budgets.hdeg:
                 return pipe.X
-        _, _, _, X = smash_product_complex(
+        return smash_product_complex(
             self.bar_maps(), self.koszul_relations(), self.budgets.hdeg)
-        return X
 
     def complexes(self):
         """Named resolutions this instance builds."""
@@ -230,22 +229,56 @@ def _scalar(field, text, location):
         raise InstanceError(str(exc), location) from None
 
 
+def _word(algebra, text, location):
+    """``algebra.parse_word(text)``, refused at ``location``."""
+    try:
+        return algebra.parse_word(text)
+    except InstanceError as exc:
+        raise InstanceError(str(exc), location) from None
+
+
+def _terms(field, slots, terms, location):
+    """{word: coeff} of a list of terms whose field ``name`` is a word of
+    ``algebra`` for each (name, algebra) of ``slots`` (a tuple of words for
+    several slots); a later term of a word replaces an earlier one."""
+    if not isinstance(terms, list):
+        raise InstanceError("expected a list of terms", location)
+    out = {}
+    for t, term in enumerate(terms):
+        loc = f"{location}[{t}]"
+        key = tuple(_word(algebra, _need(term, name, loc, str), f"{loc}.{name}")
+                    for name, algebra in slots)
+        out[key if len(key) > 1 else key[0]] = _scalar(
+            field, term.get("coeff", "1"), f"{loc}.coeff")
+    return out
+
+
+def _check_matrices(R, matrices, location):
+    """Refuse a matrix that is not R.nvars rows of R.nvars integers."""
+    n = R.nvars
+    for name, M in matrices.items():
+        loc = f"{location}[{json.dumps(name)}]"
+        if not (isinstance(M, list) and len(M) == n
+                and all(isinstance(row, list) and len(row) == n for row in M)):
+            raise InstanceError(f"a matrix must be {n} rows of {n} entries", loc)
+        bad = [f"{loc}[{i}][{j}]" for i, row in enumerate(M)
+               for j, c in enumerate(row) if type(c) is not int]
+        if bad:
+            raise InstanceError("a matrix entry must be an integer", bad[0])
+    return matrices
+
+
 def _parse_twist(field, R, S, data, location):
     kind = _need(data, "kind", location)
     if kind == "generator_rules":
         rules = {}
         for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
-            s_word = S.parse_word(_need(rule, "s", loc, str))
-            r_word = R.parse_word(_need(rule, "r", loc, str))
-            value = {}
-            for t, term in enumerate(_need(rule, "value", loc, list)):
-                tloc = f"{loc}.value[{t}]"
-                pair = (R.parse_word(_need(term, "r", tloc, str)),
-                        S.parse_word(_need(term, "s", tloc, str)))
-                value[pair] = _scalar(field, term.get("coeff", "1"),
-                                      f"{tloc}.coeff")
-            rules[(s_word, r_word)] = value
+            s_word = _word(S, _need(rule, "s", loc, str), f"{loc}.s")
+            r_word = _word(R, _need(rule, "r", loc, str), f"{loc}.r")
+            rules[(s_word, r_word)] = _terms(
+                field, (("r", R), ("s", S)), _need(rule, "value", loc),
+                f"{loc}.value")
         return twist_from_generator_rules(S, R, rules), None
     if kind == "bicharacter":
         q = _scalar(field, _need(data, "q", location), f"{location}.q")
@@ -258,11 +291,13 @@ def _parse_twist(field, R, S, data, location):
         if data.get("permutation_on_variables"):
             action = permutation_group_action(hopf, R)
         else:
-            matrices = _need(data, "matrices", location, dict)
+            matrices = _check_matrices(
+                R, _need(data, "matrices", location, dict),
+                f"{location}.matrices")
             action = linear_group_action(hopf, R, matrices)
         return smash_twist(action), action
     if kind == "hopf_action":
-        hopf = _parse_hopf_tables(field, S, _need(data, "hopf", location),
+        hopf = _parse_hopf_tables(field, S, _need(data, "hopf", location, dict),
                                   f"{location}.hopf")
         parsed = {}
         for key, terms in _need(data, "action", location, dict).items():
@@ -270,16 +305,9 @@ def _parse_twist(field, R, S, data, location):
             h_name, bar, r_name = key.partition("|")
             if not bar:
                 raise InstanceError('action keys read "h | r"', loc)
-            if not isinstance(terms, list):
-                raise InstanceError("expected a list of terms", loc)
-            image = {}
-            for t, term in enumerate(terms):
-                tloc = f"{loc}[{t}]"
-                word = R.parse_word(_need(term, "word", tloc, str))
-                image[word] = _scalar(field, term.get("coeff", "1"),
-                                      f"{tloc}.coeff")
-            parsed[(S.parse_word(h_name.strip()),
-                    R.parse_word(r_name.strip()))] = image
+            image = _terms(field, (("word", R),), terms, loc)
+            parsed[(_word(S, h_name.strip(), loc),
+                    _word(R, r_name.strip(), loc))] = image
 
         def oracle(h_word, r_word):
             try:
@@ -301,22 +329,21 @@ def _parse_hopf_tables(field, S, data, location):
             raise InstanceError("group_algebra Hopf structure needs a group S",
                                 location)
         return group_hopf(S)
-    coproduct_in = _need(data, "coproduct", location, dict)
-    counit_in = _need(data, "counit", location, dict)
-    antipode_in = _need(data, "antipode", location, dict)
-    antipode_inv_in = data.get("antipode_inv", antipode_in)
 
-    def parse_map1(table):
-        return {S.parse_word(k): {S.parse_word(t["word"]): field.parse(t.get("coeff", "1"))
-                                  for t in v}
-                for k, v in table.items()}
+    def table(key, *slots):
+        # {S-word of each name: its terms over slots, or its scalar}
+        out = {}
+        for name, entry in _need(data, key, location, dict).items():
+            loc = f"{location}.{key}[{json.dumps(name)}]"
+            out[_word(S, name, loc)] = (_terms(field, slots, entry, loc) if slots
+                                        else _scalar(field, entry, loc))
+        return out
 
-    coproduct = {S.parse_word(k): {(S.parse_word(t["h1"]), S.parse_word(t["h2"])):
-                                   field.parse(t.get("coeff", "1")) for t in v}
-                 for k, v in coproduct_in.items()}
-    counit = {S.parse_word(k): field.parse(v) for k, v in counit_in.items()}
-    antipode = parse_map1(antipode_in)
-    antipode_inv = parse_map1(antipode_inv_in)
+    coproduct = table("coproduct", ("h1", S), ("h2", S))
+    counit = table("counit")
+    antipode = table("antipode", ("word", S))
+    antipode_inv = (table("antipode_inv", ("word", S))
+                    if "antipode_inv" in data else antipode)
     return HopfAlgebra(S,
                        lambda w: coproduct[w],
                        lambda w: counit[w],

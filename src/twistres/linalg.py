@@ -7,6 +7,7 @@ row first), so every result is reproducible bit for bit.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import DimensionMismatch
@@ -125,14 +126,19 @@ def rref(rows, ncols):
         # div, not a product with the inverse: over Q an integral quotient
         # stays an int instead of becoming Fraction(k, 1)
         piv_row = {j: field.div(c, pivot) for j, c in piv_row.items()}
-        for row in work:
+        # over Q a sum of fractions may be integral; only a Fraction factor
+        # or pivot-row entry can make one, and it is stored as its int
+        fractional = field.characteristic == 0 and any(
+            c.__class__ is Fraction for c in piv_row.values())
+        for row in (*work, *echelon):
             f = row.get(col)
             if f:
                 accumulate_scaled(row, piv_row, -f)
-        for row in echelon:
-            f = row.get(col)
-            if f:
-                accumulate_scaled(row, piv_row, -f)
+                if fractional or f.__class__ is Fraction:
+                    for j in piv_row:
+                        c = row.get(j)
+                        if c.__class__ is Fraction and c.denominator == 1:
+                            row[j] = c.numerator
         echelon.append(piv_row)
         pivots.append(col)
         work = [r for r in work if r]

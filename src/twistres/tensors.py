@@ -98,13 +98,6 @@ class TensorSubspace:
             raise TwistresError(f"vector not inside subspace {self.label}")
         return coords
 
-    def contains_vector(self, vec):
-        try:
-            self.coordinatize(vec)
-            return True
-        except TwistresError:
-            return False
-
 
 def tuple_power(words, n):
     out = [()]

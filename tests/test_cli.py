@@ -366,6 +366,16 @@ def generator_rules(rules):
     return {"kind": "generator_rules", "rules": rules}
 
 
+def hopf_tables(**tables):
+    # the group-like Hopf structure of kC2 as explicit tables, with
+    # ``tables`` replacing some of them
+    hopf = {"kind": "tables",
+            "coproduct": {h: [{"h1": h, "h2": h}] for h in ("e", "g")},
+            "counit": {"e": "1", "g": "1"},
+            "antipode": {h: [{"word": h}] for h in ("e", "g")}}
+    return {"kind": "hopf_action", "hopf": {**hopf, **tables}, "action": {}}
+
+
 @pytest.mark.parametrize("S, twist, path", [
     (POLY, generator_rules(7), "$.twist.rules"),
     (POLY, generator_rules([{"s": "x", "r": "x", "value": 7}]),
@@ -379,13 +389,25 @@ def generator_rules(rules):
     (C2, {"kind": "hopf_action", "action": {},
           "hopf": {"kind": "tables", "coproduct": 7, "counit": {},
                    "antipode": {}}}, "$.twist.hopf.coproduct"),
+    (C2, {"kind": "group_action", "matrices": {"g": 7}},
+     '$.twist.matrices["g"]'),
+    (C2, {"kind": "group_action", "matrices": {"g": [["a"]]}},
+     '$.twist.matrices["g"][0][0]'),
+    (C2, hopf_tables(coproduct={"g": 7}), '$.twist.hopf.coproduct["g"]'),
+    (C2, hopf_tables(coproduct={"g": [{"h1": "g"}]}),
+     '$.twist.hopf.coproduct["g"][0]'),
+    (C2, hopf_tables(antipode={"g": [{"coeff": "1"}]}),
+     '$.twist.hopf.antipode["g"][0]'),
+    (C2, hopf_tables(counit={"g": "x"}), '$.twist.hopf.counit["g"]'),
+    (C2, hopf_tables(counit={"z": "1"}), '$.twist.hopf.counit["z"]'),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
     # of the field, an action key without "|", an action, matrix table or
-    # Hopf table that is no object and an action term without a string
-    # word are refused by the parser (exit 2) at their JSON path, not
-    # raised as Python errors
+    # Hopf table that is no object, a matrix that is no square of integers,
+    # a Hopf table entry that is no list of terms, a term without one of
+    # its words and an unknown element name are refused by the parser
+    # (exit 2) at their JSON path, not raised as Python errors
     desc = {"name": "bad-twist", "field": "Q", "R": POLY, "S": S,
             "twist": twist}
     instance = tmp_path / "bad-twist.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -7,9 +8,10 @@ from twistres.checks import check_chain_map, check_identity_composition
 from twistres.complexes import TwistedProductComplex, block_matrix
 from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
-                                 generators_in_reduced_window, koszul_inclusion,
-                                 smash_product_complex, tensor_chain_maps)
-from twistres.errors import ActionNotAdmissible, NotLiftable, TwistresError
+                                 koszul_inclusion, smash_product_complex,
+                                 tensor_chain_maps)
+from twistres.errors import (ActionNotAdmissible, NotLiftable,
+                             TwistInconsistent, TwistresError)
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
 from twistres.twisting import BarLeftCompat, BarRightCompat
@@ -25,17 +27,12 @@ def koszul_setup(name="c2-koszul-kxy", field=None, n_max=2, d_max=2):
 
 def test_koszul_inclusion_is_a_compatible_chain_map():
     inst, pipe = koszul_setup()
-    maps = inst.bar_maps()
-    report = check_chain_map(pipe.iota_R, 2, 2)
+    report = check_chain_map(pipe.pair.psi_R, 2, 2)
     assert report.passed, report.witness
-    pair = CompatibleChainMapPair(
-        psi_R=pipe.iota_R,
-        psi_S=ChainMap.identity(maps.rbar_S),
-        tau_C=pipe.tau_K,
-        tau_Cp=BarLeftCompat(inst.tau, reduced=True),
-        tau_D=pipe.tau_D,
-        tau_Dp=pipe.tau_D)
-    ok, witness = check_compatible(pair, inst.S, inst.R, 2, 2)
+    assert pipe.pair.tau_C is pipe.X.tau_C
+    assert pipe.pair.tau_Cp is inst.bar_maps().prod_rbar.tau_C
+    assert pipe.pair.tau_D is pipe.pair.tau_Dp is pipe.X.tau_D
+    ok, witness = check_compatible(pipe.pair, inst.S, inst.R, 2, 2)
     assert ok, witness
 
 
@@ -51,27 +48,35 @@ def test_identity_maps_are_compatible():
     assert ok, witness
 
 
-def test_sign_corrupted_compatibility_fails_with_witness():
-    inst, pipe = koszul_setup()
-    maps = inst.bar_maps()
-
+def corrupted_pair(pipe):
+    # the pipeline's pair with tau_K's degree-2 values negated
     class Corrupted:
         def apply(self, n, s_word, word):
-            out = pipe.tau_K.apply(n, s_word, word)
+            out = pipe.X.tau_C.apply(n, s_word, word)
             if n == 2:
                 return {k: -c for k, c in out.items()}
             return out
 
-    pair = CompatibleChainMapPair(
-        psi_R=pipe.iota_R,
-        psi_S=ChainMap.identity(maps.rbar_S),
-        tau_C=Corrupted(),
-        tau_Cp=BarLeftCompat(inst.tau, reduced=True),
-        tau_D=pipe.tau_D,
-        tau_Dp=pipe.tau_D)
-    ok, witness = check_compatible(pair, inst.S, inst.R, 2, 2)
+    return dataclasses.replace(pipe.pair, tau_C=Corrupted())
+
+
+def test_sign_corrupted_compatibility_fails_with_witness():
+    inst, pipe = koszul_setup()
+    ok, witness = check_compatible(corrupted_pair(pipe), inst.S, inst.R, 2, 2)
     assert not ok
     assert witness[0] == "left"
+
+
+def test_conversion_refuses_an_incompatible_pair():
+    # the conversion entry gates on both compatibility squares: a corrupted
+    # tau_K is refused before iota is built, with check_compatible's witness
+    inst, pipe = koszul_setup()
+    pair = corrupted_pair(pipe)
+    with pytest.raises(TwistInconsistent) as caught:
+        conversion_pi_iota(inst.bar_maps(), pipe.X, pair, 2, 2)
+    ok, witness = check_compatible(pair, inst.S, inst.R, 2, 2)
+    assert caught.value.witness == witness
+    assert caught.value.witness[:2] == ("left", 2)
 
 
 def test_tensor_chain_maps_identity():
@@ -99,7 +104,9 @@ def test_conversion_degenerates_to_aw_ez():
     pair = CompatibleChainMapPair(ChainMap.identity(maps.rbar_R),
                                   ChainMap.identity(maps.rbar_S),
                                   tau_C, tau_C, tau_D, tau_D)
-    pi, iota = conversion_pi_iota(maps, maps.prod_rbar, pair, pair)
+    conv = conversion_pi_iota(maps, maps.prod_rbar, pair, 2, 2,
+                              projections=pair)
+    pi, iota = conv.pi, conv.iota
     for n in range(3):
         for d in range(3):
             for comp, word in maps.rbar_A.basis(n, d):
@@ -123,12 +130,6 @@ def test_bootstrap_on_identity_map():
             for comp, word in maps.rbar_A.basis(n, d):
                 assert lift.chain_map.apply_word(n, comp, word) == \
                     maps.rbar_A.single(n, comp, word)
-
-
-def test_generators_land_in_reduced_window():
-    inst, pipe = koszul_setup()
-    ok, witness = generators_in_reduced_window(pipe.iota, 2, 2)
-    assert ok, witness
 
 
 @pytest.mark.parametrize("field", [None, "F3"])
@@ -201,15 +202,15 @@ def test_koszul_smash_crosses_through_bar_maps(name):
     # (through K_3 = x^y^z, on which S3 acts by the sign, for s3-perm-kxyz)
     inst = builtin_instance(name)
     maps = inst.bar_maps()
-    K, tau_K, tau_D, X = smash_product_complex(maps, inst.koszul_relations(), 3)
-    assert X.tau_D is tau_D is maps.prod_rbar.tau_D
+    X = smash_product_complex(maps, inst.koszul_relations(), 3)
+    assert X.tau_D is maps.prod_rbar.tau_D
     pair = CompatibleChainMapPair(
-        psi_R=koszul_inclusion(K, maps.rbar_R),
+        psi_R=koszul_inclusion(X.C, maps.rbar_R),
         psi_S=ChainMap.identity(maps.rbar_S),
-        tau_C=tau_K,
+        tau_C=X.tau_C,
         tau_Cp=BarLeftCompat(inst.tau, reduced=True),
-        tau_D=tau_D,
-        tau_Dp=tau_D)
+        tau_D=X.tau_D,
+        tau_Dp=X.tau_D)
     ok, witness = check_compatible(pair, inst.S, inst.R, 3, 3)
     assert ok, witness
 

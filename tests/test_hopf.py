@@ -163,7 +163,7 @@ def test_c2_skew_pipeline_small():
     # degree 3 (the Koszul complex terminates at K_1)
     inst = builtin_instance("c2-skew")
     pipe = inst.koszul_pipeline(n_max=3, d_max=3)
-    assert pipe.koszul.dim_tilde(2) == 0
+    assert pipe.X.C.dim_tilde(2) == 0
     assert check_identity_composition(pipe.pi, pipe.iota, 3, 3).passed
 
 

@@ -313,6 +313,30 @@ def test_koszul_smash_crosses_through_the_bar_maps():
     assert imported == []
 
 
+def test_one_conversion_path():
+    # iota = EZ o (iota_C (x) iota_D) is built in conversion_pi_iota alone:
+    # a second EZ composition in the kernel, or a ChainMap oracle in
+    # conversion.py beside the tensor product, the Koszul inclusion and the
+    # lift, is a hand-built iota
+    package = Path(inspect.getfile(FreeElement)).parent
+    sites = [f"{path.name}:{lineno}"
+             for path in sorted(package.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "ez_reduced.compose(" in line]
+    assert len(sites) == 1 and sites[0].startswith("conversion.py:"), sites
+    tree = ast.parse((package / "conversion.py").read_text(encoding="utf-8"))
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, ast.FunctionDef)]
+    builders = {name for name, func in functions for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ChainMap"}
+    assert builders == {"tensor_chain_maps", "koszul_inclusion",
+                        "BootstrapLift.__init__"}
+
+
 SWALLOW = re.compile(r"\bexcept\s*(:|[^:]*\b(Base)?Exception\b)")
 
 

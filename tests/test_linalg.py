@@ -306,6 +306,15 @@ def test_q_pivot_rows_stay_integral():
             assert type(c) is int or c.denominator != 1
 
 
+def test_q_elimination_sums_stay_integral():
+    # 1/2 - 3/2 left Fraction(-1, 1) in row 0 once row 1 was eliminated
+    # from it; an integral sum of fractions is stored as int
+    echelon, pivots = rref([{0: 2, 1: 1, 2: 1}, {0: 4, 1: 3, 2: 5}], 3)
+    assert pivots == [0, 1]
+    assert echelon == [{0: 1, 2: -1}, {1: 1, 2: 3}]
+    assert all(type(c) is int for row in echelon for c in row.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([Q, PrimeField(5)]), st.data())
 def test_add_elt_equals_the_add_term_loop(field, data):

@@ -8,15 +8,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_verification(*args):
+def run_script(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), *args],
+        [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     return done.stdout
+
+
+def run_verification(*args):
+    return run_script("run_verification.py", *args)
 
 
 def test_run_verification_on_one_instance():
@@ -37,3 +41,11 @@ def test_run_verification_through_the_koszul_smash_pipeline():
     # c2-skew carries a Hopf action, so its battery builds K (x)_tau rbar(kC2)
     out = run_verification("--instances", "c2-skew", "--hdeg", "2", "--gdeg", "2")
     assert "unexpected outcomes: 0" in out
+
+
+def test_example_52_walkthrough_states_its_identities():
+    # exit 0 means AW o EZ = 1 held on b and EZ o AW = 1 failed on a
+    out = run_script("example_52_walkthrough.py")
+    assert "AW(EZ(b)) == b:     True" in out
+    assert "EZ(AW(a)) == a:     False" in out
+    assert out.count("== b:") == 1
