@@ -89,7 +89,7 @@ class Algebra:
         self.max_degree = max_degree
 
     # family API: unit, degree, mul_words, basis, format_word, parse_word,
-    # split_first, generator_words, strongly_graded
+    # split_first, strongly_graded
 
     def element(self, data=None):
         return AlgebraElement(self, data)
@@ -112,9 +112,6 @@ class Algebra:
     def split_first(self, word):
         """Split off a leading generator: word = gen * rest, or None for atoms."""
         return None
-
-    def generator_words(self):
-        return self.basis(1)
 
     def __repr__(self):
         return f"{self.__class__.__name__}({self.name})"
@@ -305,9 +302,6 @@ class GroupAlgebra(Algebra):
         except ValueError:
             raise InstanceError(f"unknown element {text!r} of {self.name}") from None
 
-    def generator_words(self):
-        return tuple(i for i in range(len(self.group)) if i != self.group.identity)
-
 
 class RewritingAlgebra(Algebra):
     """Words in noncommuting generators, normalized by rules on descents.
@@ -393,9 +387,6 @@ class RewritingAlgebra(Algebra):
             raise InstanceError(f"{text!r} is not in normal form for {self.name}")
         return word
 
-    def generator_words(self):
-        return tuple((i,) for i in range(len(self.generators)))
-
 
 class TwistedProductAlgebra(Algebra):
     """R (x)_tau S on pair words, multiplied through the twisting map."""
@@ -408,9 +399,6 @@ class TwistedProductAlgebra(Algebra):
         self.S = S
         self.tau = tau
         self.unit = (R.unit, S.unit)
-        self.strongly_graded = (getattr(R, "strongly_graded", True)
-                                and getattr(S, "strongly_graded", True)
-                                and tau.strongly_graded)
         self._mul_cache = Memo(self._product)
 
     def degree(self, w):

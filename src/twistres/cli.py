@@ -11,7 +11,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .awez import enumerate_shuffles
@@ -130,7 +129,7 @@ def cmd_ez(args):
 def cmd_convert(args):
     instance = _load_instance(args)
     if args.pipeline == "koszul-smash":
-        reports = pipeline_reports(instance, seed=args.seed)
+        reports = pipeline_reports(instance)
         pipe = instance.koszul_pipeline()
         samples = []
         for n in range(min(2, pipe.X.n_max) + 1):
@@ -204,15 +203,9 @@ def _add_globals(parser, suppress=False):
                         help="homological degree budget")
     parser.add_argument("--gdeg", type=int, default=default,
                         help="internal degree budget")
-    parser.add_argument("--seed", type=int,
-                        default=argparse.SUPPRESS if suppress else 0,
-                        help="seed for sampled bimodule coefficients")
     parser.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="machine-readable output")
-    parser.add_argument("--exhaustive", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
-                        help="exhaust coefficient pairs in bimodule checks")
 
 
 def make_parser():
@@ -259,6 +252,10 @@ def make_parser():
                        help="run the verification suite")
     p.add_argument("--instance", default=None,
                    help="a built-in name or JSON path (default: all built-ins)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled bimodule coefficients")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="exhaust coefficient pairs in bimodule checks")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -68,16 +68,23 @@ class Complex:
 
 
 class BarComplex(Complex):
-    """Bar and reduced (normalized) bar resolution of an algebra A."""
+    """Bar and reduced (normalized) bar resolution of an algebra A.
+
+    A degree-n word is (a_0, middle letters, a_(n+1)): the outer letters
+    run over A and carry the bimodule action, the middle ones fill
+    ``inner_slots(n)``.
+    """
 
     def __init__(self, A, reduced, n_max):
         tag = "reduced bar" if reduced else "bar"
         super().__init__(A, n_max, f"{tag}({A.name})")
         self.reduced = reduced
 
+    def inner_slots(self, n):
+        return [ReducedSlot(self.A) if self.reduced else FullSlot(self.A)] * n
+
     def _build_term(self, n):
-        inner = ReducedSlot(self.A) if self.reduced else FullSlot(self.A)
-        slots = [FullSlot(self.A)] + [inner] * n + [FullSlot(self.A)]
+        slots = [FullSlot(self.A), *self.inner_slots(n), FullSlot(self.A)]
         return Term([((), Signature(slots))], name=f"{self.name}_{n}")
 
     def diff_word(self, n, comp, word):
@@ -99,16 +106,13 @@ class BarComplex(Complex):
     def act_word(self, n, a_left, comp, word, a_right):
         out = FreeElement(self.term(n))
         for wl, cl in self.A.mul_words(a_left, word[0]).items():
-            for wr, cr in self.A.mul_words(word[n + 1], a_right).items():
-                out.add_term((), (wl,) + word[1:n + 1] + (wr,), cl * cr)
+            for wr, cr in self.A.mul_words(word[-1], a_right).items():
+                out.add_term((), (wl,) + word[1:-1] + (wr,), cl * cr)
         return out
 
     def generator_words(self, n, d):
         """Inner tuples of the free bimodule basis in degree n."""
-        if n == 0:
-            return [()] if d == 0 else []
-        inner = ReducedSlot(self.A) if self.reduced else FullSlot(self.A)
-        return Signature([inner] * n).words(d)
+        return Signature(self.inner_slots(n)).words(d)
 
     def free_generators(self, n, d):
         unit = self.A.unit
@@ -118,145 +122,64 @@ class BarComplex(Complex):
         return out
 
 
-def polynomial_quadratic_relations(R):
-    """Commutation relations x_i (x) x_j - x_j (x) x_i spanning the ideal."""
-    rels = []
-    for i in range(R.nvars):
-        for j in range(i + 1, R.nvars):
-            vi, vj = R.var_word(i), R.var_word(j)
-            rels.append({(vi, vj): R.field.one, (vj, vi): -R.field.one})
-    return rels
+class KoszulComplex(BarComplex):
+    """Koszul resolution K(R) of a quadratic algebra R, inside rbar(R).
 
-
-def quadratic_relations_for(R):
-    """Relation space of a quadratic presentation, or raise for other input."""
-    from .algebras import PolynomialAlgebra, RewritingAlgebra
-
-    if isinstance(R, PolynomialAlgebra):
-        return polynomial_quadratic_relations(R)
-    if isinstance(R, RewritingAlgebra):
-        rels = []
-        for (j, i), value in R.rules.items():
-            rel = {((j,), (i,)): R.field.one}
-            for w, c in value.items():
-                if len(w) != 2:
-                    raise InstanceError(
-                        f"{R.name} is not quadratic: rule for {(j, i)} drops degree")
-                accumulate(rel, ((w[0],), (w[1],)), -c)
-            rels.append(rel)
-        return rels
-    raise InstanceError(f"no quadratic presentation available for {R.name}")
-
-
-class KoszulComplex(Complex):
-    """Koszul resolution of a quadratic algebra R = T(V)/(relations).
-
-    The middle factor of K_n is the intersection of shifted relation
-    spaces, computed as the null space of their annihilators and stored
-    with an abstract echelon basis.  The differential is the reduced-bar
-    differential restricted along the standard inclusion: only the two
-    outer multiplications survive because relations multiply to zero.
+    The middle letter of a degree-n word indexes a basis vector of the
+    Koszul space K_n, the intersection of the V^i (x) I_2 (x) V^(n-2-i) in
+    V^n, V = R_1 and I_2 the kernel of R's multiplication V (x) V -> R_2
+    (all of V at n = 1).  K_n is the null space of the rows
+    pre (x) m (x) suf, m that multiplication, and keeps an echelon basis.
+    The action, augmentation and free generators are the reduced bar's; the
+    differential is the reduced bar's on the included word, read back in K
+    (``read_back``).  R must be connected and graded by word length.
     """
 
-    def __init__(self, R, relations, n_max):
-        super().__init__(R, n_max, f"koszul({R.name})")
-        for rel in relations:
-            for pair in rel:
-                if any(R.degree(w) != 1 for w in pair):
-                    raise InstanceError("relations must live in V (x) V")
-        self.relations = relations
-        self.spaces = {1: TensorSubspace(
-            R, 1, [{(v,): R.field.one} for v in R.basis(1)], "V")}
-        self.spaces[2] = TensorSubspace(R, 2, relations, "K2")
-        for n in range(3, n_max + 1):
-            self.spaces[n] = self._intersect(n)
-
-    def _intersect(self, n):
-        """K_n, the null space of the annihilator rows pre (x) phi (x) suf of
-        every V^j (x) R (x) V^(n-2-j), for phi in R^perp and words pre, suf."""
-        v_words = self.A.basis(1)
-        one = self.A.field.one
+    def __init__(self, R, n_max):
+        if len(R.basis(0)) != 1 or not R.strongly_graded:
+            raise InstanceError(
+                f"{R.name} is not connected and graded: no Koszul complex")
+        super().__init__(R, True, n_max)
+        self.name = f"koszul({R.name})"
+        v_words = R.basis(1)
         pairs = tuple_power(v_words, 2)
-        at = {pair: t for t, pair in enumerate(pairs)}
-        perp = null_space([{at[pair]: c for pair, c in rel.items()}
-                           for rel in self.relations], len(pairs), one)
-        words = tuple_power(v_words, n)
-        index = {w: i for i, w in enumerate(words)}
-        rows = []
-        for j in range(n - 1):
-            suffixes = tuple_power(v_words, n - 2 - j)
-            for pre in tuple_power(v_words, j):
-                for phi in perp:
-                    for suf in suffixes:
-                        rows.append({index[pre + pairs[t] + suf]: c
-                                     for t, c in phi.items()})
-        vectors = [{words[j]: c for j, c in vec.items()}
-                   for vec in null_space(rows, len(words), one)]
-        return TensorSubspace(self.A, n, vectors, f"K{n}")
+        # the multiplication V (x) V -> R_2, one row per word of R_2
+        mult = {}
+        for t, (a, b) in enumerate(pairs):
+            for w, c in R.mul_words(a, b).items():
+                mult.setdefault(w, {})[t] = c
+        self.spaces = {}
+        for n in range(1, max(n_max, 2) + 1):
+            words = tuple_power(v_words, n)
+            index = {w: i for i, w in enumerate(words)}
+            rows = []
+            for j in range(n - 1):
+                suffixes = tuple_power(v_words, n - 2 - j)
+                for pre in tuple_power(v_words, j):
+                    for row in mult.values():
+                        for suf in suffixes:
+                            rows.append({index[pre + pairs[t] + suf]: c
+                                         for t, c in row.items()})
+            vectors = [{words[i]: c for i, c in vec.items()}
+                       for vec in null_space(rows, len(words), R.field.one)]
+            label = f"K{n}" if n > 1 else "V"
+            self.spaces[n] = TensorSubspace(R, n, vectors, label)
 
     def dim_tilde(self, n):
         if n == 0:
             return 1
         return self.spaces[n].dim
 
-    def _build_term(self, n):
-        R = self.A
-        if n == 0:
-            slots = [FullSlot(R), FullSlot(R)]
-        else:
-            slots = [FullSlot(R), SubspaceSlot(self.spaces[n]), FullSlot(R)]
-        return Term([((), Signature(slots))], name=f"{self.name}_{n}")
+    def inner_slots(self, n):
+        return [SubspaceSlot(self.spaces[n])] if n else []
 
     def diff_word(self, n, comp, word):
-        R = self.A
-        out = FreeElement(self.term(n - 1))
-        if n == 1:
-            r0, idx, r1 = word
-            for (vw,), c in self.spaces[1].basis[idx].items():
-                for w, cc in R.mul_words(r0, vw).items():
-                    out.add_term((), (w, r1), c * cc)
-                for w, cc in R.mul_words(vw, r1).items():
-                    out.add_term((), (r0, w), -(c * cc))
-            return out
-        r0, idx, r1 = word
-        expansion = self.spaces[n].basis[idx]
-        sign_right = self.A.field.one if n % 2 == 0 else -self.A.field.one
-        # each word vs is one (first letter, rest) pair, so no two terms meet
-        lefts, rights = {}, {}
-        for vs, c in expansion.items():
-            lefts.setdefault(vs[0], {})[vs[1:]] = c
-            rights.setdefault(vs[-1], {})[vs[:-1]] = c
-        for v, sub in sorted(lefts.items()):
-            coords = self.spaces[n - 1].coordinatize(sub)
-            for w, cc in R.mul_words(r0, v).items():
-                for k_idx, c2 in coords.items():
-                    out.add_term((), (w, k_idx, r1), cc * c2)
-        for v, sub in sorted(rights.items()):
-            coords = self.spaces[n - 1].coordinatize(sub)
-            for w, cc in R.mul_words(v, r1).items():
-                for k_idx, c2 in coords.items():
-                    out.add_term((), (r0, k_idx, w), sign_right * cc * c2)
-        return out
-
-    def aug_word(self, comp, word):
-        return self.A.element(self.A.mul_words(word[0], word[1]))
-
-    def act_word(self, n, a_left, comp, word, a_right):
-        out = FreeElement(self.term(n))
-        last = len(word) - 1
-        for wl, cl in self.A.mul_words(a_left, word[0]).items():
-            for wr, cr in self.A.mul_words(word[last], a_right).items():
-                out.add_term((), (wl,) + word[1:last] + (wr,), cl * cr)
-        return out
-
-    def free_generators(self, n, d):
-        R = self.A
-        if n == 0:
-            return [self.single(0, (), (R.unit, R.unit))] if d == 0 else []
-        if d != n:
-            return []
-        return [self.single(n, (), (R.unit, idx, R.unit))
-                for idx in range(self.spaces[n].dim)]
+        faces = {}
+        for bar_word, c in self.include_word(n, comp, word).items():
+            for ((), w), cc in super().diff_word(n, comp, bar_word).data.items():
+                accumulate(faces, w, c * cc)
+        return FreeElement(self.term(n - 1), {
+            ((), w): c for w, c in self.read_back(n - 1, faces).items()})
 
     def include_word(self, n, comp, word):
         """Expand a Koszul word into reduced-bar words of R (the inclusion)."""
@@ -266,13 +189,29 @@ class KoszulComplex(Complex):
         return {(r0,) + vs + (r1,): c
                 for vs, c in self.spaces[n].basis[idx].items()}
 
+    def read_back(self, n, image):
+        """The degree-n Koszul words whose inclusion is ``image``, a dict
+        {reduced-bar word: coeff}.  The middle letters of the words sharing
+        their outer letters are coordinatized in K_n; an image leaving K_n
+        raises ``TwistresError``."""
+        if n == 0:
+            return image
+        middles = {}             # (r0, r1) -> {middle letters: coeff}
+        for word, c in image.items():
+            middles.setdefault((word[0], word[-1]), {})[word[1:-1]] = c
+        out = {}
+        for (r0, r1), vec in middles.items():
+            for idx, c in self.spaces[n].coordinatize(vec).items():
+                out[(r0, idx, r1)] = c
+        return out
+
 
 class KoszulLeftCompat(CompatMap):
     """tau_K: S (x) K_n -> K_n (x) S, the reduced-bar crossing restricted to K.
 
     A Koszul word is expanded by the inclusion into reduced-bar words, each
-    is crossed by one ``BarLeftCompat``, and the middle letters are read
-    back in K_n's basis; an image that leaves K_n raises ``TwistresError``.
+    is crossed by one ``BarLeftCompat``, and the images are read back in K
+    (``KoszulComplex.read_back``), which refuses an image leaving K_n.
     """
 
     def __init__(self, tau, koszul):
@@ -281,18 +220,12 @@ class KoszulLeftCompat(CompatMap):
         self.bar = BarLeftCompat(tau, reduced=True)
 
     def _apply(self, n, s_word, word):
-        if n == 0:
-            return self.bar.apply(0, s_word, word)
-        middles = {}             # (r0, r1, s) -> {middle letters: coeff}
+        images = {}              # s -> {reduced-bar word: coeff}
         for bar_word, c in self.koszul.include_word(n, (), word).items():
             for (full, s2), c2 in self.bar.apply(n, s_word, bar_word).items():
-                accumulate(middles.setdefault((full[0], full[-1], s2), {}),
-                           full[1:-1], c * c2)
-        out = {}
-        for (r0, r1, s2), vec in middles.items():
-            for idx, c in self.koszul.spaces[n].coordinatize(vec).items():
-                out[((r0, idx, r1), s2)] = c
-        return out
+                accumulate(images.setdefault(s2, {}), full, c * c2)
+        return {(kw, s2): c for s2, image in images.items()
+                for kw, c in self.koszul.read_back(n, image).items()}
 
 
 class IntermediateComplex(Complex):

@@ -258,7 +258,7 @@ class BootstrapLift:
         return self.chain_map.apply(n, elt)
 
 
-def smash_product_complex(maps, relations, n_max):
+def smash_product_complex(maps, n_max):
     """X = K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps.
 
     X.tau_C is the reduced-bar crossing of A's twist restricted to K_R and
@@ -268,7 +268,7 @@ def smash_product_complex(maps, relations, n_max):
     ``ActionNotAdmissible`` with witness (h, index of the K_2 basis vector).
     """
     R, H = maps.R, maps.S
-    K = KoszulComplex(R, relations, n_max)
+    K = KoszulComplex(R, n_max)
     tau_K = KoszulLeftCompat(maps.A.tau, K)
     for h in H.basis(0):
         for idx in range(K.spaces[2].dim):
@@ -283,12 +283,12 @@ def smash_product_complex(maps, relations, n_max):
                                  name=f"K({R.name})(x)rbar({H.name})")
 
 
-def smash_koszul_pipeline(maps, relations, n_max, d_max):
+def smash_koszul_pipeline(maps, n_max, d_max):
     """The conversion of X = K_R (x)_tau rbar(H) (``smash_product_complex``)
     through the Koszul inclusion of K_R and the identity of rbar(H), with
     pi lifted from iota.  ``maps`` is the TwistedBarMaps bundle of
     A = R (x)_tau H for a smash twist."""
-    X = smash_product_complex(maps, relations, n_max)
+    X = smash_product_complex(maps, n_max)
     pair = CompatibleChainMapPair(
         psi_R=koszul_inclusion(X.C, maps.rbar_R),
         psi_S=ChainMap.identity(maps.rbar_S),

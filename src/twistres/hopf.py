@@ -258,7 +258,5 @@ def smash_twist(action, name="smash"):
                     accumulate(out, (h2, rw), c * cg * cr)
         return out
 
-    tau = TwistingMap(H, R, rule, name=name, inverse_rule=inverse_rule,
-                      strongly_graded=True)
-    tau.action = action
-    return tau
+    return TwistingMap(H, R, rule, name=name, inverse_rule=inverse_rule,
+                       strongly_graded=True)

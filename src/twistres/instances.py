@@ -15,7 +15,7 @@ from importlib import resources
 from .algebras import (Group, GroupAlgebra, PolynomialAlgebra,
                        RewritingAlgebra, TwistedProductAlgebra)
 from .awez import TwistedBarMaps
-from .complexes import KoszulComplex, quadratic_relations_for
+from .complexes import KoszulComplex
 from .conversion import smash_koszul_pipeline, smash_product_complex
 from .errors import InstanceError, TwistresError
 from .fields import FieldError, field_from_name
@@ -65,11 +65,8 @@ class Instance:
             self._maps = TwistedBarMaps(A, self.budgets.hdeg)
         return self._maps
 
-    def koszul_relations(self):
-        return quadratic_relations_for(self.R)
-
     def koszul_complex(self, n_max=None):
-        return KoszulComplex(self.R, self.koszul_relations(),
+        return KoszulComplex(self.R,
                              n_max if n_max is not None else self.budgets.hdeg)
 
     def koszul_pipeline(self, n_max=None, d_max=None):
@@ -80,8 +77,7 @@ class Instance:
         key = (n_max if n_max is not None else self.budgets.hdeg,
                d_max if d_max is not None else min(self.budgets.gdeg, 3))
         if key not in self._pipelines:
-            self._pipelines[key] = smash_koszul_pipeline(
-                self.bar_maps(), self.koszul_relations(), *key)
+            self._pipelines[key] = smash_koszul_pipeline(self.bar_maps(), *key)
         return self._pipelines[key]
 
     def koszul_smash_complex(self):
@@ -93,8 +89,7 @@ class Instance:
         for (n_max, _), pipe in self._pipelines.items():
             if n_max == self.budgets.hdeg:
                 return pipe.X
-        return smash_product_complex(
-            self.bar_maps(), self.koszul_relations(), self.budgets.hdeg)
+        return smash_product_complex(self.bar_maps(), self.budgets.hdeg)
 
     def complexes(self):
         """Named resolutions this instance builds."""
@@ -253,11 +248,19 @@ def _terms(field, slots, terms, location):
     return out
 
 
-def _check_matrices(R, matrices, location):
-    """Refuse a matrix that is not R.nvars rows of R.nvars integers."""
+def _check_matrices(R, G, matrices, location):
+    """Refuse a key naming no element of the group G, a missing matrix of an
+    element other than the identity, and a matrix that is not R.nvars rows
+    of R.nvars integers."""
     n = R.nvars
+    missing = [g for k, g in enumerate(G.elements)
+               if k != G.identity and g not in matrices]
+    if missing:
+        raise InstanceError(f"no matrix for group element {missing[0]}", location)
     for name, M in matrices.items():
         loc = f"{location}[{json.dumps(name)}]"
+        if name not in G.elements:
+            raise InstanceError(f"{name!r} names no element of {G.name}", loc)
         if not (isinstance(M, list) and len(M) == n
                 and all(isinstance(row, list) and len(row) == n for row in M)):
             raise InstanceError(f"a matrix must be {n} rows of {n} entries", loc)
@@ -287,12 +290,15 @@ def _parse_twist(field, R, S, data, location):
         if not isinstance(S, GroupAlgebra):
             raise InstanceError("group_action twists need a group-algebra S",
                                 location)
+        if not isinstance(R, PolynomialAlgebra):
+            raise InstanceError("group_action twists need a polynomial R",
+                                location)
         hopf = group_hopf(S)
         if data.get("permutation_on_variables"):
             action = permutation_group_action(hopf, R)
         else:
             matrices = _check_matrices(
-                R, _need(data, "matrices", location, dict),
+                R, S.group, _need(data, "matrices", location, dict),
                 f"{location}.matrices")
             action = linear_group_action(hopf, R, matrices)
         return smash_twist(action), action

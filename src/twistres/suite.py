@@ -163,7 +163,7 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     del columns[corrupted]
 
     if pipeline:
-        reports.extend(pipeline_reports(instance, seed=seed, columns=columns))
+        reports.extend(pipeline_reports(instance, columns=columns))
     return reports
 
 
@@ -195,7 +195,7 @@ def example_52_value_reports(instance):
             for label, passed in cases]
 
 
-def pipeline_reports(instance, seed=0, n_max=None, d_max=None, columns=None):
+def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     """Koszul-smash pipeline checks for instances carrying a Hopf action.
 
     ``columns`` (a dict of d-columns, see ``complexes.d_columns``) may hold

@@ -16,7 +16,7 @@ from twistres.awez import group_closed_aw, group_closed_ez
 from twistres.checks import (SignCorruptedBar, check_bimodule_map,
                              check_chain_map, check_d_squared_report,
                              check_exactness_report)
-from twistres.complexes import KoszulComplex, polynomial_quadratic_relations
+from twistres.complexes import KoszulComplex
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
 from twistres.algebras import PolynomialAlgebra
@@ -147,7 +147,7 @@ def test_criterion_6_koszul_dimensions():
     t0 = time.perf_counter()
     for m in (1, 2, 3):
         R = PolynomialAlgebra(Q, [f"x{i+1}" for i in range(m)], 8)
-        K = KoszulComplex(R, polynomial_quadratic_relations(R), 3)
+        K = KoszulComplex(R, 3)
         for n in range(4):
             assert K.dim_tilde(n) == comb(m, n), (m, n)
     elapsed = time.perf_counter() - t0

@@ -248,6 +248,11 @@ VERIFY_DIGESTS = [
      "77b8fb74ac0346e2476d1be4a7dd3da04d21f51c8a590d29ac8c9a6c181d648a"),
     (["--instance", "corrupted-twist"],
      "0d8ecbb7bf9f097b40d6875fb530575c04168e7cb5b6787e2e8b7a38d4afa95d"),
+    # two instances with K_2 != 0, at a window that keeps tier-1 fast
+    (["--instance", "c2-koszul-kxy", "--hdeg", "2", "--gdeg", "2"],
+     "4aad317a502f082f5936b32403e29650c1ab4c22221f3d7723742346568187f1"),
+    (["--instance", "c2-swap-kxy", "--hdeg", "2", "--gdeg", "2"],
+     "92a0ab06342563504e6d5edd8a0c79e9ab6cafc570c83bafe80f7793c960c143"),
 ]
 
 
@@ -272,6 +277,16 @@ def test_cli_usage_error_exit_code(capsys):
                  "--element", "no-such-file.json"]) == 2
     assert main(["build", "--instance", "no-such-instance.json"]) == 2
     assert main(["nonsense-command"]) == 2
+
+
+def test_cli_verify_takes_seed_and_exhaustive(capsys):
+    assert main(["verify", "--instance", "quantum-plane", "--hdeg", "2",
+                 "--gdeg", "2", "--exhaustive", "--seed", "1"]) == 0
+
+
+def test_cli_seed_is_refused_outside_verify(capsys):
+    # only verify samples bimodule coefficients, so convert has no --seed
+    assert main(["convert", "--instance", "c2-koszul-kxy", "--seed", "1"]) == 2
 
 
 def test_cli_verify_exit_codes(capsys):
@@ -320,6 +335,7 @@ def test_cli_malformed_group_tables_are_parse_errors(tmp_path, capsys, S, path):
 
 POLY = {"family": "polynomial", "variables": ["x"]}
 C2 = {"family": "group", "group": {"kind": "cyclic", "order": 2}}
+REWRITING_X = {"family": "rewriting", "generators": ["x"], "rules": []}
 
 
 def rewriting(*terms):
@@ -400,15 +416,26 @@ def hopf_tables(**tables):
      '$.twist.hopf.antipode["g"][0]'),
     (C2, hopf_tables(counit={"g": "x"}), '$.twist.hopf.counit["g"]'),
     (C2, hopf_tables(counit={"z": "1"}), '$.twist.hopf.counit["z"]'),
+    ((REWRITING_X, C2), {"kind": "group_action", "matrices": {"g": [[-1]]}},
+     "$.twist"),
+    ((REWRITING_X, C2), {"kind": "group_action",
+                         "permutation_on_variables": True}, "$.twist"),
+    (C2, {"kind": "group_action", "matrices": {"h": [[-1]], "g": [[-1]]}},
+     '$.twist.matrices["h"]'),
+    (C2, {"kind": "group_action", "matrices": {}}, "$.twist.matrices"),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
     # of the field, an action key without "|", an action, matrix table or
     # Hopf table that is no object, a matrix that is no square of integers,
     # a Hopf table entry that is no list of terms, a term without one of
-    # its words and an unknown element name are refused by the parser
-    # (exit 2) at their JSON path, not raised as Python errors
-    desc = {"name": "bad-twist", "field": "Q", "R": POLY, "S": S,
+    # its words, an unknown element name, a matrix key naming no group
+    # element, a missing matrix and a group action on an R that is no
+    # polynomial ring are refused by the parser (exit 2) at their JSON
+    # path, not raised as Python errors.  S is a pair (R, S) where the
+    # case needs another R than POLY.
+    R, S = S if isinstance(S, tuple) else (POLY, S)
+    desc = {"name": "bad-twist", "field": "Q", "R": R, "S": S,
             "twist": twist}
     instance = tmp_path / "bad-twist.json"
     instance.write_text(json.dumps(desc))

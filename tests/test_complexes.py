@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
 from twistres.checks import SignCorruptedBar
 from twistres.complexes import (BarComplex, KoszulComplex, check_d_squared,
-                                check_truncated_exactness,
-                                polynomial_quadratic_relations,
-                                quadratic_relations_for)
-from twistres.errors import InstanceError
+                                check_truncated_exactness)
+from twistres.errors import InstanceError, TwistresError
 from twistres.fields import Fp, PrimeField, Rationals
 from twistres.instances import builtin_instance
+from twistres.tensors import TensorSubspace
 
 Q = Rationals()
 
@@ -69,7 +68,7 @@ def test_reduced_bar_projection_identity():
 
 def test_koszul_terms_k_xy():
     R = PolynomialAlgebra(Q, ["x", "y"], 8)
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
+    K = KoszulComplex(R, 4)
     assert [K.dim_tilde(n) for n in range(5)] == [1, 2, 1, 0, 0]
     # the degree-2 space is spanned by x (x) y - y (x) x
     vec = K.spaces[2].basis[0]
@@ -81,7 +80,7 @@ def test_koszul_terms_k_xy():
 def test_koszul_dims_binomial():
     for m in (1, 2, 3):
         R = PolynomialAlgebra(Q, [f"x{i}" for i in range(m)], 8)
-        K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
+        K = KoszulComplex(R, 4)
         from math import comb
         for n in range(4):
             assert K.dim_tilde(n) == comb(m, n)
@@ -89,7 +88,7 @@ def test_koszul_dims_binomial():
 
 def test_koszul_terminates_for_one_variable():
     R = PolynomialAlgebra(Q, ["x"], 8)
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
+    K = KoszulComplex(R, 4)
     assert K.dim_tilde(2) == 0
     assert K.basis(2, 2) == []
     assert K.free_generators(2, 2) == []
@@ -97,7 +96,7 @@ def test_koszul_terminates_for_one_variable():
 
 def test_koszul_differential_squares_to_zero():
     R = PolynomialAlgebra(Q, ["x", "y", "z"], 6)
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
+    K = KoszulComplex(R, 4)
     ok, witness = check_d_squared(K, 4, 4)
     assert ok, witness
 
@@ -141,7 +140,7 @@ def test_koszul_bases_pinned(key):
     field_name, names, n = key
     field = Q if field_name == "Q" else PrimeField(5)
     R = PolynomialAlgebra(field, list(names), 2)
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), n)
+    K = KoszulComplex(R, n)
     scalar = int if field is Q else Fp
     got = []
     for vec in K.spaces[n].basis:
@@ -152,24 +151,39 @@ def test_koszul_bases_pinned(key):
 
 
 def test_koszul_quantum_plane_relations():
+    # K_2 is the kernel of R's multiplication V (x) V -> R_2
     inst = builtin_instance("quantum-plane")
-    rels = quadratic_relations_for(inst.R)
-    assert rels == []  # single-variable k[x] has no quadratic relations
-    # a two-variable rewriting presentation produces the q-commutator
+    assert KoszulComplex(inst.R, 2).dim_tilde(2) == 0  # k[x]: no relations
+    # for the q-plane y x = 2 x y over F5 it is the line of y (x) x - 2 x (x) y
     from twistres.algebras import RewritingAlgebra
     F5 = PrimeField(5)
     Rq = RewritingAlgebra(F5, ["x", "y"],
                           {(1, 0): {(0, 1): F5.from_int(2)}}, 6)
-    rels = quadratic_relations_for(Rq)
-    assert rels == [{(((1,), (0,))): F5.one, (((0,), (1,))): F5.from_int(-2)}]
+    (vec,) = KoszulComplex(Rq, 2).spaces[2].basis
+    x, y = (0,), (1,)
+    assert {k: F5.div(v, vec[(y, x)]) for k, v in vec.items()} == \
+        {(y, x): F5.one, (x, y): F5.from_int(-2)}
 
 
 def test_non_quadratic_presentation_rejected():
+    # y x = x y + x drops degree, so R is not graded by word length
     from twistres.algebras import RewritingAlgebra
     U = RewritingAlgebra(Q, ["x", "y"],
                          {(1, 0): {(0, 1): Q.one, (0,): Q.one}}, 6)
     with pytest.raises(InstanceError):
-        quadratic_relations_for(U)
+        KoszulComplex(U, 2)
+
+
+def test_koszul_differential_refuses_a_space_outside_k():
+    # negative control: with K_2 replaced by the line of x (x) y, which is
+    # no relation, d(1 (x) x (x) y (x) 1) has the face 1 (x) xy (x) 1, and
+    # reading it back in K_1 = V must fail
+    R = PolynomialAlgebra(Q, ["x", "y"], 4)
+    K = KoszulComplex(R, 2)
+    x, y = R.var_word(0), R.var_word(1)
+    K.spaces[2] = TensorSubspace(R, 2, [{(x, y): Q.one}], "K2")
+    with pytest.raises(TwistresError):
+        K.diff_word(2, (), (R.unit, 0, R.unit))
 
 
 def test_intermediate_differential_example():
@@ -268,7 +282,7 @@ def test_bar_exactness_group_algebra():
 
 def test_koszul_exactness():
     R = PolynomialAlgebra(Q, ["x", "y"], 8)
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), 4)
+    K = KoszulComplex(R, 4)
     report = check_truncated_exactness(K, 2, 3, graded=True)
     assert report.exact
 

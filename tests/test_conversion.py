@@ -3,9 +3,11 @@ import hashlib
 
 import pytest
 
+from twistres import conversion
 from twistres.awez import ChainMap
 from twistres.checks import check_chain_map, check_identity_composition
-from twistres.complexes import TwistedProductComplex, block_matrix
+from twistres.complexes import (KoszulComplex, TwistedProductComplex,
+                                block_matrix)
 from twistres.conversion import (BootstrapLift, CompatibleChainMapPair,
                                  check_compatible, conversion_pi_iota,
                                  koszul_inclusion, smash_product_complex,
@@ -14,6 +16,7 @@ from twistres.errors import (ActionNotAdmissible, NotLiftable,
                              TwistInconsistent, TwistresError)
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
+from twistres.tensors import TensorSubspace
 from twistres.twisting import BarLeftCompat, BarRightCompat
 
 Q = Rationals()
@@ -183,14 +186,21 @@ def test_trivial_group_pipeline_degenerates():
     assert check_identity_composition(pipe.pi, pipe.iota, 2, 2).passed
 
 
-def test_inadmissible_action_rejected():
+def test_inadmissible_action_rejected(monkeypatch):
     # the Koszul-smash complex refuses a middle subspace the group does not
     # preserve: against a swap action, the line spanned by x (x) y alone is
-    # not invariant
+    # not invariant, so a K whose K_2 is that line is refused
     inst = builtin_instance("c2-swap-kxy")
     x, y = inst.R.var_word(0), inst.R.var_word(1)
+
+    class LineK2(KoszulComplex):
+        def __init__(self, R, n_max):
+            super().__init__(R, n_max)
+            self.spaces[2] = TensorSubspace(R, 2, [{(x, y): Q.one}], "K2")
+
+    monkeypatch.setattr(conversion, "KoszulComplex", LineK2)
     with pytest.raises(ActionNotAdmissible) as caught:
-        smash_product_complex(inst.bar_maps(), [{(x, y): Q.one}], 2)
+        smash_product_complex(inst.bar_maps(), 2)
     assert caught.value.witness == (1, 0)
 
 
@@ -202,7 +212,7 @@ def test_koszul_smash_crosses_through_bar_maps(name):
     # (through K_3 = x^y^z, on which S3 acts by the sign, for s3-perm-kxyz)
     inst = builtin_instance(name)
     maps = inst.bar_maps()
-    X = smash_product_complex(maps, inst.koszul_relations(), 3)
+    X = smash_product_complex(maps, 3)
     assert X.tau_D is maps.prod_rbar.tau_D
     pair = CompatibleChainMapPair(
         psi_R=koszul_inclusion(X.C, maps.rbar_R),

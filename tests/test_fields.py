@@ -119,7 +119,7 @@ def test_quantum_plane_over_q_has_fraction_inverse():
     # coefficients would leak floats
     inst = builtin_instance("quantum-plane", field="Q")
     tau = inst.tau
-    x, y = tau.R.generator_words()[0], tau.S.generator_words()[0]
+    x, y = tau.R.basis(1)[0], tau.S.basis(1)[0]
     value = tau.inverse(x, y)
     assert value == {(y, x): Fraction(1, 2)}
     assert all(type(c) is Fraction for c in value.values())

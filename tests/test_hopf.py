@@ -4,8 +4,7 @@ import pytest
 
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
 from twistres.checks import check_identity_composition
-from twistres.complexes import (KoszulComplex, KoszulLeftCompat,
-                                polynomial_quadratic_relations)
+from twistres.complexes import KoszulComplex, KoszulLeftCompat
 from twistres.fields import Rationals
 from twistres.hopf import group_hopf, linear_group_action
 from twistres.instances import builtin_instance, parse_instance
@@ -71,7 +70,7 @@ def test_koszul_compat_sign_on_wedge():
     # C2 swapping x and y sends x^y = x(x)y - y(x)x to -(x^y):
     # tau_K(g (x) 1 (x) x^y (x) 1) = -(1 (x) x^y (x) 1) (x) g
     inst = builtin_instance("c2-swap-kxy")
-    K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 3)
+    K = KoszulComplex(inst.R, 3)
     compat = KoszulLeftCompat(inst.tau, K)
     unit = inst.R.unit
     g = 1
@@ -84,7 +83,7 @@ def test_koszul_compat_sign_on_wedge():
 
 def test_koszul_compat_degree_zero_is_diagonal_action():
     inst = builtin_instance("c2-skew")
-    K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 2)
+    K = KoszulComplex(inst.R, 2)
     compat = KoszulLeftCompat(inst.tau, K)
     x = (1,)
     g = 1
@@ -173,7 +172,7 @@ def test_c2_skew_pipeline_small():
 def test_hopf_compat_memo_matches_fresh_apply(name):
     inst = builtin_instance(name)
     R, H = inst.R, inst.S
-    K = KoszulComplex(R, polynomial_quadratic_relations(R), 3)
+    K = KoszulComplex(R, 3)
     h_words = H.basis(0)
     koszul = [(n, h, word) for n in range(4) for d in range(4)
               for _, word in K.basis(n, d) for h in h_words]
@@ -184,7 +183,7 @@ def test_koszul_compat_memo_keys_on_degree():
     # the Koszul word (1, 0, 1) is x in K_1 but x^y in K_2; g negates x and
     # fixes x^y, so one map must keep the two degrees apart
     inst = builtin_instance("c2-koszul-kxy")
-    K = KoszulComplex(inst.R, polynomial_quadratic_relations(inst.R), 3)
+    K = KoszulComplex(inst.R, 3)
     compat = KoszulLeftCompat(inst.tau, K)
     unit, g = inst.R.unit, 1
     word = (unit, 0, unit)

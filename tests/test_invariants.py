@@ -337,6 +337,28 @@ def test_one_conversion_path():
                         "BootstrapLift.__init__"}
 
 
+def test_koszul_complex_is_read_back_from_the_reduced_bar():
+    # K(R) comes from R alone: its spaces from R's multiplication, with no
+    # relation list passed anywhere; d_K and tau_K read reduced-bar images
+    # back through KoszulComplex.read_back, the one coordinatize call in
+    # complexes.py; and K acts and augments as the reduced bar does
+    from twistres.complexes import KoszulComplex
+
+    package = Path(inspect.getfile(FreeElement)).parent
+    lines = (package / "complexes.py").read_text(encoding="utf-8").splitlines()
+    calls = [lineno for lineno, line in enumerate(lines, 1)
+             if "coordinatize(" in line]
+    assert len(calls) == 1, calls
+    assert "coordinatize(" in inspect.getsource(KoszulComplex.read_back)
+    assert {"act_word", "aug_word", "free_generators"}.isdisjoint(
+        vars(KoszulComplex))
+    params = [f"{path.name}:{node.lineno}"
+              for path in sorted(package.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.arg) and node.arg == "relations"]
+    assert params == []
+
+
 SWALLOW = re.compile(r"\bexcept\s*(:|[^:]*\b(Base)?Exception\b)")
 
 
