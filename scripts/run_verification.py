@@ -2,15 +2,24 @@
 """Run the full verification battery over the built-in instances.
 
 Equivalent to ``twistres verify`` but prints a compact per-instance table
-with timings, suitable for leaving running after changes to the kernel.
+with timings and the peak resident memory of the process so far (MB, from
+``resource.getrusage``), suitable for leaving running after changes to the
+kernel.
 """
 
 import argparse
+import resource
 import sys
 import time
 
 from twistres.instances import BUILTIN_NAMES, builtin_instance
 from twistres.suite import verify_reports
+
+
+def peak_rss_mb():
+    """The peak resident memory of this process so far, in MB (Linux
+    reports ``ru_maxrss`` in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv=None):
@@ -33,11 +42,13 @@ def main(argv=None):
         failures += len(bad)
         elapsed = time.perf_counter() - t0
         print(f"{name:<18} {len(reports):>3} checks  "
-              f"{len(bad):>2} unexpected  {elapsed:7.1f}s")
+              f"{len(bad):>2} unexpected  {elapsed:7.1f}s  "
+              f"{peak_rss_mb():7.1f} MB peak")
         for r in bad:
             print("   " + r.line())
     total = time.perf_counter() - grand_start
-    print(f"total: {total:.1f}s, unexpected outcomes: {failures}")
+    print(f"total: {total:.1f}s, unexpected outcomes: {failures}, "
+          f"peak RSS: {peak_rss_mb():.1f} MB")
     return 1 if failures else 0
 
 

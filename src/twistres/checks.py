@@ -82,39 +82,46 @@ def check_chain_map(f, n_max, d_max, instance="", expect_failure=False,
 
     Checked in index space, column by column, on the d-columns of source
     and target over degrees 0..d_max (``complexes.d_columns``; ``columns``
-    is a dict of them shared with other checks): D^T_n F_n = F_(n-1) D^S_n,
+    is a store of them shared with other checks): D^T_n F_n = F_(n-1) D^S_n,
     where F_n holds f's images of the degree-n words over the target's
-    words and F_(-1) is the identity of A.  Words come back only for the
-    witness of a failing square.
+    words and F_(-1) is the identity of A.  Degree n reads the columns of
+    degree n, keyed by the words of degree n - 1, and releases them; the
+    square never lays out the target's top degree, so an image word there
+    is refused by its degree.  Words come back only for the witness of a
+    failing square.
     """
     budget = {"hdeg": n_max, "gdeg": d_max}
-    columns = {} if columns is None else columns   # one store if S is T
-    source = complexes.d_columns(columns, f.source, d_max)
-    target = complexes.d_columns(columns, f.target, d_max)
+    source, release_source = complexes.d_columns(columns, f.source, d_max)
+    target, release_target = (source, release_source) if f.target is f.source \
+        else complexes.d_columns(columns, f.target, d_max)
     top = min(n_max, f.source.n_max, f.target.n_max)
     one = f.source.A.field.one
     previous = [target.positions(-1, {a: one}, "the identity of A")
                 for a in source.basis(-1)]
     for n in range(top + 1):
         current = []      # F_n, kept below top
-        label, d_target = f"{f.name} at n={n}", functools.partial(target.column, n)
-        for j, (comp, word) in enumerate(source.basis(n)):
-            image = target.positions(n, f.apply_word(n, comp, word).data, label)
-            lhs = linear_extension(d_target, image)
-            rhs = linear_extension(previous.__getitem__, source.column(n, j))
+        label = f"{f.name} at n={n}"
+        for key in source.words(n):
+            image = f.apply_word(n, *key).data
+            if n < top:
+                current.append(target.positions(n, image, label))
+            lhs = linear_extension(
+                lambda word: target.word_column(n, word, label), image)
+            rhs = linear_extension(previous.__getitem__,
+                                   source.word_column(n, key, label))
             if lhs != rhs:
                 if n == 0:
                     wit = (f"augmentation square fails at "
-                           f"{f.source.term(0).format(comp, word)}")
+                           f"{f.source.term(0).format(*key)}")
                 else:
                     wit = (f"square fails at n={n}, "
-                           f"{f.source.term(n).format(comp, word)}; "
+                           f"{f.source.term(n).format(*key)}; "
                            f"d(f(w)) = {target.element(n - 1, lhs)}; "
                            f"f(d(w)) = {target.element(n - 1, rhs)}")
                 return CheckReport(f"chain map: {f.name}", instance, budget,
                                    False, expect_failure, wit)
-            if n < top:
-                current.append(image)
+        release_source(n)
+        release_target(n)
         previous = current
     return CheckReport(f"chain map: {f.name}", instance, budget, True,
                        expect_failure)

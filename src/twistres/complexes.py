@@ -432,11 +432,13 @@ def down(X, n, comp, word):
 class DColumns:
     """The differentials of one complex by column, over internal degrees 0..d_max.
 
-    ``basis(n)`` lists the words of X_n degree by degree (the algebra's
+    ``basis(n)`` lays out the words of X_n degree by degree (the algebra's
     basis at n = -1).  ``column(n, j)`` is d_n (the augmentation at n = 0)
     of its j-th word, a dict {row: coeff} over the positions of
-    ``basis(n - 1)``, evaluated when first read and kept while the object
-    lives: the checks sharing one evaluate each d(w) once.
+    ``basis(n - 1)``, evaluated when first read and kept until
+    ``release(n)``.  ``word_column(n, word)`` reads the same column by
+    word, and evaluates it without keeping it while X_n is not laid out,
+    so a reader that never lays X_n out streams its columns.
     """
 
     def __init__(self, X, d_max):
@@ -457,6 +459,12 @@ class DColumns:
     def basis(self, n):
         return self._layout(n)[0]
 
+    def words(self, n):
+        """The words of X_n in ``basis(n)`` order, without laying X_n out."""
+        if n in self._layouts:
+            return self._layouts[n][0]
+        return (w for d in range(self.d_max + 1) for w in self.X.basis(n, d))
+
     def span(self, n, degrees):
         """Positions [lo, hi) of the words of X_n in the run ``degrees``."""
         starts = self._layout(n)[2]
@@ -470,40 +478,74 @@ class DColumns:
         try:
             return {index[key]: c for key, c in data.items()}
         except KeyError as exc:
-            raise TwistresError(
-                f"{label} leaves the degree block "
-                f"{list(degrees or range(self.d_max + 1))} at {exc.args[0]}") from None
+            raise leaves_block(label, degrees or range(self.d_max + 1),
+                               exc.args[0]) from None
 
     def element(self, n, data):
         """The element of X_n with coefficient c at each position i of ``data``."""
         words = self.basis(n)
         return FreeElement(self.X.term(n), {words[i]: c for i, c in data.items()})
 
+    def _evaluate(self, n, key, degree):
+        return self.positions(n - 1, down(self.X, n, *key).data,
+                              f"d_{n} of {self.X.name}", [degree])
+
     def column(self, n, j):
         cols = self._columns.get(n)
         if cols is None:
             cols = self._columns[n] = [None] * len(self.basis(n))
         if cols[j] is None:
-            comp, word = self.basis(n)[j]
             # the degree of the j-th word: the last degree starting at or before j
             degree = bisect_right(self._layout(n)[2], j) - 1
-            cols[j] = self.positions(n - 1, down(self.X, n, comp, word).data,
-                                     f"d_{n} of {self.X.name}", [degree])
+            cols[j] = self._evaluate(n, self.basis(n)[j], degree)
         return cols[j]
+
+    def word_column(self, n, key, label):
+        """d_n of the word ``key`` of X_n: ``column`` at its position while
+        X_n is laid out, else evaluated and not kept.  A word outside the
+        window (by its degree, when X_n is not laid out) is refused, naming
+        ``label``."""
+        if n in self._layouts:
+            j = self._layouts[n][1].get(key)
+            if j is not None:
+                return self.column(n, j)
+        else:
+            degree = self.X.term(n).degree(*key)
+            if 0 <= degree <= self.d_max:
+                return self._evaluate(n, key, degree)
+        raise leaves_block(label, range(self.d_max + 1), key)
 
     def columns(self, n):
         return [self.column(n, j) for j in range(len(self.basis(n)))]
 
+    def release(self, n):
+        """Forget the columns of X_n and the layout of X_(n-1) keying their
+        rows."""
+        self._columns.pop(n, None)
+        self._layouts.pop(n - 1, None)
 
-def d_columns(shared, X, d_max):
-    """X's DColumns over degrees 0..d_max from ``shared``, a dict keyed by
-    complex or None, entered there when it holds none for that window."""
-    cols = None if shared is None else shared.get(X)
-    if cols is None or cols.d_max != d_max:
-        cols = DColumns(X, d_max)
-        if shared is not None:
-            shared[X] = cols
-    return cols
+
+def leaves_block(label, degrees, key):
+    """The error refusing ``key``, a word outside the run ``degrees``."""
+    return TwistresError(f"{label} leaves the degree block {list(degrees)} "
+                         f"at {key}")
+
+
+def d_columns(store, X, d_max):
+    """X's DColumns over degrees 0..d_max, and the function its reader calls
+    with n once no later step of its own reads d_n (``DColumns.release``).
+
+    ``store`` (a dict keyed by complex, or None) holds the DColumns its
+    caller entered, before their first reader, for the complexes a later
+    reader reads again.  One over d_max is returned with a function that
+    does nothing, so it keeps every column; otherwise the columns are new,
+    read by this reader alone, and released degree by degree.
+    """
+    cols = None if store is None else store.get(X)
+    if cols is not None and cols.d_max == d_max:
+        return cols, lambda n: None
+    cols = DColumns(X, d_max)
+    return cols, cols.release
 
 
 def block_matrix(columns, n, degrees):
@@ -519,9 +561,8 @@ def block_matrix(columns, n, degrees):
     for j in range(lo, hi):
         for i, c in columns.column(n, j).items():
             if not row_lo <= i < row_hi:
-                raise TwistresError(
-                    f"d_{n} of {columns.X.name} leaves the degree block "
-                    f"{list(degrees)} at {columns.basis(n - 1)[i]}")
+                raise leaves_block(f"d_{n} of {columns.X.name}", degrees,
+                                   columns.basis(n - 1)[i])
             rows[i - row_lo][j - lo] = c
     return (SparseMatrix(row_hi - row_lo, hi - lo, rows),
             columns.basis(n)[lo:hi], columns.basis(n - 1)[row_lo:row_hi])
@@ -533,22 +574,31 @@ def check_truncated_exactness(X, n_max, d_max, graded=True, columns=None):
     Graded complexes are checked per internal degree, on blocks sliced out
     of the d-columns over degrees 0..d_max (``d_columns(columns, ...)``);
     filtered ones on the whole range (the differential may drop degree).
+    Degree n is read with degree n + 1, for the composite d_n d_(n+1), and
+    released after it.
     """
-    cols = d_columns(columns, X, d_max)
-    report = ExactnessReport(X.name)
+    cols, release = d_columns(columns, X, d_max)
     blocks = [(d,) for d in range(d_max + 1)] if graded else [tuple(range(d_max + 1))]
-    for degrees in blocks:
-        mats = [block_matrix(cols, n, degrees)[0] for n in range(n_max + 1)]
-        ranks = [rank(m) for m in mats]
-        lo, hi = cols.span(-1, degrees)
-        report.entries.append(ExactnessEntry(-1, degrees, hi - lo, 0, ranks[0]))
+    strands = {degrees: [] for degrees in blocks}   # (rows, cols, rank, d d = 0)
+    outer = None
+    for n in range(n_max + 1):
+        inner = cols.columns(n)
+        for degrees in blocks:
+            mat = block_matrix(cols, n, degrees)[0]
+            lo, hi = cols.span(n, degrees)
+            zero = n == 0 or first_nonzero_column(outer, inner[lo:hi]) is None
+            strands[degrees].append((mat.nrows, mat.ncols, rank(mat), zero))
+        if n:
+            release(n - 1)
+        outer = inner
+    report = ExactnessReport(X.name)
+    for degrees, strand in strands.items():
+        report.entries.append(ExactnessEntry(-1, degrees, strand[0][0], 0,
+                                             strand[0][2]))
         for n in range(n_max):
-            lo, hi = cols.span(n + 1, degrees)
-            composite_zero = first_nonzero_column(
-                cols.columns(n), cols.columns(n + 1)[lo:hi]) is None
-            report.entries.append(
-                ExactnessEntry(n, degrees, mats[n].ncols, ranks[n], ranks[n + 1],
-                               composite_zero))
+            report.entries.append(ExactnessEntry(
+                n, degrees, strand[n][1], strand[n][2], strand[n + 1][2],
+                strand[n + 1][3]))
     return report
 
 
@@ -570,19 +620,28 @@ def first_nonzero_column(outer, inner):
 def check_d_squared(X, n_max, d_max, columns=None):
     """d o d = 0 as products of consecutive blocks over degrees 0..d_max.
 
-    Tests d_(n-1) d_n for n = 2..n_max, then eps d_1 at n = 1, on the
-    columns of ``d_columns(columns, X, d_max)``.  Returns ``(True, None)``,
-    or ``(False, (n, comp, word, twice))`` for the first basis word of the
-    first failing degree (``DColumns.basis`` order) with d(d(w)) != 0;
-    ``twice`` is d(d(w)) in X_(n-2), ``None`` at n = 1.
+    Tests eps d_1 and d_(n-1) d_n for n = 2..n_max on the columns of
+    ``d_columns(columns, X, d_max)``, reading degree n with degree n - 1
+    and releasing n - 1 after it.  Returns ``(True, None)``, or
+    ``(False, (n, comp, word, twice))`` for the first basis word
+    (``DColumns.basis`` order) with d(d(w)) != 0 of the first failing
+    degree in the order 2..n_max, 1; ``twice`` is d(d(w)) in X_(n-2),
+    ``None`` at n = 1.
     """
-    cols = d_columns(columns, X, d_max)
-    blocks = [cols.columns(n) for n in range(n_max + 1)]
-    for n in [*range(2, n_max + 1), 1] if n_max >= 1 else []:
-        hit = first_nonzero_column(blocks[n - 1], blocks[n])
+    cols, release = d_columns(columns, X, d_max)
+    failures = {}
+    outer = None
+    for n in range(n_max + 1):
+        inner = cols.columns(n)
+        hit = first_nonzero_column(outer, inner) if n else None
         if hit is not None:
             j, column = hit
             comp, word = cols.basis(n)[j]
-            return False, (n, comp, word,
+            failures[n] = (n, comp, word,
                            None if n == 1 else cols.element(n - 2, column))
-    return True, None
+        if n:
+            release(n - 1)
+        outer = inner
+    if not failures:
+        return True, None
+    return False, failures[min(failures, key=lambda n: (n == 1, n))]

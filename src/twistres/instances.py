@@ -129,14 +129,32 @@ def _need(data, key, location, kind=object):
     return data[key]
 
 
+def _names(data, key, location):
+    """``data[key]``, refused at its path unless it is a nonempty list of
+    distinct strings."""
+    names = _need(data, key, location)
+    if not (isinstance(names, list) and names
+            and all(isinstance(v, str) for v in names)
+            and len(set(names)) == len(names)):
+        raise InstanceError(f"{key} must be a nonempty list of distinct names",
+                            f"{location}.{key}")
+    return names
+
+
+def _budget(budgets, key, override, default):
+    """The budget ``key``: ``override`` unless None, else ``budgets[key]``
+    (``default`` when absent), refused at its path unless an int >= 1."""
+    value = override if override is not None else budgets.get(key, default)
+    if type(value) is not int or value < 1:
+        raise InstanceError(f"{key} must be an integer of at least 1, "
+                            f"not {value!r}", f"$.budgets.{key}")
+    return value
+
+
 def _parse_algebra(field, data, gdeg, location):
     family = _need(data, "family", location)
     if family == "polynomial":
-        variables = _need(data, "variables", location)
-        if not variables or not all(isinstance(v, str) for v in variables):
-            raise InstanceError("variables must be a nonempty list of names",
-                                f"{location}.variables")
-        return PolynomialAlgebra(field, variables, gdeg)
+        return PolynomialAlgebra(field, _names(data, "variables", location), gdeg)
     if family == "group":
         spec = _need(data, "group", location)
         kind = _need(spec, "kind", f"{location}.group")
@@ -153,7 +171,7 @@ def _parse_algebra(field, data, gdeg, location):
             raise InstanceError(f"unknown group kind {kind!r}", f"{location}.group")
         return GroupAlgebra(field, group, gdeg)
     if family == "rewriting":
-        gens = _need(data, "generators", location, list)
+        gens = _names(data, "generators", location)
         rules = {}
         for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
@@ -186,13 +204,8 @@ def _parse_algebra(field, data, gdeg, location):
 def _parse_group_table(data, location, by_name):
     """The group of ``data``'s ``elements`` and n x n Cayley ``table``, whose
     entries are indices 0..n-1, or element names when ``by_name``."""
-    elements = _need(data, "elements", location)
+    elements = _names(data, "elements", location)
     table = _need(data, "table", location)
-    if not (isinstance(elements, list) and elements
-            and all(isinstance(e, str) for e in elements)
-            and len(set(elements)) == len(elements)):
-        raise InstanceError("elements must be a nonempty list of distinct names",
-                            f"{location}.elements")
     n = len(elements)
     index = {e: i for i, e in enumerate(elements)}
     location = f"{location}.table"
@@ -377,8 +390,10 @@ def parse_instance(source, field_override=None, hdeg=None, gdeg=None):
     except FieldError as exc:
         raise InstanceError(str(exc), "$.field") from None
     budgets_in = data.get("budgets", {})
-    budgets = Budgets(hdeg=hdeg if hdeg is not None else int(budgets_in.get("hdeg", 4)),
-                      gdeg=gdeg if gdeg is not None else int(budgets_in.get("gdeg", 6)))
+    if not isinstance(budgets_in, dict):
+        raise InstanceError("budgets must be an object", "$.budgets")
+    budgets = Budgets(hdeg=_budget(budgets_in, "hdeg", hdeg, 4),
+                      gdeg=_budget(budgets_in, "gdeg", gdeg, 6))
     R = _parse_algebra(field, _need(data, "R", "$"), budgets.gdeg, "$.R")
     S = _parse_algebra(field, _need(data, "S", "$"), budgets.gdeg, "$.S")
     tau, action = _parse_twist(field, R, S, _need(data, "twist", "$"), "$.twist")

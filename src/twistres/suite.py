@@ -17,6 +17,7 @@ from .checks import (CheckReport, SignCorruptedBar, check_associativity,
                      check_differential_bimodule, check_exactness_report,
                      check_identity_composition, check_twist_axiom_report,
                      check_twist_inverse, timed)
+from .complexes import DColumns
 from .errors import InstanceError, TwistresError
 
 
@@ -72,12 +73,12 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     bimod_h, bimod_d = (min(2, n_max), min(2, d_max)) if small else (1, 1)
     ident_h, ident_d = (n_max, min(d_max, 4)) if small else (min(3, n_max), 1)
 
-    # d^2, exactness and the chain-map squares share each complex's
-    # d-columns (complexes.DColumns).  Each pair of squares runs after the
-    # d^2 and exactness checks of its two complexes, and the columns no
-    # later pair reads are dropped, so two complexes hold columns at a time;
-    # rbar(A)'s stay for the pipeline's iota square.  The reports keep the
-    # battery's order.
+    # d^2, exactness and the chain-map squares read each complex's
+    # d-columns (complexes.DColumns) from one store, entered before their
+    # first reader.  Each pair of squares runs after the d^2 and exactness
+    # checks of its two complexes, and the columns no later pair reads are
+    # dropped, so two complexes hold columns at a time; rbar(A)'s stay for
+    # the pipeline's iota square.  The reports keep the battery's order.
     pipeline = instance.action is not None and instance.run_pipeline
     exact_on = (maps.bar_A, maps.rbar_A, maps.Y, maps.prod_rbar)
     pairs = ((maps.twisted_unshuffle, maps.twisted_shuffle),
@@ -87,6 +88,7 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     for k, pair in enumerate(pairs):
         for X in (pair[0].source, pair[0].target):
             if X not in d2:
+                columns[X] = DColumns(X, square_d)
                 d2[X] = check_d_squared_report(X, square_h, square_d,
                                                instance=name, columns=columns)
                 if X in exact_on:
@@ -107,6 +109,8 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     except InstanceError:
         K = None      # R has no quadratic presentation
     if K is not None:
+        # d^2 and exactness read K's columns, at one window
+        columns[K] = DColumns(K, min(3, d_max))
         reports.append(check_d_squared_report(K, min(3, n_max), min(3, d_max),
                                               instance=name, columns=columns))
         reports.append(check_exactness_report(K, exact_h, min(3, d_max), True,
@@ -154,6 +158,7 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     # large group parts have them, and run the control at degree 0
     corrupted = SignCorruptedBar(instance.A, n_max=3)
     control_d = 2 if small else 0
+    columns[corrupted] = DColumns(corrupted, control_d)
     reports.append(check_d_squared_report(corrupted, 3, control_d,
                                           instance=name, expect_failure=True,
                                           columns=columns))
@@ -198,8 +203,10 @@ def example_52_value_reports(instance):
 def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     """Koszul-smash pipeline checks for instances carrying a Hopf action.
 
-    ``columns`` (a dict of d-columns, see ``complexes.d_columns``) may hold
-    rbar(A)'s from the caller's chain-map squares, which iota's square reads.
+    ``columns`` (a store of d-columns, see ``complexes.d_columns``) may hold
+    rbar(A)'s from the caller's chain-map squares, which iota's square reads;
+    X's, which d^2 and iota's square read, are entered here and dropped
+    after them.
     """
     name = instance.name
     label = "koszul pipeline: construction"
@@ -217,10 +224,12 @@ def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     h = pipe.X.n_max
     d = min(instance.budgets.gdeg, 3)
     columns = {} if columns is None else columns
+    columns[pipe.X] = DColumns(pipe.X, d)
     reports.append(check_d_squared_report(pipe.X, h, d, instance=name,
                                           columns=columns))
     reports.append(check_chain_map(pipe.iota, h, d, instance=name,
                                    columns=columns))
+    del columns[pipe.X]
     reports.append(check_identity_composition(
         pipe.pi, pipe.iota, h, d, instance=name, name="pi o iota = 1 (Koszul)"))
     reports.append(check_identity_composition(

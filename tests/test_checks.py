@@ -7,7 +7,7 @@ from twistres.checks import (SignCorruptedBar, check_bimodule_map,
                              check_chain_map, check_differential_bimodule,
                              check_identity_composition,
                              check_twist_axiom_report, check_twist_inverse)
-from twistres.errors import NotLiftable
+from twistres.errors import NotLiftable, TwistresError
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
 from twistres.suite import group_closed_form_reports, pipeline_reports, run_suite
@@ -230,6 +230,87 @@ def test_boundary_shift_fails_through_previous_degree_images():
     report = check_chain_map(g, 3, 1)
     assert not report.passed
     assert report.witness == SHIFTED_WITNESS
+
+
+def test_lone_square_streams_the_columns_it_reads(monkeypatch):
+    # a square whose complexes no store holds keeps none of their columns,
+    # enters nothing in the store it is handed, and never lays out the
+    # target's top degree; a complex the caller entered keeps the columns
+    # of the degrees the square lays out
+    from twistres.complexes import DColumns
+
+    f = builtin_instance("example-5.2").bar_maps().twisted_unshuffle
+    layout = DColumns._layout
+    laid_out = []
+
+    def spy(self, n):
+        laid_out.append((self.X, n))
+        return layout(self, n)
+
+    monkeypatch.setattr(DColumns, "_layout", spy)
+    store = {}
+    assert check_chain_map(f, 3, 2, columns=store).passed
+    assert store == {}
+    assert (f.target, 2) in laid_out and (f.target, 3) not in laid_out
+    kept = DColumns(f.target, 2)
+    store = {f.target: kept}
+    assert check_chain_map(f, 3, 2, columns=store).passed
+    assert store == {f.target: kept}
+    assert any(kept._columns[n] for n in range(3))
+
+
+# The witness of a square failing at its top degree only, and the refusal
+# of an image word outside the window there, as the check gave them when it
+# laid out the target's top degree
+DOUBLED_TOP_WITNESS = (
+    "square fails at n=3, 1 # 1 (x) 1 # 1 (x) 1 # 1 (x) 1 # y (x) 1 # y; "
+    "d(f(w)) = -2 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y^2  +  "
+    "2 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y (x) y; "
+    "f(d(w)) = -1 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y^2  +  "
+    "1 * 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) 1 (x) y (x) y")
+RAISED_TOP_REFUSAL = (
+    "raised unshuffle at n=2 leaves the degree block [0, 1] at "
+    "((), ((0,), (0,), (0,), (0,), (1,), (0,), (0,), (1,)))")
+
+
+def test_lone_square_failing_at_its_top_degree_keeps_its_witness():
+    maps = builtin_instance("example-5.2").bar_maps()
+    f = maps.twisted_unshuffle
+    Y = f.target
+    # the first degree-3 word of internal degree 2 whose image has d != 0
+    w0 = next(key for key in f.source.basis(3, 2)
+              if not Y.differential(3, f.apply_word(3, *key)).is_zero())
+
+    def doubled(n, comp, word):
+        out = f.apply_word(n, comp, word)
+        return out + out if n == 3 and (comp, word) == w0 else out
+
+    g = ChainMap(f.source, Y, doubled, "doubled unshuffle")
+    assert check_chain_map(g, 2, 2).passed
+    report = check_chain_map(g, 3, 2)
+    assert not report.passed
+    assert report.witness == DOUBLED_TOP_WITNESS
+
+
+def test_lone_square_refuses_a_top_image_word_outside_the_window():
+    # y acting on one top-degree image raises its internal degree to 2, one
+    # past the window [0, 1]
+    inst = builtin_instance("example-5.2")
+    f = inst.bar_maps().twisted_unshuffle
+    Y = f.target
+    y = inst.A.monomial(inst.A.basis(1)[0])
+    w1 = f.source.basis(2, 1)[0]
+
+    def raised(n, comp, word):
+        out = f.apply_word(n, comp, word)
+        if n == 2 and (comp, word) == w1:
+            out = out + Y.act(2, y, out, inst.A.one())
+        return out
+
+    g = ChainMap(f.source, Y, raised, "raised unshuffle")
+    with pytest.raises(TwistresError) as info:
+        check_chain_map(g, 2, 1)
+    assert str(info.value) == RAISED_TOP_REFUSAL
 
 
 def test_bimodule_check_evaluates_each_image_once_per_degree():

@@ -356,12 +356,19 @@ def rewriting(*terms):
     ({"family": "rewriting", "generators": 3, "rules": []}, C2, "$.R.generators"),
     ({"family": "rewriting", "generators": ["x", "y"],
       "rules": [{"left": 5, "value": []}]}, C2, "$.R.rules[0].left"),
+    ({"family": "polynomial", "variables": "xy"}, C2, "$.R.variables"),
+    ({"family": "polynomial", "variables": ["x", "x"]}, C2, "$.R.variables"),
+    ({"family": "rewriting", "generators": ["x", "x"], "rules": []}, C2,
+     "$.R.generators"),
+    ({"family": "rewriting", "generators": [7, "y"], "rules": []}, C2,
+     "$.R.generators"),
 ])
 def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
     # a group size that is not an integer, a rule word naming an undeclared
-    # generator, a rule term without a string word and a rewriting field of
-    # the wrong type are refused by the parser (exit 2) at their JSON path,
-    # not raised as Python errors
+    # generator, a rule term without a string word, a rewriting field of
+    # the wrong type and a name list that is no list of distinct strings
+    # are refused by the parser (exit 2) at their JSON path, not raised as
+    # Python errors
     desc = {"name": "bad-algebra", "field": "Q", "R": R, "S": S,
             "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
                       "action": {}}}
@@ -371,6 +378,46 @@ def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"error: {path}: " in err
+
+
+# (the "budgets" field of quantum-plane's JSON, or None to run the
+# built-in; CLI arguments; the path refused)
+MALFORMED_BUDGETS = [
+    (None, ["--hdeg", "0"], "$.budgets.hdeg"),
+    (None, ["--hdeg", "-1"], "$.budgets.hdeg"),
+    (None, ["--gdeg", "-2"], "$.budgets.gdeg"),
+    (None, ["--gdeg", "0"], "$.budgets.gdeg"),
+    ({"hdeg": -1}, [], "$.budgets.hdeg"),
+    ({"hdeg": "x"}, [], "$.budgets.hdeg"),
+    ({"hdeg": 1.5}, [], "$.budgets.hdeg"),
+    ({"hdeg": True}, [], "$.budgets.hdeg"),
+    ({"gdeg": 0}, [], "$.budgets.gdeg"),
+    ([1, 2], [], "$.budgets"),
+]
+
+
+@pytest.mark.parametrize("budgets, args, path", MALFORMED_BUDGETS)
+def test_cli_malformed_budgets_are_parse_errors(tmp_path, capsys, budgets, args,
+                                                path):
+    # a budget that is no int of at least 1 (a bool included), from the JSON
+    # or from --hdeg/--gdeg, and budgets that are no object are refused by
+    # the parser (exit 2) at their JSON path: not an IndexError from an
+    # empty strand, a silent int() or a battery run on an empty window
+    instance = "quantum-plane"
+    if budgets is not None:
+        desc = json.loads(open(f"{DATA}/instances/quantum-plane.json").read())
+        desc["budgets"] = budgets
+        instance = tmp_path / "budgets.json"
+        instance.write_text(json.dumps(desc))
+    assert main(["verify", "--instance", str(instance), *args]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_smallest_budgets_parse():
+    desc = json.loads(open(f"{DATA}/instances/quantum-plane.json").read())
+    desc["budgets"] = {"hdeg": 1, "gdeg": 1}
+    assert parse_instance(desc).budgets.hdeg == 1
+    assert builtin_instance("quantum-plane", hdeg=1, gdeg=1).budgets.gdeg == 1
 
 
 def hopf_action(action):

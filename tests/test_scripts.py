@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,18 @@ def test_run_verification_on_one_instance():
     out = run_verification("--instances", "quantum-plane")
     assert "0 unexpected" in out
     assert "unexpected outcomes: 0" in out
+
+
+def test_run_verification_prints_the_peak_rss():
+    # each instance row and the total line carry the process's peak RSS so
+    # far, in MB, which never falls
+    out = run_verification("--instances", "example-5.2", "quantum-plane",
+                           "--hdeg", "2", "--gdeg", "2").splitlines()
+    rows = [float(re.fullmatch(r".* (\d+\.\d) MB peak", line).group(1))
+            for line in out[:-1]]
+    total = float(re.fullmatch(r"total: .*, peak RSS: (\d+\.\d) MB",
+                               out[-1]).group(1))
+    assert len(rows) == 2 and 0 < rows[0] <= rows[1] <= total
 
 
 def test_negative_controls_fail_at_a_small_internal_budget():
