@@ -4,9 +4,10 @@ Both maps factor through the intermediate complex Y:
 
 * the twisted perfect unshuffle moves every S-factor of a bar word of
   R (x)_tau S rightward past the R-factors to its right, the whole block
-  at once by the iterated twist tau_B (Y's memoized ``BarLeftCompat``),
-  and its inverse moves each S-factor back by the iterated inverse twist
-  (a ``BarRightCompat`` over tau^(-1));
+  at once by the iterated twist tau_B (``prod_bar.tau_C``, the memoized
+  ``BarLeftCompat`` Y's action crosses by), and its inverse moves each
+  S-factor back by the iterated inverse twist (a ``BarRightCompat`` over
+  tau^(-1));
 * the front/back face map multiplies a leading run of R-factors and a
   trailing run of S-factors;
 * the shuffle map spreads the two inner blocks over signed (l, n-l)
@@ -122,7 +123,6 @@ class TwistedBarMaps:
         self.n_max = n_max
         self.bar_A = BarComplex(A, reduced=False, n_max=n_max)
         self.rbar_A = BarComplex(A, reduced=True, n_max=n_max)
-        self.Y = IntermediateComplex(A, n_max=n_max)
         self.bar_R = BarComplex(self.R, reduced=False, n_max=n_max)
         self.bar_S = BarComplex(self.S, reduced=False, n_max=n_max)
         self.rbar_R = BarComplex(self.R, reduced=True, n_max=n_max)
@@ -137,6 +137,7 @@ class TwistedBarMaps:
             BarLeftCompat(A.tau, reduced=True),
             BarRightCompat(A.tau, reduced=True), n_max,
             name=f"rbar({self.R.name})(x)rbar({self.S.name})")
+        self.Y = IntermediateComplex(self.prod_bar, n_max=n_max)
         self.twisted_unshuffle = ChainMap(self.bar_A, self.Y,
                                           self._unshuffle_word, "unshuffle")
         self.twisted_shuffle = ChainMap(self.Y, self.bar_A,
@@ -167,13 +168,13 @@ class TwistedBarMaps:
 
     def _unshuffle_word(self, n, comp, word):
         # last pair first, s_k crosses the R-block already moved to its
-        # right by one lookup of Y's tau_B, keyed as Y's action keys it
+        # right by one lookup of prod_bar's tau_C, keyed as Y's action keys it
         *head, (r, s) = word
         states = {((r,), (s,)): self.A.field.one}
         for r, s in reversed(head):
             new = {}
             for (rblock, sblock), c in states.items():
-                for (moved, s2), c2 in self.Y._left.apply(
+                for (moved, s2), c2 in self.prod_bar.tau_C.apply(
                         len(rblock) - 2, s, rblock).items():
                     accumulate(new, ((r,) + moved, (s2,) + sblock), c * c2)
             states = new

@@ -18,7 +18,7 @@ from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
                      null_space, rank)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
-from .twisting import BarLeftCompat, BarRightCompat, CompatMap
+from .twisting import CompatMap
 
 
 class Complex:
@@ -210,14 +210,14 @@ class KoszulLeftCompat(CompatMap):
     """tau_K: S (x) K_n -> K_n (x) S, the reduced-bar crossing restricted to K.
 
     A Koszul word is expanded by the inclusion into reduced-bar words, each
-    is crossed by one ``BarLeftCompat``, and the images are read back in K
-    (``KoszulComplex.read_back``), which refuses an image leaving K_n.
+    is crossed by ``bar`` (the reduced bar's ``BarLeftCompat``), and the
+    images are read back in K (``read_back``), refusing one leaving K_n.
     """
 
-    def __init__(self, tau, koszul):
+    def __init__(self, bar, koszul):
         super().__init__()
         self.koszul = koszul
-        self.bar = BarLeftCompat(tau, reduced=True)
+        self.bar = bar
 
     def _apply(self, n, s_word, word):
         images = {}              # s -> {reduced-bar word: coeff}
@@ -229,15 +229,18 @@ class KoszulLeftCompat(CompatMap):
 
 
 class IntermediateComplex(Complex):
-    """The complex Y with Y_n = R^(n+2) (x) S^(n+2) mediating AW and EZ."""
+    """The complex Y with Y_n = R^(n+2) (x) S^(n+2) mediating AW and EZ.
 
-    def __init__(self, A, n_max):
-        super().__init__(A, n_max, f"Y({A.name})")
-        self.R = A.R
-        self.S = A.S
-        self.tau = A.tau
-        self._left = BarLeftCompat(self.tau, reduced=False)
-        self._right = BarRightCompat(self.tau, reduced=False)
+    Y_n is the bidegree (n, n) of P = bar(R) (x)_tau bar(S): the action,
+    augmentation and free generators are P's, under Y's one component
+    ``()``; the differential, multiplying the ell-th pairs of both blocks
+    at once, is Y's own.
+    """
+
+    def __init__(self, P, n_max):
+        super().__init__(P.A, n_max, f"Y({P.A.name})")
+        self.P = P
+        self.R, self.S = P.A.R, P.A.S
 
     def _build_term(self, n):
         slots = [FullSlot(self.R)] * (n + 2) + [FullSlot(self.S)] * (n + 2)
@@ -262,44 +265,25 @@ class IntermediateComplex(Complex):
         return out
 
     def aug_word(self, comp, word):
-        rpart, spart = self.split(0, word)
-        return self.A.pair_element(self.R.element(self.R.mul_words(*rpart)),
-                                   self.S.element(self.S.mul_words(*spart)))
+        return self.P.aug_word((0, 0), word)
 
     def act_word(self, n, a_left, comp, word, a_right):
-        rL, sL = a_left
-        rR, sR = a_right
-        rpart, spart = self.split(n, word)
         out = FreeElement(self.term(n))
-        for (rblock, s1), c1 in self._left.apply(n, sL, rpart).items():
-            for (r1, sblock), c2 in self._right.apply(n, spart, rR).items():
-                for (r2, s2), c3 in self.tau.apply(s1, r1).items():
-                    base = c1 * c2 * c3
-                    for w0, c4 in self.R.mul_words(rL, rblock[0]).items():
-                        for wlast, c5 in self.R.mul_words(rblock[-1], r2).items():
-                            new_r = (w0,) + rblock[1:-1] + (wlast,)
-                            for v0, c6 in self.S.mul_words(s2, sblock[0]).items():
-                                for vlast, c7 in self.S.mul_words(sblock[-1], sR).items():
-                                    new_s = (v0,) + sblock[1:-1] + (vlast,)
-                                    out.add_term((), new_r + new_s,
-                                                 base * c4 * c5 * c6 * c7)
+        self.P.act_into(out, (), (n, n), a_left, self.split(n, word), a_right)
         return out
 
     def free_generators(self, n, d):
-        out = []
-        r_inner = Signature([FullSlot(self.R)] * n)
-        s_inner = Signature([FullSlot(self.S)] * n)
-        for dr in range(d + 1):
-            for rw in r_inner.words(dr):
-                for sw in s_inner.words(d - dr):
-                    word = (self.R.unit,) + rw + (self.R.unit,) \
-                        + (self.S.unit,) + sw + (self.S.unit,)
-                    out.append(self.single(n, (), word))
-        return out
+        return [self.single(n, (), word)
+                for word in self.P.generator_words(n, n, d)]
 
 
 class TwistedProductComplex(Complex):
-    """Total complex X = C (x)_tau D with the composed bimodule action."""
+    """Total complex X = C (x)_tau D with the composed bimodule action.
+
+    Each factor is a ``BarComplex`` (bar, reduced bar or ``KoszulComplex``),
+    whose action multiplies the outer letters of a word: ``act_into`` does
+    so inline.  ``_factor_cache`` keeps the factors' differentials.
+    """
 
     def __init__(self, A, C, D, tau_C, tau_D, n_max, name=None):
         super().__init__(A, n_max, name or f"{C.name}(x){D.name}")
@@ -308,19 +292,15 @@ class TwistedProductComplex(Complex):
         self.tau = A.tau
         self.tau_C = tau_C
         self.tau_D = tau_D
-        # (factor attribute, method, arguments) -> {factor word: coeff}
-        self._factor_cache = Memo(self._evaluate_factor)
+        # ("C" or "D", n, factor word) -> {factor word: coeff}
+        self._factor_cache = Memo(self._factor_diff)
 
-    def _factor(self, which, method, *args):
-        """``self.C`` or ``self.D`` (``which``) evaluated once per arguments."""
-        return self._factor_cache[which, method, args]
-
-    def _evaluate_factor(self, key):
-        # the method is looked up on the factor at each miss, so a wrapper
-        # installed on the factor's class sees every real evaluation
-        which, method, args = key
-        elt = getattr(getattr(self, which), method)(*args)
-        return {word: c for ((), word), c in elt.data.items()}
+    def _factor_diff(self, key):
+        # the differential is looked up on the factor at each miss, so a
+        # wrapper installed on the factor's class sees every real evaluation
+        which, n, word = key
+        elt = getattr(self, which).diff_word(n, (), word)
+        return {w: c for ((), w), c in elt.data.items()}
 
     def _c_sig(self, i):
         return self.C.term(i).components[0][1]
@@ -346,11 +326,11 @@ class TwistedProductComplex(Complex):
         cw, dw = self.split(comp, word)
         out = FreeElement(self.term(n - 1))
         if i >= 1:
-            for cw2, c in self._factor("C", "diff_word", i, (), cw).items():
+            for cw2, c in self._factor_cache["C", i, cw].items():
                 out.add_term((i - 1, j), cw2 + dw, c)
         if j >= 1:
             sign = self.A.field.one if i % 2 == 0 else -self.A.field.one
-            for dw2, c in self._factor("D", "diff_word", j, (), dw).items():
+            for dw2, c in self._factor_cache["D", j, dw].items():
                 out.add_term((i, j - 1), cw + dw2, sign * c)
         return out
 
@@ -360,36 +340,44 @@ class TwistedProductComplex(Complex):
         s_elt = self.D.aug_word((), dw)
         return self.A.pair_element(r_elt, s_elt)
 
-    def act_word(self, n, a_left, comp, word, a_right):
-        i, j = comp
-        rL, sL = a_left
-        rR, sR = a_right
-        cw, dw = self.split(comp, word)
-        out = FreeElement(self.term(n))
+    def act_into(self, out, key, bidegree, a_left, words, a_right):
+        """Add (rL # sL) (cw (x) dw) (rR # sR) to ``out`` under the component
+        ``key``, for a_left = (rL, sL), a_right = (rR, sR) and the factor
+        words (cw, dw) = ``words`` of ``bidegree``: sL crosses cw by tau_C,
+        rR crosses dw back by tau_D, the middle pair by tau, and the outer
+        letters of both words are multiplied."""
+        (i, j), (cw, dw), (rL, sL), (rR, sR) = bidegree, words, a_left, a_right
+        mul_C, mul_D = self.C.A.mul_words, self.D.A.mul_words
         for (cw1, s1), c1 in self.tau_C.apply(i, sL, cw).items():
             for (r1, dw1), c2 in self.tau_D.apply(j, dw, rR).items():
                 for (r2, s2), c3 in self.tau.apply(s1, r1).items():
                     base = c1 * c2 * c3
-                    c_acted = self._factor("C", "act_word", i, rL, (), cw1, r2)
-                    d_acted = self._factor("D", "act_word", j, s2, (), dw1, sR)
-                    for cw2, c4 in c_acted.items():
-                        for dw2, c5 in d_acted.items():
-                            out.add_term((i, j), cw2 + dw2, base * c4 * c5)
+                    for w0, c4 in mul_C(rL, cw1[0]).items():
+                        for wl, c5 in mul_C(cw1[-1], r2).items():
+                            new_c = (w0,) + cw1[1:-1] + (wl,)
+                            for v0, c6 in mul_D(s2, dw1[0]).items():
+                                for vl, c7 in mul_D(dw1[-1], sR).items():
+                                    new_d = (v0,) + dw1[1:-1] + (vl,)
+                                    out.add_term(key, new_c + new_d,
+                                                 base * c4 * c5 * c6 * c7)
+
+    def act_word(self, n, a_left, comp, word, a_right):
+        out = FreeElement(self.term(n))
+        self.act_into(out, comp, comp, a_left, self.split(comp, word), a_right)
         return out
 
+    def generator_words(self, i, j, d):
+        """The words of the free generators of bidegree (i, j) in internal
+        degree d: the factors' generator words, padded by units."""
+        r1, s1 = self.C.A.unit, self.D.A.unit
+        return [(r1,) + cg + (r1, s1) + dg + (s1,)
+                for dc in range(d + 1)
+                for cg in self.C.generator_words(i, dc)
+                for dg in self.D.generator_words(j, d - dc)]
+
     def free_generators(self, n, d):
-        out = []
-        for i in range(n, -1, -1):
-            j = n - i
-            for dc in range(d + 1):
-                for gc in self.C.free_generators(i, dc):
-                    for gd in self.D.free_generators(j, d - dc):
-                        elt = FreeElement(self.term(n))
-                        for ((), cw), c1 in gc.data.items():
-                            for ((), dw), c2 in gd.data.items():
-                                elt.add_term((i, j), cw + dw, c1 * c2)
-                        out.append(elt)
-        return out
+        return [self.single(n, (i, n - i), word) for i in range(n, -1, -1)
+                for word in self.generator_words(i, n - i, d)]
 
 
 @dataclass

@@ -103,6 +103,7 @@ class Conversion:
     iota: ChainMap          # EZ o iota_tensor
     pi: ChainMap            # rbar(R (x)_tau S) -> X
     pi_RH: ChainMap         # pi o EZ: rbar(R) (x)_tau rbar(S) -> X
+    window: tuple           # (n_max, d_max) the pairs and pi were built on
 
 
 def conversion_pi_iota(maps, X, inclusions, n_max, d_max, projections=None,
@@ -131,7 +132,7 @@ def conversion_pi_iota(maps, X, inclusions, n_max, d_max, projections=None,
         pi_tensor = tensor_chain_maps(projections, maps.prod_rbar, X)
         pi = pi_tensor.compose(maps.aw_reduced)
     return Conversion(X, inclusions, iota_tensor, iota, pi,
-                      pi.compose(maps.ez_reduced))
+                      pi.compose(maps.ez_reduced), (n_max, d_max))
 
 
 def koszul_inclusion(K, rbar_R):
@@ -261,15 +262,15 @@ class BootstrapLift:
 def smash_product_complex(maps, n_max):
     """X = K_R (x)_tau rbar(H) with its compatibility oracles, no chain maps.
 
-    X.tau_C is the reduced-bar crossing of A's twist restricted to K_R and
-    X.tau_D is ``maps.prod_rbar.tau_D`` itself, so both complexes share its
-    memo.  X is a complex only if tau_C keeps K_R, so it is evaluated on
-    K_2 for every degree-0 word h of H first; an image leaving K_2 raises
+    X.tau_C is ``maps.prod_rbar.tau_C`` restricted to K_R and X.tau_D is
+    ``maps.prod_rbar.tau_D`` itself, so both complexes share their memos.
+    X is a complex only if tau_C keeps K_R, so it is evaluated on K_2 for
+    every degree-0 word h of H first; an image leaving K_2 raises
     ``ActionNotAdmissible`` with witness (h, index of the K_2 basis vector).
     """
     R, H = maps.R, maps.S
     K = KoszulComplex(R, n_max)
-    tau_K = KoszulLeftCompat(maps.A.tau, K)
+    tau_K = KoszulLeftCompat(maps.prod_rbar.tau_C, K)
     for h in H.basis(0):
         for idx in range(K.spaces[2].dim):
             try:

@@ -261,16 +261,14 @@ def field_from_name(name) -> Rationals | PrimeField:
     """Parse a field descriptor: ``"Q"``, ``"F5"``, ``5``, or ``{"prime": 5}``."""
     if isinstance(name, (Rationals, PrimeField)):
         return name
-    if isinstance(name, dict):
-        return PrimeField(int(name["prime"]))
+    if isinstance(name, dict) and type(name.get("prime")) is int:
+        return PrimeField(name["prime"])
     if isinstance(name, int):
         return PrimeField(name)
-    text = str(name).strip()
-    if text.upper() in ("Q", "QQ", "RATIONAL", "RATIONALS", "0"):
+    text = str(name).strip().upper()
+    if text in ("Q", "QQ", "RATIONAL", "RATIONALS", "0"):
         return Rationals()
-    if text.upper().startswith("F") or text.upper().startswith("GF"):
-        digits = text.upper().lstrip("GF").strip("()")
+    digits = text.lstrip("GF").strip("()") if text.startswith(("F", "GF")) else text
+    if digits.isdecimal():
         return PrimeField(int(digits))
-    if text.isdigit():
-        return PrimeField(int(text))
     raise FieldError(f"unknown field {name!r}")

@@ -298,6 +298,8 @@ def _parse_twist(field, R, S, data, location):
         return twist_from_generator_rules(S, R, rules), None
     if kind == "bicharacter":
         q = _scalar(field, _need(data, "q", location), f"{location}.q")
+        if not q:
+            raise InstanceError("q must be a unit of the field", f"{location}.q")
         return bicharacter_twist(S, R, q), None
     if kind == "group_action":
         if not isinstance(S, GroupAlgebra):
@@ -383,6 +385,8 @@ def parse_instance(source, field_override=None, hdeg=None, gdeg=None):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"malformed JSON: {exc}", "$") from None
+    if not isinstance(data, dict):
+        raise InstanceError("an instance must be a JSON object", "$")
     name = data.get("name", "unnamed")
     try:
         field = field_from_name(field_override if field_override is not None
@@ -398,9 +402,12 @@ def parse_instance(source, field_override=None, hdeg=None, gdeg=None):
     S = _parse_algebra(field, _need(data, "S", "$"), budgets.gdeg, "$.S")
     tau, action = _parse_twist(field, R, S, _need(data, "twist", "$"), "$.twist")
     tau.name = f"tau({name})"
+    pipeline = data.get("pipeline", True)
+    if not isinstance(pipeline, bool):
+        raise InstanceError("pipeline must be true or false", "$.pipeline")
     return Instance(name, field, R, S, tau, budgets, action=action,
                     description=data.get("description", ""),
-                    run_pipeline=bool(data.get("pipeline", True)))
+                    run_pipeline=pipeline)
 
 
 BUILTIN_NAMES = (

@@ -168,7 +168,8 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     del columns[corrupted]
 
     if pipeline:
-        reports.extend(pipeline_reports(instance, columns=columns))
+        reports.extend(pipeline_reports(instance, n_max, min(d_max, 3),
+                                        columns=columns))
     return reports
 
 
@@ -203,6 +204,7 @@ def example_52_value_reports(instance):
 def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     """Koszul-smash pipeline checks for instances carrying a Hopf action.
 
+    Every check runs on the window the pipeline was built for.
     ``columns`` (a store of d-columns, see ``complexes.d_columns``) may hold
     rbar(A)'s from the caller's chain-map squares, which iota's square reads;
     X's, which d^2 and iota's square read, are entered here and dropped
@@ -213,7 +215,7 @@ def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     t0 = time.perf_counter()
     try:
         pipe = instance.koszul_pipeline(n_max=n_max, d_max=d_max)
-        build = CheckReport(label, name, {"hdeg": pipe.X.n_max}, True)
+        build = CheckReport(label, name, {"hdeg": pipe.window[0]}, True)
     except TwistresError as exc:
         pipe = None
         build = CheckReport(label, name, {}, False, witness=str(exc))
@@ -221,8 +223,7 @@ def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     reports = [build]
     if pipe is None:
         return reports
-    h = pipe.X.n_max
-    d = min(instance.budgets.gdeg, 3)
+    h, d = pipe.window
     columns = {} if columns is None else columns
     columns[pipe.X] = DColumns(pipe.X, d)
     reports.append(check_d_squared_report(pipe.X, h, d, instance=name,

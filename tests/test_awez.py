@@ -1,14 +1,19 @@
+import ast
 import itertools
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twistres
 from twistres.awez import enumerate_shuffles, group_closed_aw, group_closed_ez
 from twistres.checks import check_chain_map, check_identity_composition
 from twistres.fields import Rationals
-from twistres.instances import BUILTIN_NAMES, builtin_instance
+from twistres.instances import BUILTIN_NAMES, builtin_instance, parse_instance
 from twistres.linalg import accumulate
+from twistres.tensors import FreeElement, FullSlot, Signature
+from twistres.twisting import BarLeftCompat, BarRightCompat
 
 Q = Rationals()
 
@@ -169,6 +174,142 @@ def test_unit_crossings_match_the_twist(name, n_max, d_max):
             for comp, word in maps.Y.basis(n, d):
                 got = maps._shuffle_word(n, comp, word).data.items()
                 assert list(got) == reference_shuffle(maps, n, word), word
+
+
+# -- Y is the diagonal of bar(R) (x)_tau bar(S) ------------------------------
+
+
+def reference_y_act_word(Y, left, right, n, a_left, word, a_right):
+    """Y's action written out on its own words: the S-letter of a_left
+    crosses the R-block by ``left``, the R-letter of a_right crosses the
+    S-block back by ``right``, the middle pair by tau, and the outer letters
+    of both blocks are multiplied."""
+    R, S, tau = Y.R, Y.S, Y.A.tau
+    (rL, sL), (rR, sR) = a_left, a_right
+    rpart, spart = word[:n + 2], word[n + 2:]
+    out = FreeElement(Y.term(n))
+    for (rblock, s1), c1 in left.apply(n, sL, rpart).items():
+        for (r1, sblock), c2 in right.apply(n, spart, rR).items():
+            for (r2, s2), c3 in tau.apply(s1, r1).items():
+                for w0, c4 in R.mul_words(rL, rblock[0]).items():
+                    for wl, c5 in R.mul_words(rblock[-1], r2).items():
+                        new_r = (w0,) + rblock[1:-1] + (wl,)
+                        for v0, c6 in S.mul_words(s2, sblock[0]).items():
+                            for vl, c7 in S.mul_words(sblock[-1], sR).items():
+                                new_s = (v0,) + sblock[1:-1] + (vl,)
+                                out.add_term((), new_r + new_s,
+                                             c1 * c2 * c3 * c4 * c5 * c6 * c7)
+    return out
+
+
+def reference_y_aug_word(Y, word):
+    rpart, spart = word[:2], word[2:]
+    return Y.A.pair_element(Y.R.element(Y.R.mul_words(*rpart)),
+                            Y.S.element(Y.S.mul_words(*spart)))
+
+
+def reference_y_free_generators(Y, n, d):
+    R, S = Y.R, Y.S
+    out = []
+    for dr in range(d + 1):
+        for rw in Signature([FullSlot(R)] * n).words(dr):
+            for sw in Signature([FullSlot(S)] * n).words(d - dr):
+                word = (R.unit,) + rw + (R.unit, S.unit) + sw + (S.unit,)
+                out.append(Y.single(n, (), word))
+    return out
+
+
+def quantum_plane(x, y, q):
+    return {"family": "rewriting", "generators": [x, y],
+            "rules": [{"left": f"{y}*{x}", "value": [{"word": f"{x}*{y}",
+                                                      "coeff": q}]}]}
+
+
+# quantum planes (y x = 2 x y, v u = 5 u v) twisted by q = 3: the
+# multiplications and crossings of the action carry non-unit coefficients
+WEIGHTED_PLANE = {
+    "name": "weighted-plane", "field": "Q", "budgets": {"hdeg": 2, "gdeg": 2},
+    "R": quantum_plane("x", "y", "2"), "S": quantum_plane("u", "v", "5"),
+    "twist": {"kind": "bicharacter", "q": "3"}}
+
+
+@pytest.mark.parametrize("name", ["example-5.2", "c2-skew", "weighted-plane"])
+def test_y_reads_action_augmentation_and_generators_from_prod_bar(name):
+    # Y_n is prod_bar's bidegree (n, n): its action, augmentation and free
+    # generators, read from prod_bar, equal the formulas written on Y's own
+    # words, terms and their order included, for non-unit letters on both
+    # sides and for elements with non-unit coefficients
+    inst = (parse_instance(WEIGHTED_PLANE) if name == "weighted-plane"
+            else builtin_instance(name))
+    maps = inst.bar_maps()
+    Y, A, F = maps.Y, maps.A, maps.A.field
+    left = BarLeftCompat(A.tau, reduced=False)
+    right = BarRightCompat(A.tau, reduced=False)
+    letters = A.basis(0) + A.basis(1)
+    weighted = A.element({w: F.from_int(k + 2) for k, w in enumerate(letters)})
+    for n in range(3):
+        for d in range(3):
+            assert Y.free_generators(n, d) == reference_y_free_generators(Y, n, d)
+            for comp, word in Y.basis(n, d):
+                if n == 0:
+                    assert Y.aug_word(comp, word) == reference_y_aug_word(Y, word)
+                for a in letters:
+                    for b in letters:
+                        got = Y.act_word(n, a, comp, word, b)
+                        want = reference_y_act_word(Y, left, right, n, a, word, b)
+                        assert list(got.data.items()) == list(want.data.items())
+                elt = Y.single(n, comp, word, F.from_int(3))
+                want = Y.term(n).zero()
+                for a, ca in weighted.data.items():
+                    for b, cb in weighted.data.items():
+                        want.add_elt(reference_y_act_word(Y, left, right, n, a,
+                                                          word, b),
+                                     factor=ca * F.from_int(3) * cb)
+                assert Y.act(n, weighted, elt, weighted) == want
+
+
+@pytest.mark.parametrize("name", ["c2-skew", "c2-koszul-kxy"])
+def test_each_crossing_is_built_once(name):
+    # Y acts through prod_bar, the unshuffle crosses by prod_bar.tau_C, and
+    # the Koszul-smash X crosses by prod_rbar's maps, restricted to K on the
+    # left: no complex or map owns a crossing of its own
+    inst = builtin_instance(name, hdeg=2, gdeg=2)
+    maps = inst.bar_maps()
+    X = inst.koszul_smash_complex()
+    assert maps.Y.P is maps.prod_bar
+    assert X.tau_C.bar is maps.prod_rbar.tau_C
+    assert X.tau_D is maps.prod_rbar.tau_D
+    tau_B = maps.prod_bar.tau_C
+    for cache in (tau_B._cache, maps.prod_bar.tau_D._cache):
+        cache.clear()
+    g, x = maps.A.basis(0)[-1], maps.A.basis(1)[-1]
+    word = maps.bar_A.basis(2, 2)[-1][1]
+    maps.twisted_unshuffle.apply_word(2, (), word)
+    crossed = set(tau_B._cache)
+    assert crossed
+    for comp, yword in maps.Y.basis(1, 2):
+        maps.Y.act_word(1, g, comp, yword, x)
+    assert len(tau_B._cache) > len(crossed)
+    assert maps.prod_bar.tau_D._cache
+
+
+def test_bar_crossings_are_constructed_in_twisted_bar_maps_only():
+    # every BarLeftCompat and BarRightCompat of the package is built by
+    # TwistedBarMaps, the one owner of the bar crossings
+    owners = set()
+
+    def visit(node, module, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("BarLeftCompat", "BarRightCompat")):
+            owners.add((module, cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, cls)
+
+    for path in sorted(Path(twistres.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert owners == {("awez.py", "TwistedBarMaps")}
 
 
 # -- face and shuffle maps ----------------------------------------------------

@@ -7,6 +7,7 @@ from twistres.checks import (SignCorruptedBar, check_bimodule_map,
                              check_chain_map, check_differential_bimodule,
                              check_identity_composition,
                              check_twist_axiom_report, check_twist_inverse)
+from twistres.complexes import DColumns
 from twistres.errors import NotLiftable, TwistresError
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
@@ -153,6 +154,38 @@ def test_pipeline_reports_a_failed_lift(monkeypatch):
     assert report.name == "koszul pipeline: construction"
     assert not report.passed and not report.ok
     assert report.witness == str(error)
+
+
+def test_pipeline_checks_run_on_the_window_of_their_pipeline():
+    # pi was lifted through (2, 2) only: no check reads it at degree 3
+    inst = builtin_instance("c2-koszul-kxy", field="F3")
+    reports = pipeline_reports(inst, n_max=2, d_max=2)
+    assert [r.budget for r in reports] == [{"hdeg": 2}] + [
+        {"hdeg": 2, "gdeg": 2}] * 4
+    assert all(r.ok for r in reports)
+
+
+def test_run_suite_builds_the_pipeline_on_its_window(monkeypatch):
+    # the battery's window reaches the pipeline, whose iota square reads
+    # the rbar(A) columns the battery's squares laid out: one DColumns of
+    # rbar(A) in all
+    inst = builtin_instance("c2-skew")
+    rbar_A = inst.bar_maps().rbar_A
+    built = []
+    init = DColumns.__init__
+
+    def recording(self, X, d_max):
+        built.append((X, d_max))
+        init(self, X, d_max)
+
+    monkeypatch.setattr(DColumns, "__init__", recording)
+    reports = run_suite(inst, hdeg=2, gdeg=2)
+    assert all(r.ok for r in reports)
+    assert list(inst._pipelines) == [(2, 2)]
+    start = [r.name for r in reports].index("koszul pipeline: construction")
+    assert [r.budget for r in reports[start:]] == [{"hdeg": 2}] + [
+        {"hdeg": 2, "gdeg": 2}] * 4
+    assert [d for X, d in built if X is rbar_A] == [2]
 
 
 def test_closed_form_witness_names_first_failing_block(monkeypatch):

@@ -470,6 +470,8 @@ def hopf_tables(**tables):
     (C2, {"kind": "group_action", "matrices": {"h": [[-1]], "g": [[-1]]}},
      '$.twist.matrices["h"]'),
     (C2, {"kind": "group_action", "matrices": {}}, "$.twist.matrices"),
+    (POLY, {"kind": "bicharacter", "q": "0"}, "$.twist.q"),
+    ((POLY, POLY, "F5"), {"kind": "bicharacter", "q": "5"}, "$.twist.q"),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
@@ -478,18 +480,53 @@ def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path)
     # a Hopf table entry that is no list of terms, a term without one of
     # its words, an unknown element name, a matrix key naming no group
     # element, a missing matrix and a group action on an R that is no
-    # polynomial ring are refused by the parser (exit 2) at their JSON
-    # path, not raised as Python errors.  S is a pair (R, S) where the
-    # case needs another R than POLY.
-    R, S = S if isinstance(S, tuple) else (POLY, S)
-    desc = {"name": "bad-twist", "field": "Q", "R": R, "S": S,
-            "twist": twist}
+    # polynomial ring and a bicharacter q that is zero in the field are
+    # refused by the parser (exit 2) at their JSON path, not raised as
+    # Python errors.  S is a pair (R, S) where the case needs another R
+    # than POLY, or a triple (R, S, field) for another field than Q.
+    R, S, *field = S if isinstance(S, tuple) else (POLY, S)
+    desc = {"name": "bad-twist", "field": field[0] if field else "Q",
+            "R": R, "S": S, "twist": twist}
     instance = tmp_path / "bad-twist.json"
     instance.write_text(json.dumps(desc))
     rc = main(["verify", "--instance", str(instance)])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"error: {path}: " in err
+
+
+# (fields replacing quantum-plane's, or the instance file's whole content
+# when no object, or None to run the built-in; CLI arguments; the path
+# refused)
+MALFORMED_INSTANCES = [
+    ([1], [], "$"),
+    ("x", [], "$"),
+    ({"field": "Fx"}, [], "$.field"),
+    ({"field": "GF"}, [], "$.field"),
+    ({"field": {"p": 5}}, [], "$.field"),
+    ({"field": {"prime": "x"}}, [], "$.field"),
+    (None, ["--field", "Fx"], "$.field"),
+    ({"pipeline": "no"}, [], "$.pipeline"),
+    ({"pipeline": 0}, [], "$.pipeline"),
+]
+
+
+@pytest.mark.parametrize("content, args, path", MALFORMED_INSTANCES)
+def test_cli_malformed_instances_are_parse_errors(tmp_path, capsys, content,
+                                                  args, path):
+    # a top-level value that is no object, a field descriptor that names no
+    # field (from the file or from --field) and a pipeline flag that is no
+    # JSON boolean are refused by the parser (exit 2) at their JSON path,
+    # not raised as Python errors or read as truthy
+    instance = "quantum-plane"
+    if content is not None:
+        if isinstance(content, dict):
+            with open(f"{DATA}/instances/quantum-plane.json") as fh:
+                content = {**json.load(fh), **content}
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(content))
+    assert main(["verify", "--instance", str(instance), *args]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_cli_verify_flags_broken_instance(tmp_path, capsys):

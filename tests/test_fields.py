@@ -39,6 +39,15 @@ def test_field_from_name_variants():
     assert field_from_name(3).p == 3
 
 
+@pytest.mark.parametrize("name", ["Fx", "GF", {"p": 5}, {"prime": "x"},
+                                  {"prime": True}, "F", "x", 5.0])
+def test_field_from_name_refuses_malformed_descriptors(name):
+    # a descriptor naming no field is a FieldError, never a KeyError or a
+    # ValueError from int()
+    with pytest.raises(FieldError):
+        field_from_name(name)
+
+
 def test_fp_arithmetic_basics():
     F = PrimeField(5)
     a, b = F.from_int(3), F.from_int(4)

@@ -71,7 +71,7 @@ def test_koszul_compat_sign_on_wedge():
     # tau_K(g (x) 1 (x) x^y (x) 1) = -(1 (x) x^y (x) 1) (x) g
     inst = builtin_instance("c2-swap-kxy")
     K = KoszulComplex(inst.R, 3)
-    compat = KoszulLeftCompat(inst.tau, K)
+    compat = KoszulLeftCompat(BarLeftCompat(inst.tau, reduced=True), K)
     unit = inst.R.unit
     g = 1
     result = compat.apply(2, g, (unit, 0, unit))
@@ -84,7 +84,7 @@ def test_koszul_compat_sign_on_wedge():
 def test_koszul_compat_degree_zero_is_diagonal_action():
     inst = builtin_instance("c2-skew")
     K = KoszulComplex(inst.R, 2)
-    compat = KoszulLeftCompat(inst.tau, K)
+    compat = KoszulLeftCompat(BarLeftCompat(inst.tau, reduced=True), K)
     x = (1,)
     g = 1
     assert compat.apply(0, g, (x, x)) == {((x, x), g): Q.one}
@@ -176,7 +176,8 @@ def test_hopf_compat_memo_matches_fresh_apply(name):
     h_words = H.basis(0)
     koszul = [(n, h, word) for n in range(4) for d in range(4)
               for _, word in K.basis(n, d) for h in h_words]
-    assert_memo_matches_fresh(KoszulLeftCompat(inst.tau, K), koszul)
+    compat = KoszulLeftCompat(BarLeftCompat(inst.tau, reduced=True), K)
+    assert_memo_matches_fresh(compat, koszul)
 
 
 def test_koszul_compat_memo_keys_on_degree():
@@ -184,7 +185,7 @@ def test_koszul_compat_memo_keys_on_degree():
     # fixes x^y, so one map must keep the two degrees apart
     inst = builtin_instance("c2-koszul-kxy")
     K = KoszulComplex(inst.R, 3)
-    compat = KoszulLeftCompat(inst.tau, K)
+    compat = KoszulLeftCompat(BarLeftCompat(inst.tau, reduced=True), K)
     unit, g = inst.R.unit, 1
     word = (unit, 0, unit)
     assert compat.apply(1, g, word) == {(word, g): Q.from_int(-1)}
