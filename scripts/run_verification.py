@@ -4,7 +4,9 @@
 Equivalent to ``twistres verify`` but prints a compact per-instance table
 with timings and the peak resident memory of the process so far (MB, from
 ``resource.getrusage``), suitable for leaving running after changes to the
-kernel.
+kernel.  The first line, ``import:``, gives the seconds spent importing
+``twistres`` and the peak RSS right after it: the fixed cost every
+verifying process pays before its first check.
 """
 
 import argparse
@@ -12,14 +14,18 @@ import resource
 import sys
 import time
 
-from twistres.instances import BUILTIN_NAMES, builtin_instance
-from twistres.suite import verify_reports
-
 
 def peak_rss_mb():
     """The peak resident memory of this process so far, in MB (Linux
     reports ``ru_maxrss`` in KB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+IMPORT_START = time.perf_counter()
+from twistres.instances import BUILTIN_NAMES, builtin_instance  # noqa: E402
+from twistres.suite import verify_reports  # noqa: E402
+IMPORT_SECONDS = time.perf_counter() - IMPORT_START
+IMPORT_RSS_MB = peak_rss_mb()
 
 
 def main(argv=None):
@@ -31,6 +37,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
+    print(f"import: {IMPORT_SECONDS:.3f}s, {IMPORT_RSS_MB:.1f} MB peak")
     failures = 0
     grand_start = time.perf_counter()
     for name in args.instances:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .complexes import BarComplex, IntermediateComplex, TwistedProductComplex
 from .linalg import accumulate, accumulate_scaled
@@ -29,14 +28,36 @@ from .tensors import FreeElement
 from .twisting import BarLeftCompat, BarRightCompat, TwistingMap
 
 
-@dataclass(frozen=True)
 class Shuffle:
-    """An (ell, m)-shuffle; ``images[k]`` is the 0-indexed image of k+1."""
+    """An (ell, m)-shuffle; ``images[k]`` is the 0-indexed image of k+1.
 
-    images: tuple
-    ell: int
-    m: int
-    sign: int
+    Immutable, and equal (with equal hashes) exactly when its fields are."""
+
+    __slots__ = ("images", "ell", "m", "sign")
+
+    def __init__(self, images: tuple, ell: int, m: int, sign: int):
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "sign", sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("shuffles are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("shuffles are immutable")
+
+    def __reduce__(self):
+        return Shuffle, (self.images, self.ell, self.m, self.sign)
+
+    def __eq__(self, other):
+        if other.__class__ is not Shuffle:
+            return NotImplemented
+        return (self.images, self.ell, self.m, self.sign) == (
+            other.images, other.ell, other.m, other.sign)
+
+    def __hash__(self):
+        return hash((self.images, self.ell, self.m, self.sign))
 
     def permute(self, values):
         """Place values so that output slot sigma(k) holds input slot k."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import complexes
 from .complexes import BarComplex, check_d_squared
@@ -19,18 +18,24 @@ from .linalg import Memo, accumulate_scaled, linear_extension
 from .tensors import FreeElement
 
 
-@dataclass
 class CheckReport:
     """Outcome of one machine check over one instance."""
 
-    name: str
-    instance: str
-    budget: dict
-    passed: bool
-    expect_failure: bool = False
-    witness: str = ""
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    __slots__ = ("name", "instance", "budget", "passed", "expect_failure",
+                 "witness", "details", "seconds")
+
+    def __init__(self, name: str, instance: str, budget: dict, passed: bool,
+                 expect_failure: bool = False, witness: str = "",
+                 details: dict | None = None, seconds: float = 0.0):
+        self.name, self.instance, self.budget = name, instance, budget
+        self.passed, self.expect_failure = passed, expect_failure
+        self.witness, self.seconds = witness, seconds
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def ok(self):

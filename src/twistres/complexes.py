@@ -11,7 +11,6 @@ when ranks are needed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
 from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
@@ -380,14 +379,20 @@ class TwistedProductComplex(Complex):
                 for word in self.generator_words(i, n - i, d)]
 
 
-@dataclass
 class ExactnessEntry:
-    position: int
-    degrees: tuple
-    dim: int
-    rank_out: int
-    rank_in: int
-    composite_zero: bool = True
+    __slots__ = ("position", "degrees", "dim", "rank_out", "rank_in",
+                 "composite_zero")
+
+    def __init__(self, position: int, degrees: tuple, dim: int, rank_out: int,
+                 rank_in: int, composite_zero: bool = True):
+        self.position, self.degrees, self.dim = position, degrees, dim
+        self.rank_out, self.rank_in = rank_out, rank_in
+        self.composite_zero = composite_zero
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactnessEntry:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def homology_dim(self):
@@ -402,10 +407,17 @@ class ExactnessEntry:
         return self.composite_zero and self.homology_dim == 0
 
 
-@dataclass
 class ExactnessReport:
-    complex_name: str
-    entries: list = field(default_factory=list)
+    __slots__ = ("complex_name", "entries")
+
+    def __init__(self, complex_name: str, entries: list | None = None):
+        self.complex_name = complex_name
+        self.entries = [] if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactnessReport:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def exact(self):

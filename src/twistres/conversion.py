@@ -10,8 +10,6 @@ free generators by solving the chain-square equation exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .awez import ChainMap
 from .complexes import (DColumns, KoszulComplex, KoszulLeftCompat,
                         TwistedProductComplex, block_matrix, down)
@@ -22,16 +20,21 @@ from .linalg import (SparseMatrix, accumulate, columns, rref,
 from .tensors import FreeElement
 
 
-@dataclass
 class CompatibleChainMapPair:
     """Chain maps psi_R: C -> C' and psi_S: D -> D' with their four twists."""
 
-    psi_R: ChainMap
-    psi_S: ChainMap
-    tau_C: object
-    tau_Cp: object
-    tau_D: object
-    tau_Dp: object
+    __slots__ = ("psi_R", "psi_S", "tau_C", "tau_Cp", "tau_D", "tau_Dp")
+
+    def __init__(self, psi_R: ChainMap, psi_S: ChainMap, tau_C, tau_Cp, tau_D,
+                 tau_Dp):
+        self.psi_R, self.psi_S = psi_R, psi_S
+        self.tau_C, self.tau_Cp = tau_C, tau_Cp
+        self.tau_D, self.tau_Dp = tau_D, tau_Dp
+
+    def __eq__(self, other):
+        if other.__class__ is not CompatibleChainMapPair:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
 
 def check_compatible(pair, S, R, n_max, d_max):
@@ -92,18 +95,29 @@ def tensor_chain_maps(pair, X, Xp, name=None):
     return ChainMap(X, Xp, oracle, name or f"{psi_R.name}(x){psi_S.name}")
 
 
-@dataclass
 class Conversion:
     """Chain maps between X = C (x)_tau D and rbar(R (x)_tau S) with
-    pi o iota = 1."""
+    pi o iota = 1.
 
-    X: TwistedProductComplex
-    pair: CompatibleChainMapPair  # iota_C: C -> rbar(R), iota_D: D -> rbar(S)
-    iota_tensor: ChainMap   # iota_C (x) iota_D into rbar(R) (x)_tau rbar(S)
-    iota: ChainMap          # EZ o iota_tensor
-    pi: ChainMap            # rbar(R (x)_tau S) -> X
-    pi_RH: ChainMap         # pi o EZ: rbar(R) (x)_tau rbar(S) -> X
-    window: tuple           # (n_max, d_max) the pairs and pi were built on
+    ``pair`` carries iota_C: C -> rbar(R) and iota_D: D -> rbar(S);
+    ``iota_tensor`` is iota_C (x) iota_D into rbar(R) (x)_tau rbar(S) and
+    ``iota`` is EZ o iota_tensor; ``pi`` maps rbar(R (x)_tau S) -> X and
+    ``pi_RH`` is pi o EZ: rbar(R) (x)_tau rbar(S) -> X; ``window`` is the
+    (n_max, d_max) the pairs and pi were built on.
+    """
+
+    __slots__ = ("X", "pair", "iota_tensor", "iota", "pi", "pi_RH", "window")
+
+    def __init__(self, X: TwistedProductComplex, pair: CompatibleChainMapPair,
+                 iota_tensor: ChainMap, iota: ChainMap, pi: ChainMap,
+                 pi_RH: ChainMap, window: tuple):
+        self.X, self.pair, self.iota_tensor = X, pair, iota_tensor
+        self.iota, self.pi, self.pi_RH, self.window = iota, pi, pi_RH, window
+
+    def __eq__(self, other):
+        if other.__class__ is not Conversion:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
 
 def conversion_pi_iota(maps, X, inclusions, n_max, d_max, projections=None,

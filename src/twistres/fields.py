@@ -2,20 +2,26 @@
 
 A coefficient over Q is a Python ``int`` while it is integral and a
 ``fractions.Fraction`` once a division leaves a remainder; over GF(p) it is
-an ``Fp``.  An ``Fp`` is immutable and shared: each modulus has one table,
-filled on first use with the residues actually produced, and ``Fp(v, p)``
-returns that table's element for ``v % p``; an operation on two residues is
-``int`` arithmetic on their values and one lookup in the table.  All of them
-support ``+ - *``, compare against ``int`` zero and one, and hash
-consistently with ``==``, so all higher layers stay field-agnostic.  Division goes only through the field (``div``/``inv``),
-never through ``/``: on two ``int`` coefficients ``/`` would give a float.
+an ``Fp``.  ``fractions`` is imported only where Q makes its first
+``Fraction`` (``Rationals.parse``, or a division that leaves a remainder),
+so a process that works over GF(p) alone never loads it.  An ``Fp`` is
+immutable and shared: each modulus has one table, filled on first use with
+the residues actually produced, and ``Fp(v, p)`` returns that table's
+element for ``v % p``; an operation on two residues is ``int`` arithmetic
+on their values and one lookup in the table.  All of them support
+``+ - *``, compare against ``int`` zero and one, and hash consistently with
+``==``, so all higher layers stay field-agnostic.  Division goes only
+through the field (``div``/``inv``), never through ``/``: on two ``int``
+coefficients ``/`` would give a float.
+
+The fields themselves are immutable values with ``__slots__``, and
+``field_from_name`` reads the descriptors of the instance format.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from fractions import Fraction
+import re
 
 from .errors import FieldError
 
@@ -160,13 +166,21 @@ def _inverse(v, p):
     return pow(v, -1, p)
 
 
-@dataclass(frozen=True)
 class Rationals:
-    """The rational numbers: ``int`` where integral, ``Fraction`` otherwise."""
+    """The rational numbers: ``int`` where integral, ``Fraction`` otherwise.
 
-    characteristic: int = 0
+    Immutable, and all instances are equal."""
+
+    __slots__ = ()
+    characteristic = 0
     zero = 0
     one = 1
+
+    def __eq__(self, other):
+        return other.__class__ is Rationals or NotImplemented
+
+    def __hash__(self):
+        return hash(Rationals)
 
     @property
     def name(self):
@@ -176,6 +190,7 @@ class Rationals:
         return n
 
     def parse(self, text: str):
+        from fractions import Fraction
         try:
             return _integral(Fraction(str(text).strip()))
         except (ValueError, ZeroDivisionError) as exc:
@@ -185,6 +200,7 @@ class Rationals:
         """a / b, an ``int`` when integral; ZeroDivisionError when b is 0."""
         if a.__class__ is int and b.__class__ is int and a % b == 0:
             return a // b
+        from fractions import Fraction
         return _integral(Fraction(a, b))
 
     def inv(self, a):
@@ -194,25 +210,42 @@ class Rationals:
         return str(c)
 
 
-def _integral(q: Fraction):
+def _integral(q):
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for an odd prime p; characteristic 2 is rejected."""
+    """GF(p) for an odd prime p; characteristic 2 is rejected.
 
-    p: int
-    zero: Fp = field(init=False, repr=False, compare=False)
-    one: Fp = field(init=False, repr=False, compare=False)
+    Immutable, and equal (with equal hashes) exactly when the primes are."""
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
-        if self.p == 2:
+    __slots__ = ("p", "zero", "one")
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise FieldError(f"{p} is not prime")
+        if p == 2:
             raise FieldError("characteristic 2 is not supported")
-        object.__setattr__(self, "zero", Fp(0, self.p))
-        object.__setattr__(self, "one", Fp(1, self.p))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "zero", Fp(0, p))
+        object.__setattr__(self, "one", Fp(1, p))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("fields are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("fields are immutable")
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeField:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     @property
     def characteristic(self):
@@ -258,7 +291,13 @@ def _prime_field(p):
 
 
 def field_from_name(name) -> Rationals | PrimeField:
-    """Parse a field descriptor: ``"Q"``, ``"F5"``, ``5``, or ``{"prime": 5}``."""
+    """Parse a field descriptor.
+
+    Q is ``"Q"``, ``"QQ"``, ``"RATIONAL"``, ``"RATIONALS"`` or ``"0"`` (any
+    case); GF(p) is ``"F<p>"``, ``"GF<p>"``, ``"GF(<p>)"``, ``p`` as an int
+    or a decimal string, or ``{"prime": p}``.  Anything else is a
+    ``FieldError``.
+    """
     if isinstance(name, (Rationals, PrimeField)):
         return name
     if isinstance(name, dict) and type(name.get("prime")) is int:
@@ -268,7 +307,7 @@ def field_from_name(name) -> Rationals | PrimeField:
     text = str(name).strip().upper()
     if text in ("Q", "QQ", "RATIONAL", "RATIONALS", "0"):
         return Rationals()
-    digits = text.lstrip("GF").strip("()") if text.startswith(("F", "GF")) else text
-    if digits.isdecimal():
-        return PrimeField(int(digits))
+    match = re.fullmatch(r"G?F(\d+)|GF\((\d+)\)|(\d+)", text)
+    if match:
+        return PrimeField(int(match[match.lastindex]))
     raise FieldError(f"unknown field {name!r}")

@@ -9,7 +9,6 @@ examples ship as data files and load through the same parser.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .algebras import (Group, GroupAlgebra, PolynomialAlgebra,
@@ -24,12 +23,33 @@ from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
 from .twisting import bicharacter_twist, twist_from_generator_rules
 
 
-@dataclass(frozen=True)
 class Budgets:
-    """Degree budgets: homological (hdeg) and internal (gdeg)."""
+    """Degree budgets: homological (hdeg) and internal (gdeg).
 
-    hdeg: int = 4
-    gdeg: int = 6
+    Immutable, and equal (with equal hashes) exactly when both budgets are."""
+
+    __slots__ = ("hdeg", "gdeg")
+
+    def __init__(self, hdeg: int = 4, gdeg: int = 6):
+        object.__setattr__(self, "hdeg", hdeg)
+        object.__setattr__(self, "gdeg", gdeg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("budgets are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("budgets are immutable")
+
+    def __reduce__(self):
+        return Budgets, (self.hdeg, self.gdeg)
+
+    def __eq__(self, other):
+        if other.__class__ is not Budgets:
+            return NotImplemented
+        return (self.hdeg, self.gdeg) == (other.hdeg, other.gdeg)
+
+    def __hash__(self):
+        return hash((self.hdeg, self.gdeg))
 
 
 class Instance:

@@ -7,7 +7,6 @@ row first), so every result is reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import DimensionMismatch
@@ -113,6 +112,7 @@ def rref(rows, ncols):
     if not work:
         return echelon, pivots
     field = field_of(next(iter(work[0].values())))
+    rational = field.characteristic == 0
     for col in range(ncols):
         hit = None
         for idx, row in enumerate(work):
@@ -127,17 +127,18 @@ def rref(rows, ncols):
         # stays an int instead of becoming Fraction(k, 1)
         piv_row = {j: field.div(c, pivot) for j, c in piv_row.items()}
         # over Q a sum of fractions may be integral; only a Fraction factor
-        # or pivot-row entry can make one, and it is stored as its int
-        fractional = field.characteristic == 0 and any(
-            c.__class__ is Fraction for c in piv_row.values())
+        # or pivot-row entry can make one, and it is stored as its int (a Q
+        # coefficient is an int or a Fraction, so "not an int" is a Fraction)
+        fractional = rational and any(
+            c.__class__ is not int for c in piv_row.values())
         for row in (*work, *echelon):
             f = row.get(col)
             if f:
                 accumulate_scaled(row, piv_row, -f)
-                if fractional or f.__class__ is Fraction:
+                if fractional or rational and f.__class__ is not int:
                     for j in piv_row:
-                        c = row.get(j)
-                        if c.__class__ is Fraction and c.denominator == 1:
+                        c = row.get(j, 0)
+                        if c.__class__ is not int and c.denominator == 1:
                             row[j] = c.numerator
         echelon.append(piv_row)
         pivots.append(col)

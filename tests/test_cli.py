@@ -508,6 +508,8 @@ MALFORMED_INSTANCES = [
     (None, ["--field", "Fx"], "$.field"),
     ({"pipeline": "no"}, [], "$.pipeline"),
     ({"pipeline": 0}, [], "$.pipeline"),
+    ({"field": "FG7"}, [], "$.field"),
+    (None, ["--field", "GF(5"], "$.field"),
 ]
 
 

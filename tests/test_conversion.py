@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -60,7 +59,9 @@ def corrupted_pair(pipe):
                 return {k: -c for k, c in out.items()}
             return out
 
-    return dataclasses.replace(pipe.pair, tau_C=Corrupted())
+    pair = pipe.pair
+    return CompatibleChainMapPair(pair.psi_R, pair.psi_S, Corrupted(),
+                                  pair.tau_Cp, pair.tau_D, pair.tau_Dp)
 
 
 def test_sign_corrupted_compatibility_fails_with_witness():

@@ -37,15 +37,37 @@ def test_field_from_name_variants():
     assert field_from_name("F5").p == 5
     assert field_from_name({"prime": 7}).p == 7
     assert field_from_name(3).p == 3
+    for name in ("qq", "Rationals", "0"):
+        assert field_from_name(name) == Rationals()
+    for name in ("f5", "GF5", "GF(5)", " gf(5) ", "5"):
+        assert field_from_name(name) == PrimeField(5)
 
 
 @pytest.mark.parametrize("name", ["Fx", "GF", {"p": 5}, {"prime": "x"},
-                                  {"prime": True}, "F", "x", 5.0])
+                                  {"prime": True}, "F", "x", 5.0,
+                                  "FG7", "FFF5", "GFGF7", "F(5", "GF5)"])
 def test_field_from_name_refuses_malformed_descriptors(name):
     # a descriptor naming no field is a FieldError, never a KeyError or a
     # ValueError from int()
     with pytest.raises(FieldError):
         field_from_name(name)
+
+
+def test_fields_are_immutable_values():
+    assert PrimeField(5) == PrimeField(5)
+    assert hash(PrimeField(5)) == hash(PrimeField(5))
+    assert PrimeField(5) != PrimeField(7) and PrimeField(5) != Rationals()
+    assert Rationals() == Rationals() and hash(Rationals()) == hash(Rationals())
+    for bad in (4, 2):
+        with pytest.raises(FieldError):
+            PrimeField(bad)
+    F = PrimeField(5)
+    for target, attr in ((F, "p"), (F, "one"), (Rationals(), "characteristic")):
+        with pytest.raises(AttributeError):
+            setattr(target, attr, 3)
+    with pytest.raises(AttributeError):
+        del F.p
+    assert F.p == 5 and F.one is Fp(1, 5)
 
 
 def test_fp_arithmetic_basics():

@@ -2,15 +2,21 @@
 
 import ast
 import inspect
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
-from twistres.checks import check_bimodule_map
+from twistres.awez import Shuffle
+from twistres.checks import CheckReport, check_bimodule_map
+from twistres.complexes import ExactnessReport
 from twistres.fields import Rationals
-from twistres.instances import builtin_instance
+from twistres.instances import Budgets, builtin_instance
 from twistres.linalg import Memo, SparseMatrix, rank
 from twistres.suite import run_suite
 from twistres.tensors import FreeElement
@@ -394,3 +400,79 @@ def test_public_names_resolve():
     namespace = {}
     exec("from twistres import *", namespace)
     assert set(twistres.__all__) <= set(namespace)
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter on this checkout's src/; its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+# stdlib modules the kernel does not need at import, each paid in RSS by
+# every process: dataclasses brings inspect, ast, dis and tokenize, and
+# fractions brings decimal
+UNUSED_AT_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                    "fractions", "decimal"}
+
+
+def test_import_loads_no_dataclasses_or_fractions():
+    loaded = run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import twistres\n"
+        "print(*sorted(set(sys.modules) - before))\n")
+    assert "twistres.fields" in loaded
+    assert UNUSED_AT_IMPORT.isdisjoint(loaded)
+
+
+def test_fractions_load_on_the_first_non_integral_q_division():
+    # a GF(p) pipeline never makes a Fraction, so it never imports fractions
+    out = run_fresh(
+        "import sys\n"
+        "from twistres.fields import Rationals\n"
+        "from twistres.instances import builtin_instance\n"
+        "inst = builtin_instance('c2-koszul-kxy', field='F3')\n"
+        "inst.koszul_pipeline(n_max=2, d_max=2)\n"
+        "print('fractions' in sys.modules)\n"
+        "half = Rationals().div(1, 2)\n"
+        "print('fractions' in sys.modules)\n"
+        "from fractions import Fraction\n"
+        "print(half == Fraction(1, 2) and type(half) is Fraction)\n")
+    assert out == ["False", "True", "True"]
+
+
+def test_value_classes_compare_by_value_and_frozen_ones_refuse_assignment():
+    assert Budgets() == Budgets(4, 6) and Budgets(2, 3) != Budgets(3, 2)
+    assert hash(Budgets(2, 3)) == hash(Budgets(hdeg=2, gdeg=3))
+    shuffle = Shuffle((1, 0), 1, 1, -1)
+    assert shuffle == Shuffle((1, 0), 1, 1, -1) != Shuffle((0, 1), 1, 1, 1)
+    assert hash(shuffle) == hash(Shuffle((1, 0), 1, 1, -1))
+    for frozen, attr in ((Budgets(), "hdeg"), (shuffle, "sign")):
+        with pytest.raises(AttributeError):
+            setattr(frozen, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(frozen, attr)
+        assert pickle.loads(pickle.dumps(frozen)) == frozen
+    with pytest.raises(AttributeError):
+        Budgets().extra = 1
+
+
+def test_reports_keep_their_field_order_and_own_their_containers():
+    report = CheckReport("d^2 = 0", "inst", {"hdeg": 2}, False, True, "w")
+    assert (report.name, report.instance, report.budget, report.passed,
+            report.expect_failure, report.witness, report.details,
+            report.seconds) == ("d^2 = 0", "inst", {"hdeg": 2}, False, True,
+                                "w", {}, 0.0)
+    assert report.ok
+    other = CheckReport("d^2 = 0", "inst", {"hdeg": 2}, False, True, "w")
+    assert report == other and report.details is not other.details
+    other.seconds = 1.0
+    assert report != other
+    first, second = ExactnessReport("X"), ExactnessReport("X")
+    assert first == second and first.entries is not second.entries

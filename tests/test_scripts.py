@@ -31,15 +31,19 @@ def test_run_verification_on_one_instance():
 
 
 def test_run_verification_prints_the_peak_rss():
-    # each instance row and the total line carry the process's peak RSS so
-    # far, in MB, which never falls
+    # the import line, each instance row and the total line carry the
+    # process's peak RSS so far, in MB, which never falls; the import line
+    # comes first and also gives the seconds spent importing twistres
     out = run_verification("--instances", "example-5.2", "quantum-plane",
                            "--hdeg", "2", "--gdeg", "2").splitlines()
+    seconds, imported = map(float, re.fullmatch(
+        r"import: (\d+\.\d{3})s, (\d+\.\d) MB peak", out[0]).groups())
     rows = [float(re.fullmatch(r".* (\d+\.\d) MB peak", line).group(1))
-            for line in out[:-1]]
+            for line in out[1:-1]]
     total = float(re.fullmatch(r"total: .*, peak RSS: (\d+\.\d) MB",
                                out[-1]).group(1))
-    assert len(rows) == 2 and 0 < rows[0] <= rows[1] <= total
+    assert seconds > 0
+    assert len(rows) == 2 and 0 < imported <= rows[0] <= rows[1] <= total
 
 
 def test_negative_controls_fail_at_a_small_internal_budget():
