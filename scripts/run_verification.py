@@ -4,12 +4,16 @@
 Equivalent to ``twistres verify`` but prints a compact per-instance table
 with timings and the peak resident memory of the process so far (MB, from
 ``resource.getrusage``), suitable for leaving running after changes to the
-kernel.  The first line, ``import:``, gives the seconds spent importing
+kernel.  Each row also gives the sha256 of the instance's report text as
+``twistres verify --instance NAME --json`` prints it (with the same
+``--field``, ``--hdeg``, ``--gdeg`` and ``--seed``), so a change that must
+keep the reports bit for bit is compared in one run.  The first line, ``import:``, gives the seconds spent importing
 ``twistres`` and the peak RSS right after it: the fixed cost every
 verifying process pays before its first check.
 """
 
 import argparse
+import hashlib
 import resource
 import sys
 import time
@@ -22,6 +26,7 @@ def peak_rss_mb():
 
 
 IMPORT_START = time.perf_counter()
+from twistres.cli import verify_text  # noqa: E402
 from twistres.instances import BUILTIN_NAMES, builtin_instance  # noqa: E402
 from twistres.suite import verify_reports  # noqa: E402
 IMPORT_SECONDS = time.perf_counter() - IMPORT_START
@@ -48,8 +53,10 @@ def main(argv=None):
         bad = [r for r in reports if not r.ok]
         failures += len(bad)
         elapsed = time.perf_counter() - t0
+        text = verify_text(reports) + "\n"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         print(f"{name:<18} {len(reports):>3} checks  "
-              f"{len(bad):>2} unexpected  {elapsed:7.1f}s  "
+              f"{len(bad):>2} unexpected  sha256 {digest}  {elapsed:7.1f}s  "
               f"{peak_rss_mb():7.1f} MB peak")
         for r in bad:
             print("   " + r.line())

@@ -13,8 +13,14 @@ Both maps factor through the intermediate complex Y:
 * the shuffle map spreads the two inner blocks over signed (l, n-l)
   shuffles with unit padding.
 
-Reduced versions sandwich these between the componentwise projections and
-inclusions of the reduced bar complexes.
+Reduced versions keep, of the unreduced images, the words the componentwise
+projections onto the reduced bar complexes keep.
+
+Every ``ChainMap`` is given by one oracle, ``oracle(out, factor, n, comp,
+word)``, which adds factor * f(word) into ``out``, a dict {(comp, word):
+coeff} of the target the caller owns, dropping every key whose sum is zero
+(``linalg.accumulate``); ``ChainMap.apply_word`` is the one wrapper
+returning a ``FreeElement``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import functools
 import itertools
 
 from .complexes import BarComplex, IntermediateComplex, TwistedProductComplex
-from .linalg import accumulate, accumulate_scaled
+from .linalg import accumulate, accumulate_scaled, summed
 from .tensors import FreeElement
 from .twisting import BarLeftCompat, BarRightCompat, TwistingMap
 
@@ -101,8 +107,24 @@ def enumerate_shuffles(ell, m):
     return tuple(out)
 
 
+def word_into(out, factor, n, comp, word):
+    """The oracle of an identity or an inclusion: the word itself."""
+    accumulate(out, (comp, word), factor)
+
+
+def projected_into(f, keep):
+    """The oracle of f followed by the projection onto the words ``keep``
+    accepts."""
+    def oracle(out, factor, n, comp, word):
+        for key, c in summed(f.apply_into, factor, n, comp, word).items():
+            if keep(key):
+                accumulate(out, key, c)
+    return oracle
+
+
 class ChainMap:
-    """Degree-indexed family of linear maps given by a basis-word oracle."""
+    """Degree-indexed family of linear maps given by a basis-word oracle
+    that adds into the caller's sum (see the module docstring)."""
 
     def __init__(self, source, target, oracle, name):
         self.source = source
@@ -110,27 +132,30 @@ class ChainMap:
         self._oracle = oracle
         self.name = name
 
+    def apply_into(self, out, factor, n, comp, word):
+        self._oracle(out, factor, n, comp, word)
+
     def apply_word(self, n, comp, word):
-        return self._oracle(n, comp, word)
+        return self.apply(n, self.source.single(n, comp, word))
 
     def apply(self, n, elt):
         out = FreeElement(self.target.term(n))
         for (comp, word), c in elt.data.items():
-            out.add_elt(self.apply_word(n, comp, word), factor=c)
+            self.apply_into(out.data, c, n, comp, word)
         return out
 
-    def compose(self, other):
+    def compose(self, other, name=None):
         """self o other (other acts first)."""
-        def oracle(n, comp, word):
-            return self.apply(n, other.apply_word(n, comp, word))
+        def oracle(out, factor, n, comp, word):
+            middle = summed(other.apply_into, factor, n, comp, word)
+            for (comp2, word2), c in middle.items():
+                self.apply_into(out, c, n, comp2, word2)
         return ChainMap(other.source, self.target, oracle,
-                        f"{self.name} o {other.name}")
+                        name or f"{self.name} o {other.name}")
 
     @classmethod
     def identity(cls, X):
-        def oracle(n, comp, word):
-            return X.single(n, comp, word)
-        return cls(X, X, oracle, f"id({X.name})")
+        return cls(X, X, word_into, f"id({X.name})")
 
 
 class TwistedBarMaps:
@@ -160,26 +185,26 @@ class TwistedBarMaps:
             name=f"rbar({self.R.name})(x)rbar({self.S.name})")
         self.Y = IntermediateComplex(self.prod_bar, n_max=n_max)
         self.twisted_unshuffle = ChainMap(self.bar_A, self.Y,
-                                          self._unshuffle_word, "unshuffle")
+                                          self._unshuffle_into, "unshuffle")
         self.twisted_shuffle = ChainMap(self.Y, self.bar_A,
-                                        self._shuffle_word, "shuffle")
+                                        self._shuffle_into, "shuffle")
         self.front_back_face = ChainMap(self.Y, self.prod_bar,
-                                        self._front_back_word, "front/back face")
+                                        self._front_back_into, "front/back face")
         self.shuffle_map = ChainMap(self.prod_bar, self.Y,
-                                    self._shuffle_map_word, "shuffle map")
-        self.aw_unreduced = ChainMap(self.bar_A, self.prod_bar,
-                                     self._aw_b_word, "AW_bar")
-        self.ez_unreduced = ChainMap(self.prod_bar, self.bar_A,
-                                     self._ez_b_word, "EZ_bar")
-        self.aw_reduced = ChainMap(self.rbar_A, self.prod_rbar,
-                                   self._aw_word, "AW")
-        self.ez_reduced = ChainMap(self.prod_rbar, self.rbar_A,
-                                   self._ez_word, "EZ")
+                                    self._shuffle_map_into, "shuffle map")
+        self.aw_unreduced = self.front_back_face.compose(
+            self.twisted_unshuffle, "AW_bar")
+        self.ez_unreduced = self.twisted_shuffle.compose(
+            self.shuffle_map, "EZ_bar")
+        self.aw_reduced = ChainMap(
+            self.rbar_A, self.prod_rbar,
+            projected_into(self.aw_unreduced, self.in_reduced_product), "AW")
+        self.ez_reduced = ChainMap(
+            self.prod_rbar, self.rbar_A,
+            projected_into(self.ez_unreduced, self.in_reduced_bar), "EZ")
         # in_2: merely a k-linear inclusion, generally not a bimodule map
         self.inclusion_reduced_product = ChainMap(
-            self.prod_rbar, self.prod_bar,
-            lambda n, comp, word: self.prod_bar.single(n, comp, word),
-            "in_2")
+            self.prod_rbar, self.prod_bar, word_into, "in_2")
         # tau^(-1): R (x) S -> S (x) R, a twist with the roles of R and S
         # swapped, crossed over R-blocks by the shuffle
         self._back = BarRightCompat(
@@ -187,11 +212,11 @@ class TwistedBarMaps:
 
     # -- twisted perfect unshuffle and its inverse ---------------------------
 
-    def _unshuffle_word(self, n, comp, word):
+    def _unshuffle_into(self, out, factor, n, comp, word):
         # last pair first, s_k crosses the R-block already moved to its
         # right by one lookup of prod_bar's tau_C, keyed as Y's action keys it
         *head, (r, s) = word
-        states = {((r,), (s,)): self.A.field.one}
+        states = {((r,), (s,)): factor}
         for r, s in reversed(head):
             new = {}
             for (rblock, sblock), c in states.items():
@@ -199,16 +224,14 @@ class TwistedBarMaps:
                         len(rblock) - 2, s, rblock).items():
                     accumulate(new, ((r,) + moved, (s2,) + sblock), c * c2)
             states = new
-        out = FreeElement(self.Y.term(n))
         for (rblock, sblock), c in states.items():
-            out.add_term((), rblock + sblock, c)
-        return out
+            accumulate(out, ((), rblock + sblock), c)
 
-    def _shuffle_word(self, n, comp, word):
+    def _shuffle_into(self, out, factor, n, comp, word):
         # first pair first, s_k crosses back over the R-block to the right
         # of r_k by the iterated inverse twist
         rpart, spart = word[:n + 2], word[n + 2:]
-        states = {((), rpart): self.A.field.one}
+        states = {((), rpart): factor}
         for s in spart[:-1]:
             new = {}
             for (pairs, rblock), c in states.items():
@@ -216,19 +239,16 @@ class TwistedBarMaps:
                 for (s2, moved), c2 in self._back.apply(len(block) - 2, block, s).items():
                     accumulate(new, (pairs + ((r, s2),), moved), c * c2)
             states = new
-        out = FreeElement(self.bar_A.term(n))
         for (pairs, (r,)), c in states.items():
-            out.add_term((), pairs + ((r, spart[-1]),), c)
-        return out
+            accumulate(out, ((), pairs + ((r, spart[-1]),)), c)
 
     # -- front/back face and shuffle maps ------------------------------------
 
-    def _front_back_word(self, n, comp, word):
+    def _front_back_into(self, out, factor, n, comp, word):
         rpart, spart = word[:n + 2], word[n + 2:]
-        out = FreeElement(self.prod_bar.term(n))
         one = self.A.field.one
         for ell in range(n + 1):
-            sign = one if (ell * (n - ell)) % 2 == 0 else -one
+            sign = factor if (ell * (n - ell)) % 2 == 0 else -factor
             front = {rpart[0]: one}
             for k in range(1, ell + 1):
                 new = {}
@@ -244,10 +264,9 @@ class TwistedBarMaps:
             for fw, fc in front.items():
                 for bw, bc in back.items():
                     new_word = (fw,) + rpart[ell + 1:] + spart[:ell + 1] + (bw,)
-                    out.add_term((n - ell, ell), new_word, sign * fc * bc)
-        return out
+                    accumulate(out, ((n - ell, ell), new_word), sign * fc * bc)
 
-    def _shuffle_map_word(self, n, comp, word):
+    def _shuffle_map_into(self, out, factor, n, comp, word):
         # The bidegree prefactor lives on the face map only: with the Koszul
         # sign placement of the total differential, the shuffle sum is a
         # chain map bare, and the face-map prefactor alone makes the
@@ -257,51 +276,26 @@ class TwistedBarMaps:
         cw, dw = word[:i + 2], word[i + 2:]
         r_inner = cw[1:i + 1]
         s_inner = dw[1:j + 1]
-        out = FreeElement(self.Y.term(n))
-        one = self.A.field.one
         r_padded = r_inner + (self.R.unit,) * j
         s_padded = (self.S.unit,) * i + s_inner
         for sh in enumerate_shuffles(i, j):
-            coeff = one if sh.sign == 1 else -one
+            coeff = factor if sh.sign == 1 else -factor
             new_r = (cw[0],) + sh.permute(r_padded) + (cw[i + 1],)
             new_s = (dw[0],) + sh.permute(s_padded) + (dw[j + 1],)
-            out.add_term((), new_r + new_s, coeff)
-        return out
+            accumulate(out, ((), new_r + new_s), coeff)
 
-    # -- AW and EZ ------------------------------------------------------------
+    # -- the projections of AW and EZ, as filters on words -------------------
 
-    def _aw_b_word(self, n, comp, word):
-        return self.front_back_face.apply(n, self._unshuffle_word(n, comp, word))
+    def in_reduced_product(self, key):
+        """Whether pr_2, the componentwise inner projection in both bar
+        factors, keeps the prod_bar word ``key``."""
+        (i, j), word = key
+        return (self.R.unit not in word[1:i + 1]
+                and self.S.unit not in word[i + 3:i + j + 3])
 
-    def _ez_b_word(self, n, comp, word):
-        return self.twisted_shuffle.apply(n, self._shuffle_map_word(n, comp, word))
-
-    def project_reduced_product(self, n, elt):
-        """pr_2: componentwise inner projection in both bar factors."""
-        out = FreeElement(self.prod_rbar.term(n))
-        for ((i, j), word), c in elt.data.items():
-            cw, dw = word[:i + 2], word[i + 2:]
-            if any(w == self.R.unit for w in cw[1:i + 1]):
-                continue
-            if any(w == self.S.unit for w in dw[1:j + 1]):
-                continue
-            out.add_term((i, j), word, c)
-        return out
-
-    def project_reduced_bar(self, n, elt):
-        """pr_1: kill bar words of A with a unit inner slot."""
-        out = FreeElement(self.rbar_A.term(n))
-        for ((), word), c in elt.data.items():
-            if any(w == self.A.unit for w in word[1:n + 1]):
-                continue
-            out.add_term((), word, c)
-        return out
-
-    def _aw_word(self, n, comp, word):
-        return self.project_reduced_product(n, self._aw_b_word(n, comp, word))
-
-    def _ez_word(self, n, comp, word):
-        return self.project_reduced_bar(n, self._ez_b_word(n, comp, word))
+    def in_reduced_bar(self, key):
+        """Whether pr_1 keeps the bar word ``key`` of A: no unit inner slot."""
+        return self.A.unit not in key[1][1:-1]
 
 
 # -- closed formulas for group actions on polynomial rings -------------------

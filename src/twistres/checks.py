@@ -2,6 +2,8 @@
 
 Each check evaluates both sides of an identity exactly on basis words
 within a budget and reports the first mismatch with a concrete witness.
+Each side is summed in one dict: the oracles add into it
+(``ChainMap.apply_into``, ``Complex.diff_into``/``act_into``).
 Negative controls (documented corruptions) are expected to fail; the suite
 passes only when they do, so its own sensitivity is tested.
 """
@@ -14,7 +16,8 @@ import time
 
 from . import complexes
 from .complexes import BarComplex, check_d_squared
-from .linalg import Memo, accumulate_scaled, linear_extension
+from .linalg import (Memo, accumulate, accumulate_scaled, linear_extension,
+                     summed)
 from .tensors import FreeElement
 
 
@@ -107,7 +110,7 @@ def check_chain_map(f, n_max, d_max, instance="", expect_failure=False,
         current = []      # F_n, kept below top
         label = f"{f.name} at n={n}"
         for key in source.words(n):
-            image = f.apply_word(n, *key).data
+            image = summed(f.apply_into, one, n, *key)
             if n < top:
                 current.append(target.positions(n, image, label))
             lhs = linear_extension(
@@ -148,21 +151,23 @@ def check_bimodule_map(f, n_max, d_max, instance="", seed=0, sample=16,
     """f(a.w.b) = a.f(w).b for sampled coefficient pairs and all basis words.
 
     f is evaluated once per word of each degree; the memo lives for that
-    degree only.
+    degree only.  a.f(w).b adds a.v.b for each term v of f(w) into one sum.
     """
     A, target = f.source.A, f.target
+    one = A.field.one
     budget = {"hdeg": n_max, "gdeg": d_max, "coeff_deg": 2, "seed": seed}
     pairs = sampled_pairs(A, seed, sample, exhaustive)
     for n in range(min(n_max, f.source.n_max, target.n_max) + 1):
-        images = Memo(lambda key: f.apply_word(n, *key).data)
+        images = Memo(lambda key: summed(f.apply_into, one, n, *key))
         for d in range(d_max + 1):
             for comp, word in f.source.basis(n, d):
                 img = images[(comp, word)]
                 for a, b in pairs:
-                    moved = f.source.act_word(n, a, comp, word, b)
-                    lhs = linear_extension(images.__getitem__, moved.data)
-                    rhs = linear_extension(
-                        lambda key: target.act_word(n, a, *key, b).data, img)
+                    moved = summed(f.source.act_into, one, n, a, comp, word, b)
+                    lhs = linear_extension(images.__getitem__, moved)
+                    rhs = {}
+                    for (comp2, word2), c in img.items():
+                        target.act_into(rhs, c, n, a, comp2, word2, b)
                     if lhs != rhs:
                         wit = (f"n={n}, w={f.source.term(n).format(comp, word)}, "
                                f"a={A.format_word(a)}, b={A.format_word(b)}; "
@@ -179,22 +184,27 @@ def check_differential_bimodule(X, n_max, d_max, instance="", seed=0, sample=10)
     """d(a.w.b) = a.d(w).b on sampled coefficients and all basis words.
 
     a.v.b is evaluated once per face v of each degree and pair; the memo
-    lives for that degree only.
+    lives for that degree only.  d(a.w.b) adds d(u) for each term u of
+    a.w.b into one sum.
     """
     A = X.A
+    one = A.field.one
     pairs = sampled_pairs(A, seed, sample)
     report = CheckReport(f"differential is bimodule map: {X.name}", instance,
                          {"hdeg": n_max, "gdeg": d_max, "seed": seed}, True)
     for n in range(1, min(n_max, X.n_max) + 1):
-        acted = Memo(lambda key: X.act_word(n - 1, key[0], *key[1], key[2]).data)
+        acted = Memo(lambda key: summed(X.act_into, one, n - 1, key[0],
+                                        *key[1], key[2]))
         for d in range(d_max + 1):
             for comp, word in X.basis(n, d):
-                dw = X.diff_word(n, comp, word).data
+                dw = summed(X.diff_into, one, n, comp, word)
                 for a, b in pairs:
-                    moved = X.act_word(n, a, comp, word, b)
-                    lhs = X.differential(n, moved)
+                    lhs = {}
+                    for (comp2, word2), c in summed(X.act_into, one, n, a,
+                                                    comp, word, b).items():
+                        X.diff_into(lhs, c, n, comp2, word2)
                     rhs = linear_extension(lambda key: acted[(a, key, b)], dw)
-                    if lhs.data != rhs:
+                    if lhs != rhs:
                         report.passed = False
                         report.witness = (
                             f"n={n}, w={X.term(n).format(comp, word)}, "
@@ -341,14 +351,11 @@ class SignCorruptedBar(BarComplex):
         super().__init__(A, reduced=True, n_max=n_max)
         self.name = f"corrupted-bar({A.name})"
 
-    def diff_word(self, n, comp, word):
-        out = super().diff_word(n, comp, word)
+    def diff_into(self, out, factor, n, comp, word):
+        super().diff_into(out, factor, n, comp, word)
         if n != 2:
-            return out
-        extra = FreeElement(self.term(1))
-        two = self.A.field.from_int(2)
+            return
+        two = factor * self.A.field.from_int(2)
         for w, c in self.A.mul_words(word[1], word[2]).items():
-            if w == self.A.unit:
-                continue
-            extra.add_term((), (word[0], w, word[3]), two * c)
-        return out + extra
+            if w != self.A.unit:
+                accumulate(out, ((), (word[0], w, word[3])), two * c)

@@ -176,6 +176,13 @@ def cmd_convert(args):
     return 0 if ok else 1
 
 
+def verify_text(reports):
+    """The report text ``verify --json`` prints for ``reports``, without
+    print's newline."""
+    return json_text({"reports": [r.to_json() for r in reports],
+                      "ok": all(r.ok for r in reports)})
+
+
 def cmd_verify(args):
     names = [args.instance] if args.instance else list(BUILTIN_NAMES)
     all_reports = []
@@ -185,8 +192,7 @@ def cmd_verify(args):
                                           exhaustive=args.exhaustive))
     ok = all(r.ok for r in all_reports)
     if args.json:
-        print(json_text({"reports": [r.to_json() for r in all_reports],
-                         "ok": ok}))
+        print(verify_text(all_reports))
     else:
         for r in all_reports:
             print(r.line())

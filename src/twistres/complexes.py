@@ -3,9 +3,14 @@
 All complexes expose the same oracle surface: term signatures, a
 differential on basis words, an augmentation in degree 0, the bimodule
 action of the resolved algebra evaluated on basis words, and free
-generators per (homological degree, internal degree).  The checks read the
-differentials by column (DColumns); matrices are only assembled per block
-when ranks are needed.
+generators per (homological degree, internal degree).  The differential and
+the action add into the caller's sum: ``diff_into(out, factor, n, comp,
+word)`` and ``act_into(out, factor, n, a_left, comp, word, a_right)`` add
+factor times their value to ``out``, a dict {(comp, word): coeff} the caller
+owns, dropping every key whose sum is zero (``linalg.accumulate``).
+``Complex.diff_word``/``act_word`` are the one-word wrappers returning a
+``FreeElement``.  The checks read the differentials by column (DColumns);
+matrices are only assembled per block when ranks are needed.
 """
 
 from __future__ import annotations
@@ -14,14 +19,15 @@ from bisect import bisect_right
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
 from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
-                     null_space, rank)
+                     null_space, rank, summed)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
 from .twisting import CompatMap
 
 
 class Complex:
-    """Shared plumbing for all complex families."""
+    """Shared plumbing for all complex families: the one-word and
+    element forms of each family's ``diff_into``/``act_into``."""
 
     def __init__(self, A, n_max, name):
         self.A = A
@@ -40,12 +46,19 @@ class Complex:
             t = self._terms[n] = self._build_term(n)
         return t
 
+    def diff_word(self, n, comp, word):
+        return self.differential(n, self.single(n, comp, word))
+
+    def act_word(self, n, a_left, comp, word, a_right):
+        return self.act(n, self.A.monomial(a_left), self.single(n, comp, word),
+                        self.A.monomial(a_right))
+
     def differential(self, n, elt):
         if n == 0:
             raise TwistresError("d_0 is the augmentation: use aug_word()")
         out = FreeElement(self.term(n - 1))
         for (comp, word), c in elt.data.items():
-            out.add_elt(self.diff_word(n, comp, word), factor=c)
+            self.diff_into(out.data, c, n, comp, word)
         return out
 
     def act(self, n, left, elt, right):
@@ -53,8 +66,7 @@ class Complex:
         for lw, lc in left.data.items():
             for (comp, word), c in elt.data.items():
                 for rw, rc in right.data.items():
-                    out.add_elt(self.act_word(n, lw, comp, word, rw),
-                                factor=lc * c * rc)
+                    self.act_into(out.data, lc * c * rc, n, lw, comp, word, rw)
         return out
 
     def basis(self, n, d):
@@ -86,28 +98,25 @@ class BarComplex(Complex):
         slots = [FullSlot(self.A), *self.inner_slots(n), FullSlot(self.A)]
         return Term([((), Signature(slots))], name=f"{self.name}_{n}")
 
-    def diff_word(self, n, comp, word):
-        out = FreeElement(self.term(n - 1))
-        sign = self.A.field.one
+    def diff_into(self, out, factor, n, comp, word):
+        sign = factor
         for i in range(n + 1):
             merged = self.A.mul_words(word[i], word[i + 1])
             inner_merge = self.reduced and 1 <= i <= n - 1
             for w, c in merged.items():
                 if inner_merge and w == self.A.unit:
                     continue
-                out.add_term((), word[:i] + (w,) + word[i + 2:], sign * c)
+                accumulate(out, ((), word[:i] + (w,) + word[i + 2:]), sign * c)
             sign = -sign
-        return out
 
     def aug_word(self, comp, word):
         return self.A.element(self.A.mul_words(word[0], word[1]))
 
-    def act_word(self, n, a_left, comp, word, a_right):
-        out = FreeElement(self.term(n))
+    def act_into(self, out, factor, n, a_left, comp, word, a_right):
         for wl, cl in self.A.mul_words(a_left, word[0]).items():
+            cl = factor * cl
             for wr, cr in self.A.mul_words(word[-1], a_right).items():
-                out.add_term((), (wl,) + word[1:-1] + (wr,), cl * cr)
-        return out
+                accumulate(out, ((), (wl,) + word[1:-1] + (wr,)), cl * cr)
 
     def generator_words(self, n, d):
         """Inner tuples of the free bimodule basis in degree n."""
@@ -172,13 +181,13 @@ class KoszulComplex(BarComplex):
     def inner_slots(self, n):
         return [SubspaceSlot(self.spaces[n])] if n else []
 
-    def diff_word(self, n, comp, word):
+    def diff_into(self, out, factor, n, comp, word):
         faces = {}
         for bar_word, c in self.include_word(n, comp, word).items():
-            for ((), w), cc in super().diff_word(n, comp, bar_word).data.items():
-                accumulate(faces, w, c * cc)
-        return FreeElement(self.term(n - 1), {
-            ((), w): c for w, c in self.read_back(n - 1, faces).items()})
+            super().diff_into(faces, factor * c, n, comp, bar_word)
+        image = {w: c for ((), w), c in faces.items()}
+        for w, c in self.read_back(n - 1, image).items():
+            accumulate(out, ((), w), c)
 
     def include_word(self, n, comp, word):
         """Expand a Koszul word into reduced-bar words of R (the inclusion)."""
@@ -248,10 +257,9 @@ class IntermediateComplex(Complex):
     def split(self, n, word):
         return word[:n + 2], word[n + 2:]
 
-    def diff_word(self, n, comp, word):
+    def diff_into(self, out, factor, n, comp, word):
         rpart, spart = self.split(n, word)
-        out = FreeElement(self.term(n - 1))
-        sign = self.A.field.one
+        sign = factor
         for ell in range(n + 1):
             rm = self.R.mul_words(rpart[ell], rpart[ell + 1])
             sm = self.S.mul_words(spart[ell], spart[ell + 1])
@@ -259,17 +267,15 @@ class IntermediateComplex(Complex):
                 new_r = rpart[:ell] + (rw,) + rpart[ell + 2:]
                 for sw, cs in sm.items():
                     new_s = spart[:ell] + (sw,) + spart[ell + 2:]
-                    out.add_term((), new_r + new_s, sign * cr * cs)
+                    accumulate(out, ((), new_r + new_s), sign * cr * cs)
             sign = -sign
-        return out
 
     def aug_word(self, comp, word):
         return self.P.aug_word((0, 0), word)
 
-    def act_word(self, n, a_left, comp, word, a_right):
-        out = FreeElement(self.term(n))
-        self.P.act_into(out, (), (n, n), a_left, self.split(n, word), a_right)
-        return out
+    def act_into(self, out, factor, n, a_left, comp, word, a_right):
+        self.P.pair_act_into(out, factor, (), (n, n), a_left,
+                             self.split(n, word), a_right)
 
     def free_generators(self, n, d):
         return [self.single(n, (), word)
@@ -280,8 +286,8 @@ class TwistedProductComplex(Complex):
     """Total complex X = C (x)_tau D with the composed bimodule action.
 
     Each factor is a ``BarComplex`` (bar, reduced bar or ``KoszulComplex``),
-    whose action multiplies the outer letters of a word: ``act_into`` does
-    so inline.  ``_factor_cache`` keeps the factors' differentials.
+    whose action multiplies the outer letters of a word: ``pair_act_into``
+    does so inline.  ``_factor_cache`` keeps the factors' differentials.
     """
 
     def __init__(self, A, C, D, tau_C, tau_D, n_max, name=None):
@@ -298,8 +304,9 @@ class TwistedProductComplex(Complex):
         # the differential is looked up on the factor at each miss, so a
         # wrapper installed on the factor's class sees every real evaluation
         which, n, word = key
-        elt = getattr(self, which).diff_word(n, (), word)
-        return {w: c for ((), w), c in elt.data.items()}
+        diff_into = getattr(self, which).diff_into
+        faces = summed(diff_into, self.A.field.one, n, (), word)
+        return {w: c for ((), w), c in faces.items()}
 
     def _c_sig(self, i):
         return self.C.term(i).components[0][1]
@@ -320,18 +327,16 @@ class TwistedProductComplex(Complex):
         k = len(self._c_sig(i))
         return word[:k], word[k:]
 
-    def diff_word(self, n, comp, word):
+    def diff_into(self, out, factor, n, comp, word):
         i, j = comp
         cw, dw = self.split(comp, word)
-        out = FreeElement(self.term(n - 1))
         if i >= 1:
             for cw2, c in self._factor_cache["C", i, cw].items():
-                out.add_term((i - 1, j), cw2 + dw, c)
+                accumulate(out, ((i - 1, j), cw2 + dw), factor * c)
         if j >= 1:
-            sign = self.A.field.one if i % 2 == 0 else -self.A.field.one
+            sign = factor if i % 2 == 0 else -factor
             for dw2, c in self._factor_cache["D", j, dw].items():
-                out.add_term((i, j - 1), cw + dw2, sign * c)
-        return out
+                accumulate(out, ((i, j - 1), cw + dw2), sign * c)
 
     def aug_word(self, comp, word):
         cw, dw = self.split(comp, word)
@@ -339,15 +344,16 @@ class TwistedProductComplex(Complex):
         s_elt = self.D.aug_word((), dw)
         return self.A.pair_element(r_elt, s_elt)
 
-    def act_into(self, out, key, bidegree, a_left, words, a_right):
-        """Add (rL # sL) (cw (x) dw) (rR # sR) to ``out`` under the component
-        ``key``, for a_left = (rL, sL), a_right = (rR, sR) and the factor
-        words (cw, dw) = ``words`` of ``bidegree``: sL crosses cw by tau_C,
-        rR crosses dw back by tau_D, the middle pair by tau, and the outer
-        letters of both words are multiplied."""
+    def pair_act_into(self, out, factor, key, bidegree, a_left, words, a_right):
+        """Add factor * (rL # sL) (cw (x) dw) (rR # sR) to the dict ``out``
+        under the component ``key``, for a_left = (rL, sL), a_right =
+        (rR, sR) and the factor words (cw, dw) = ``words`` of ``bidegree``:
+        sL crosses cw by tau_C, rR crosses dw back by tau_D, the middle pair
+        by tau, and the outer letters of both words are multiplied."""
         (i, j), (cw, dw), (rL, sL), (rR, sR) = bidegree, words, a_left, a_right
         mul_C, mul_D = self.C.A.mul_words, self.D.A.mul_words
         for (cw1, s1), c1 in self.tau_C.apply(i, sL, cw).items():
+            c1 = factor * c1
             for (r1, dw1), c2 in self.tau_D.apply(j, dw, rR).items():
                 for (r2, s2), c3 in self.tau.apply(s1, r1).items():
                     base = c1 * c2 * c3
@@ -357,13 +363,12 @@ class TwistedProductComplex(Complex):
                             for v0, c6 in mul_D(s2, dw1[0]).items():
                                 for vl, c7 in mul_D(dw1[-1], sR).items():
                                     new_d = (v0,) + dw1[1:-1] + (vl,)
-                                    out.add_term(key, new_c + new_d,
-                                                 base * c4 * c5 * c6 * c7)
+                                    accumulate(out, (key, new_c + new_d),
+                                               base * c4 * c5 * c6 * c7)
 
-    def act_word(self, n, a_left, comp, word, a_right):
-        out = FreeElement(self.term(n))
-        self.act_into(out, comp, comp, a_left, self.split(comp, word), a_right)
-        return out
+    def act_into(self, out, factor, n, a_left, comp, word, a_right):
+        self.pair_act_into(out, factor, comp, comp, a_left,
+                           self.split(comp, word), a_right)
 
     def generator_words(self, i, j, d):
         """The words of the free generators of bidegree (i, j) in internal

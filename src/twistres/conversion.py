@@ -15,9 +15,8 @@ from .complexes import (DColumns, KoszulComplex, KoszulLeftCompat,
                         TwistedProductComplex, block_matrix, down)
 from .errors import (ActionNotAdmissible, NotLiftable, TwistInconsistent,
                      TwistresError)
-from .linalg import (SparseMatrix, accumulate, columns, rref,
-                     solve_linear_system)
-from .tensors import FreeElement
+from .linalg import (SparseMatrix, accumulate, accumulate_scaled, columns,
+                     rref, solve_linear_system, summed)
 
 
 class CompatibleChainMapPair:
@@ -83,14 +82,13 @@ def tensor_chain_maps(pair, X, Xp, name=None):
     """
     psi_R, psi_S = pair.psi_R, pair.psi_S
 
-    def oracle(n, comp, word):
+    def oracle(out, factor, n, comp, word):
         i, j = comp
         cw, dw = X.split(comp, word)
-        out = FreeElement(Xp.term(n))
-        for ((), cw2), c1 in psi_R.apply_word(i, (), cw).data.items():
-            for ((), dw2), c2 in psi_S.apply_word(j, (), dw).data.items():
-                out.add_term((i, j), cw2 + dw2, c1 * c2)
-        return out
+        right = summed(psi_S.apply_into, X.A.field.one, j, (), dw)
+        for ((), cw2), c1 in summed(psi_R.apply_into, factor, i, (), cw).items():
+            for ((), dw2), c2 in right.items():
+                accumulate(out, (comp, cw2 + dw2), c1 * c2)
 
     return ChainMap(X, Xp, oracle, name or f"{psi_R.name}(x){psi_S.name}")
 
@@ -152,11 +150,9 @@ def conversion_pi_iota(maps, X, inclusions, n_max, d_max, projections=None,
 def koszul_inclusion(K, rbar_R):
     """The standard inclusion chain map K -> reduced bar resolution of R."""
 
-    def oracle(n, comp, word):
-        out = FreeElement(rbar_R.term(n))
+    def oracle(out, factor, n, comp, word):
         for w, c in K.include_word(n, comp, word).items():
-            out.add_term((), w, c)
-        return out
+            accumulate(out, ((), w), factor * c)
 
     return ChainMap(K, rbar_R, oracle, "koszul inclusion")
 
@@ -183,7 +179,7 @@ class BootstrapLift:
         self.A = self.B.A
         self.n_max = n_max
         self.d_max = d_max
-        self._gen_values = {}          # (n, inner_word) -> FreeElement of X_n
+        self._gen_values = {}          # (n, inner_word) -> {key: coeff} of X_n
         self.chain_map = ChainMap(self.B, self.X, self._oracle, "bootstrap pi")
         cols = DColumns(self.X, d_max)
         for n in range(n_max + 1):
@@ -227,12 +223,12 @@ class BootstrapLift:
             if x is None:
                 raise NotLiftable("internal: echelon row not in image span",
                                   block=(n, d))
-            value = FreeElement(self.X.term(n))
+            value = {}
             for t, c in x.items():
-                value.add_elt(gens[t], factor=c)
+                accumulate_scaled(value, gens[t].data, c)
             for j, c in row.items():
                 if j != k:
-                    value.add_elt(self._gen_values[(n, words[j])], factor=-c)
+                    accumulate_scaled(value, self._gen_values[(n, words[j])], -c)
             self._gen_values[(n, words[k])] = value
 
     def _lift_complement(self, cols, n, d, words):
@@ -255,19 +251,17 @@ class BootstrapLift:
                 raise NotLiftable(
                     "inconsistent lift system (free-complement hypothesis failed)",
                     block=(n, d))
-            self._gen_values[(n, w)] = FreeElement(
-                self.X.term(n), {dom[j]: c for j, c in sol.items()})
+            self._gen_values[(n, w)] = {dom[j]: c for j, c in sol.items()}
 
-    def _oracle(self, n, comp, word):
+    def _oracle(self, out, factor, n, comp, word):
         inner = word[1:-1]
         value = self._gen_values.get((n, inner))
         if value is None:
             raise NotLiftable(
                 f"bootstrap lift not built for a degree-{n} word of internal "
                 f"degree {self.B.term(n).degree(comp, word)}")
-        left = self.A.monomial(word[0])
-        right = self.A.monomial(word[-1])
-        return self.X.act(n, left, value, right)
+        for (comp2, word2), c in value.items():
+            self.X.act_into(out, factor * c, n, word[0], comp2, word2, word[-1])
 
     def evaluate(self, n, elt):
         return self.chain_map.apply(n, elt)

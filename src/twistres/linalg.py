@@ -91,6 +91,14 @@ def accumulate_scaled(dst, src, factor=None):
             del dst[key]
 
 
+def summed(into, *args):
+    """The dict ``into(out, *args)`` leaves in ``out``, a new dict: the sum
+    an add-into function (an oracle's ``*_into`` form) makes from nothing."""
+    out = {}
+    into(out, *args)
+    return out
+
+
 def linear_extension(value, data):
     """The sum of c * value(key) over the terms c * key of ``data``."""
     out = {}

@@ -169,10 +169,10 @@ def test_unit_crossings_match_the_twist(name, n_max, d_max):
     for n in range(n_max + 1):
         for d in range(d_max + 1):
             for comp, word in maps.bar_A.basis(n, d):
-                got = maps._unshuffle_word(n, comp, word).data.items()
+                got = maps.twisted_unshuffle.apply_word(n, comp, word).data.items()
                 assert list(got) == reference_unshuffle(maps, n, word), word
             for comp, word in maps.Y.basis(n, d):
-                got = maps._shuffle_word(n, comp, word).data.items()
+                got = maps.twisted_shuffle.apply_word(n, comp, word).data.items()
                 assert list(got) == reference_shuffle(maps, n, word), word
 
 

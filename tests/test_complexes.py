@@ -337,11 +337,10 @@ def test_boundary_shifted_d2_fails_through_previous_degree_images():
              if key != w0 and not plain.diff_word(2, *key).is_zero())
 
     class ShiftedBar(BarComplex):
-        def diff_word(self, n, comp, word):
-            out = super().diff_word(n, comp, word)
+        def diff_into(self, out, factor, n, comp, word):
+            super().diff_into(out, factor, n, comp, word)
             if n == 2 and (comp, word) == w0:
-                return out + super().diff_word(2, *v)
-            return out
+                super().diff_into(out, factor, 2, *v)
 
     bad = ShiftedBar(A, reduced=False, n_max=3)
     assert check_d_squared(bad, 2, 1) == (True, None)
@@ -450,11 +449,10 @@ def corrupted_bar(A, augmented=None, shifted=None):
             out = super().aug_word(comp, word)
             return out + out if (comp, word) == augmented else out
 
-        def diff_word(self, n, comp, word):
-            out = super().diff_word(n, comp, word)
+        def diff_into(self, out, factor, n, comp, word):
+            super().diff_into(out, factor, n, comp, word)
             if n == 2 and shifted and (comp, word) == shifted[0]:
-                return out + super().diff_word(2, *shifted[1])
-            return out
+                super().diff_into(out, factor, 2, *shifted[1])
 
     return CorruptedBar(A, reduced=False, n_max=3)
 
@@ -564,12 +562,12 @@ def test_factor_cache_misses_reach_a_wrapped_factor_method(monkeypatch):
             return method(self, *args)
         return wrapper
 
-    for attr in ("diff_word", "act_word"):
+    for attr in ("diff_into", "act_into"):
         monkeypatch.setattr(BarComplex, attr, counting(BarComplex.__dict__[attr]))
     u, x, y = (0,), (1,), (1,)
     word = (u, x, u, u, y, u)
     first = X.diff_word(2, (1, 1), word)
-    assert calls == [(X.C, "diff_word"), (X.D, "diff_word")]
+    assert calls == [(X.C, "diff_into"), (X.D, "diff_into")]
     assert X.diff_word(2, (1, 1), word) == first
     assert len(calls) == 2
     unit = inst.A.unit

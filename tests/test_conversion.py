@@ -15,6 +15,7 @@ from twistres.errors import (ActionNotAdmissible, NotLiftable,
                              TwistInconsistent, TwistresError)
 from twistres.fields import Rationals
 from twistres.instances import builtin_instance
+from twistres.linalg import accumulate
 from twistres.tensors import TensorSubspace
 from twistres.twisting import BarLeftCompat, BarRightCompat
 
@@ -307,11 +308,11 @@ def test_bootstrap_lift_names_failing_block():
     rbar = inst.bar_maps().rbar_A
     A = rbar.A
 
-    def oracle(n, comp, word):
-        out = rbar.single(n, comp, word)
+    def oracle(out, factor, n, comp, word):
         if n == 1:
-            out = rbar.act(n, A.monomial(word[1]), out, A.monomial(A.unit))
-        return out
+            rbar.act_into(out, factor, n, word[1], comp, word, A.unit)
+        else:
+            accumulate(out, (comp, word), factor)
 
     with pytest.raises(NotLiftable) as info:
         BootstrapLift(ChainMap(rbar, rbar, oracle, "moved"), 2, 2)
@@ -327,15 +328,17 @@ def test_lift_names_the_block_a_differential_leaves():
     for window in ((1, 1), (2, 2)):
         pipe = inst.koszul_pipeline(n_max=window[0], d_max=window[1])
         X = pipe.X
-        x = X.A.monomial(X.A.basis(1)[0])
+        x = X.A.basis(1)[0]
 
         class Raised(TwistedProductComplex):
-            def diff_word(self, n, comp, word):
-                return self.act(n - 1, x, super().diff_word(n, comp, word),
-                                X.A.one())
+            def diff_into(self, out, factor, n, comp, word):
+                faces = {}
+                super().diff_into(faces, factor, n, comp, word)
+                for (comp2, word2), c in faces.items():
+                    self.act_into(out, c, n - 1, x, comp2, word2, X.A.unit)
 
         raised = Raised(X.A, X.C, X.D, X.tau_C, X.tau_D, X.n_max, name="raised")
-        iota = ChainMap(raised, pipe.iota.target, pipe.iota.apply_word, "iota")
+        iota = ChainMap(raised, pipe.iota.target, pipe.iota.apply_into, "iota")
         with pytest.raises(TwistresError, match=(
                 r"d_1 of raised leaves the degree block \[1\] at ")):
             BootstrapLift(iota, *window)

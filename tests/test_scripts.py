@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -44,6 +45,20 @@ def test_run_verification_prints_the_peak_rss():
                                out[-1]).group(1))
     assert seconds > 0
     assert len(rows) == 2 and 0 < imported <= rows[0] <= rows[1] <= total
+
+
+def test_run_verification_prints_the_cli_report_digest(capsys):
+    # each row's sha256 is that of the text "twistres verify --json" prints
+    # for the instance at the same window
+    from twistres.cli import main
+
+    window = ["--hdeg", "2", "--gdeg", "2"]
+    out = run_verification("--instances", "quantum-plane", *window).splitlines()
+    digests = [re.search(r" sha256 ([0-9a-f]{64}) ", line).group(1)
+               for line in out[1:-1]]
+    assert main(["verify", "--instance", "quantum-plane", *window, "--json"]) == 0
+    printed = capsys.readouterr().out
+    assert digests == [hashlib.sha256(printed.encode("utf-8")).hexdigest()]
 
 
 def test_negative_controls_fail_at_a_small_internal_budget():
