@@ -18,8 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .errors import BudgetExceeded, InstanceError, TwistresError
-from .linalg import (Memo, SparseMatrix, accumulate, linear_extension,
-                     null_space, rank, summed)
+from .linalg import (FlatVector, Memo, SparseMatrix, accumulate,
+                     linear_extension, null_space, rank, summed)
 from .tensors import (FreeElement, FullSlot, ReducedSlot, Signature,
                       SubspaceSlot, Term, TensorSubspace, tuple_power)
 from .twisting import CompatMap
@@ -439,8 +439,8 @@ class DColumns:
 
     ``basis(n)`` lays out the words of X_n degree by degree (the algebra's
     basis at n = -1).  ``column(n, j)`` is d_n (the augmentation at n = 0)
-    of its j-th word, a dict {row: coeff} over the positions of
-    ``basis(n - 1)``, evaluated when first read and kept until
+    of its j-th word, a ``FlatVector`` of (row, coeff) over the positions of
+    ``basis(n - 1)``, evaluated when first read and kept, read-only, until
     ``release(n)``.  ``word_column(n, word)`` reads the same column by
     word, and evaluates it without keeping it while X_n is not laid out,
     so a reader that never lays X_n out streams its columns.
@@ -476,12 +476,13 @@ class DColumns:
         return starts[degrees[0]], starts[degrees[-1] + 1]
 
     def positions(self, n, data, label, degrees=None):
-        """``data``, an element of X_n keyed by word, keyed by position; a
-        word outside the window is refused, naming the run ``degrees``
-        (all of 0..d_max by default) that ``data`` belongs to."""
+        """``data``, a dict {word of X_n: coeff}, keyed by position, as a
+        read-only ``FlatVector``; a word outside the window is refused,
+        naming the run ``degrees`` (all of 0..d_max by default) that
+        ``data`` belongs to."""
         index = self._layout(n)[1]
         try:
-            return {index[key]: c for key, c in data.items()}
+            return FlatVector.of(data, index)
         except KeyError as exc:
             raise leaves_block(label, degrees or range(self.d_max + 1),
                                exc.args[0]) from None
@@ -562,15 +563,16 @@ def block_matrix(columns, n, degrees):
     """
     lo, hi = columns.span(n, degrees)
     row_lo, row_hi = columns.span(n - 1, degrees)
-    rows = [{} for _ in range(row_lo, row_hi)]
+    matrix = SparseMatrix(row_hi - row_lo, hi - lo)
+    rows = matrix.rows
     for j in range(lo, hi):
         for i, c in columns.column(n, j).items():
             if not row_lo <= i < row_hi:
                 raise leaves_block(f"d_{n} of {columns.X.name}", degrees,
                                    columns.basis(n - 1)[i])
             rows[i - row_lo][j - lo] = c
-    return (SparseMatrix(row_hi - row_lo, hi - lo, rows),
-            columns.basis(n)[lo:hi], columns.basis(n - 1)[row_lo:row_hi])
+    return (matrix, columns.basis(n)[lo:hi],
+            columns.basis(n - 1)[row_lo:row_hi])
 
 
 def check_truncated_exactness(X, n_max, d_max, graded=True, columns=None):
@@ -610,10 +612,11 @@ def check_truncated_exactness(X, n_max, d_max, graded=True, columns=None):
 def first_nonzero_column(outer, inner):
     """The first column of ``inner`` whose product with ``outer`` is nonzero.
 
-    ``inner`` is an iterable of columns, dicts {row: coeff}, and ``outer``
-    a list of columns indexed by their rows.  Returns ``(index, column)``, the column of
-    ``outer * inner`` as a dict over the rows of ``outer``, or ``None``
-    when the product vanishes (im d_in <= ker d_out).
+    ``inner`` is an iterable of columns, vectors {row: coeff} (dicts or
+    ``FlatVector``s), and ``outer`` a list of columns indexed by their rows.
+    Returns ``(index, column)``, the column of ``outer * inner`` as a dict
+    over the rows of ``outer``, or ``None`` when the product vanishes
+    (im d_in <= ker d_out).
     """
     for j, column in enumerate(inner):
         product = linear_extension(outer.__getitem__, column)

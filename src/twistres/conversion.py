@@ -41,32 +41,37 @@ def check_compatible(pair, S, R, n_max, d_max):
 
     Left square: (psi_R (x) 1) tau_C = tau_C' (1 (x) psi_R); right square:
     (1 (x) psi_S) tau_D = tau_D' (psi_S (x) 1), with coefficient words up
-    to degree 2.  Returns (ok, witness).
+    to degree 2.  psi is summed through ``apply_into``, once per basis word
+    on the right of each square.  Returns (ok, witness).
     """
     s_words = S.basis_upto(min(2, S.max_degree))
     r_words = R.basis_upto(min(2, R.max_degree))
+    psi_R, psi_S = pair.psi_R.apply_into, pair.psi_S.apply_into
+    one = R.field.one
     for n in range(n_max + 1):
         for d in range(d_max + 1):
             for comp, word in pair.psi_R.source.basis(n, d):
+                image = summed(psi_R, one, n, comp, word)
                 for s in s_words:
                     lhs = {}
                     for (w2, s2), c in pair.tau_C.apply(n, s, word).items():
-                        for ((), w3), c2 in pair.psi_R.apply_word(n, (), w2).data.items():
-                            accumulate(lhs, (w3, s2), c * c2)
+                        for ((), w3), c2 in summed(psi_R, c, n, (), w2).items():
+                            accumulate(lhs, (w3, s2), c2)
                     rhs = {}
-                    for ((), w2), c in pair.psi_R.apply_word(n, comp, word).data.items():
+                    for ((), w2), c in image.items():
                         for (w3, s2), c2 in pair.tau_Cp.apply(n, s, w2).items():
                             accumulate(rhs, (w3, s2), c * c2)
                     if lhs != rhs:
                         return False, ("left", n, comp, word, s, lhs, rhs)
             for comp, word in pair.psi_S.source.basis(n, d):
+                image = summed(psi_S, one, n, comp, word)
                 for r in r_words:
                     lhs = {}
                     for (r2, w2), c in pair.tau_D.apply(n, word, r).items():
-                        for ((), w3), c2 in pair.psi_S.apply_word(n, (), w2).data.items():
-                            accumulate(lhs, (r2, w3), c * c2)
+                        for ((), w3), c2 in summed(psi_S, c, n, (), w2).items():
+                            accumulate(lhs, (r2, w3), c2)
                     rhs = {}
-                    for ((), w2), c in pair.psi_S.apply_word(n, comp, word).data.items():
+                    for ((), w2), c in image.items():
                         for (r2, w3), c2 in pair.tau_Dp.apply(n, w2, r).items():
                             accumulate(rhs, (r2, w3), c * c2)
                     if lhs != rhs:

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra: echelon forms, rank, solving, null spaces.
 
-Vectors are dicts ``column -> nonzero scalar``; matrices are lists of such
-rows.  Pivots are chosen column-major (leftmost column first, first usable
-row first), so every result is reproducible bit for bit.
+A vector is a dict ``column -> nonzero scalar`` while it is written; one
+that is kept and only read is a ``FlatVector``, which gives its terms by
+``items()`` as a dict does.  Matrices are lists of dict rows.  Pivots are
+chosen column-major (leftmost column first, first usable row first), so
+every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,27 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols})"
+
+
+class FlatVector(tuple):
+    """A sparse vector that is kept and only read, stored flat as key, coeff,
+    key, coeff, ...: a tuple, so no reader can change what another reads.
+    ``items()`` gives the (key, coeff) pairs, as a dict's does."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, data, index):
+        """The vector with coefficient c at index[key] for each term
+        c * key of ``data`` (a dict, or anything with ``items()``)."""
+        flat = []       # a list, not chained iterators: as fast as a dict
+        for key, c in data.items():
+            flat += (index[key], c)
+        return cls(flat)
+
+    def items(self):
+        pairs = iter(self)
+        return zip(pairs, pairs)
 
 
 def accumulate(store, key, coeff):
@@ -114,11 +137,28 @@ def rref(rows, ncols):
     ``pivots[i]`` and that column is zero elsewhere.  Input rows are not
     mutated.
     """
-    work = [dict(r) for r in rows if r]
     echelon = []
+    return echelon, _eliminate(rows, ncols, echelon)
+
+
+def rank(matrix: SparseMatrix) -> int:
+    """Exact rank over the scalar field: ``rref``'s pivots, by the forward
+    pass alone (no pivot row is kept or reduced)."""
+    return len(_eliminate(matrix.rows, matrix.ncols, None))
+
+
+def _eliminate(rows, ncols, echelon):
+    """The pivot columns of a list of dict-rows: the one elimination loop.
+
+    Each pivot row is scaled to a leading 1 and cleared from the rows left.
+    With ``echelon`` a list, it is also cleared from the pivot rows in
+    ``echelon`` and appended there (reduced echelon form); with None, the
+    pass runs forward only.  Input rows are not mutated.
+    """
+    work = [dict(r) for r in rows if r]
     pivots = []
     if not work:
-        return echelon, pivots
+        return pivots
     field = field_of(next(iter(work[0].values())))
     rational = field.characteristic == 0
     for col in range(ncols):
@@ -139,7 +179,7 @@ def rref(rows, ncols):
         # coefficient is an int or a Fraction, so "not an int" is a Fraction)
         fractional = rational and any(
             c.__class__ is not int for c in piv_row.values())
-        for row in (*work, *echelon):
+        for row in work if echelon is None else (*work, *echelon):
             f = row.get(col)
             if f:
                 accumulate_scaled(row, piv_row, -f)
@@ -148,18 +188,13 @@ def rref(rows, ncols):
                         c = row.get(j, 0)
                         if c.__class__ is not int and c.denominator == 1:
                             row[j] = c.numerator
-        echelon.append(piv_row)
+        if echelon is not None:
+            echelon.append(piv_row)
         pivots.append(col)
         work = [r for r in work if r]
         if not work:
             break
-    return echelon, pivots
-
-
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over the scalar field."""
-    _, pivots = rref(matrix.rows, matrix.ncols)
-    return len(pivots)
+    return pivots
 
 
 def member_coords(echelon, pivots, vec):

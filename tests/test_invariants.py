@@ -15,10 +15,13 @@ import pytest
 from twistres.awez import Shuffle
 from twistres.checks import (CheckReport, SignCorruptedBar, check_bimodule_map,
                              check_differential_bimodule)
-from twistres.complexes import ExactnessReport
+from twistres.complexes import (DColumns, ExactnessReport, check_d_squared,
+                                check_truncated_exactness)
+from twistres.conversion import check_compatible
 from twistres.fields import Rationals
 from twistres.instances import Budgets, builtin_instance
-from twistres.linalg import Memo, SparseMatrix, accumulate_scaled, rank
+from twistres.linalg import (FlatVector, Memo, SparseMatrix, accumulate_scaled,
+                             rank)
 from twistres.suite import run_suite
 from twistres.tensors import FreeElement
 from twistres.twisting import BarLeftCompat
@@ -269,6 +272,43 @@ def test_read_only_values_come_from_linalg_memo():
     assert sites == []
 
 
+def test_flat_vectors_are_built_in_linalg_only():
+    # FlatVector's key, coeff, key, coeff, ... layout is linalg's: elsewhere
+    # one is built by FlatVector.of from a dict and an index of its keys
+    package = Path(inspect.getfile(FreeElement)).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "FlatVector(" in line:
+                sites.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert sites == []
+
+
+def test_kept_d_columns_are_read_only():
+    # every column a DColumns keeps is a FlatVector, which refuses item
+    # assignment, and a second reader of the store reads the very objects
+    # the first one kept
+    X = builtin_instance("c2-skew").bar_maps().rbar_A
+    kept = DColumns(X, 2)
+    store = {X: kept}
+    assert check_d_squared(X, 2, 2, columns=store) == (True, None)
+    first = {n: list(kept._columns[n]) for n in range(3)}
+    assert [len(first[n]) for n in range(3)] == [len(kept.basis(n))
+                                                  for n in range(3)]
+    assert check_truncated_exactness(X, 2, 2, columns=store).exact
+    assert store == {X: kept}
+    for n, columns in first.items():
+        for j, column in enumerate(columns):
+            assert kept.column(n, j) is column
+            assert type(column) is FlatVector
+            with pytest.raises(TypeError):
+                column[0] = column[0]
+    flat = FlatVector.of({"a": 1, "b": 2}, {"a": 7, "b": 3})
+    assert flat == (7, 1, 3, 2) and list(flat.items()) == [(7, 1), (3, 2)]
+
+
 # also an aliased get, as after "get = store.get"
 ADD_AND_DROP = re.compile(r"\bget\(.*,\s*0\)\s*[-+]")
 
@@ -431,6 +471,22 @@ def test_passing_bimodule_checks_build_no_free_element(monkeypatch):
                           maps.prod_rbar)]
     assert all(r.passed for r in reports), [r.name for r in reports
                                             if not r.passed]
+    assert built == []
+
+
+def test_passing_compatibility_check_builds_no_free_element(monkeypatch):
+    # both squares of check_compatible sum psi's values through apply_into
+    inst = builtin_instance("c2-koszul-kxy")
+    pipe = inst.koszul_pipeline(n_max=2, d_max=2)
+    built = []
+    init = FreeElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FreeElement, "__init__", counted)
+    assert check_compatible(pipe.pair, inst.S, inst.R, 2, 2) == (True, None)
     assert built == []
 
 

@@ -158,8 +158,12 @@ def small_matrix(draw, max_rows=4, max_cols=4, field=Q):
 @given(st.sampled_from([Q, PrimeField(3), F5, PrimeField(7)]), st.data())
 def test_rank_nullity(field, data):
     # null_space: every vector is annihilated by every row, and the vectors
-    # and the pivots share out the columns
+    # and the pivots share out the columns; rank's forward pass finds rref's
+    # pivots and leaves the rows as they were
     m = data.draw(small_matrix(field=field))
+    rows = [dict(r) for r in m.rows]
+    assert rank(m) == len(rref(m.rows, m.ncols)[1])
+    assert m.rows == rows
     kernel = null_space(m.rows, m.ncols, field.one)
     assert rank(m) + len(kernel) == m.ncols
     assert all(product(m, v) == {} for v in kernel)
