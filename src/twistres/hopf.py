@@ -1,8 +1,9 @@
 """Hopf algebras, Hopf module actions and smash-product twists.
 
-The built-in family is a group algebra kG with group-like coproduct, but
-all oracles (coproduct, counit, antipode, action) are word-level callables,
-so table-driven Hopf algebras plug in the same way.
+The built-in family is a group algebra kG with group-like coproduct; the
+structure maps are word-level callables, so table-driven Hopf algebras plug
+in the same way.  An action is fixed by the images of R's generators
+(matrices and permutations write them) and extends through the coproduct.
 """
 
 from __future__ import annotations
@@ -13,26 +14,14 @@ from .twisting import TwistingMap
 
 
 class HopfAlgebra:
-    """A Hopf algebra structure on top of an Algebra of basis words."""
+    """A Hopf algebra on an Algebra of basis words, by word-level callables."""
 
     def __init__(self, algebra, coproduct, counit, antipode, antipode_inv):
         self.algebra = algebra
-        self._coproduct = coproduct
-        self._counit = counit
-        self._antipode = antipode
-        self._antipode_inv = antipode_inv
-
-    def coproduct(self, w):
-        return self._coproduct(w)
-
-    def counit(self, w):
-        return self._counit(w)
-
-    def antipode(self, w):
-        return self._antipode(w)
-
-    def antipode_inv(self, w):
-        return self._antipode_inv(w)
+        self.coproduct = coproduct
+        self.counit = counit
+        self.antipode = antipode
+        self.antipode_inv = antipode_inv
 
     def check_axioms(self, budget=0):
         """Coassociativity, counit and antipode laws on basis words."""
@@ -93,18 +82,45 @@ def group_hopf(group_algebra):
 
 
 class HopfAction:
-    """A left Hopf module-algebra action of H on R, given on basis words."""
+    """A left Hopf module-algebra action of H on R, given on basis words.
 
-    def __init__(self, hopf, module, oracle):
+    ``images`` maps (h word, r word) to h.r as {r word: coeff}; a pair it
+    does not list extends through the coproduct, splitting r by
+    ``R.split_first``: h.(x rest) = sum (h1.x)(h2.rest), h.1 = eps(h) 1.
+    """
+
+    def __init__(self, hopf, module, images):
         self.hopf = hopf
         self.module = module
-        self._cache = Memo(
-            lambda key: {w: c for w, c in oracle(*key).items() if c})
+        self._images = images
+        self._cache = Memo(self._evaluate)
 
     def act(self, h_word, r_word):
         if h_word == self.hopf.algebra.unit:
             return {r_word: self.module.field.one}
         return self._cache[h_word, r_word]
+
+    def _evaluate(self, key):
+        given = self._images.get(key)
+        if given is not None:
+            return {w: c for w, c in given.items() if c}
+        h_word, r_word = key
+        R = self.module
+        out = {}
+        if r_word == R.unit:
+            accumulate(out, R.unit, self.hopf.counit(h_word))
+            return out
+        split = R.split_first(r_word)
+        if split is None:
+            pair = (self.hopf.algebra.format_word(h_word), R.format_word(r_word))
+            raise ActionNotAdmissible(f"no image of {pair[1]} under {pair[0]}",
+                                      witness=pair)
+        head, rest = split
+        for (h1, h2), c in self.hopf.coproduct(h_word).items():
+            for a, ca in self.act(h1, head).items():
+                for b, cb in self.act(h2, rest).items():
+                    accumulate_scaled(out, R.mul_words(a, b), c * ca * cb)
+        return out
 
     def check(self, budget):
         """Module and module-algebra axioms with grading, on basis words."""
@@ -155,73 +171,56 @@ class HopfAction:
 
 
 def linear_group_action(hopf, R, matrices):
-    """Action of a group algebra on a polynomial ring by linear substitution.
+    """Action of a group algebra by linear substitution of R's generators.
 
-    ``matrices[g]`` has columns describing g.x_j = sum_i M[i][j] x_i; the
-    identity may be omitted.  Extension to monomials is multiplicative.
+    With x_0, x_1, ... the words of ``R.basis(1)``, ``matrices[g]`` has
+    columns describing g.x_j = sum_i M[i][j] x_i; the identity may be
+    omitted.
     """
     G = hopf.algebra.group
     field = R.field
+    gens = R.basis(1)
     images = {}
-    for g_idx in range(len(G)):
-        name = G.elements[g_idx]
-        if g_idx == G.identity and name not in matrices:
-            images[g_idx] = [R.monomial(R.var_word(j)) for j in range(R.nvars)]
+    for g, name in enumerate(G.elements):
+        if g == G.identity:
             continue
         if name not in matrices:
             raise ActionNotAdmissible(f"no matrix for group element {name}")
-        M = matrices[name]
-        cols = []
-        for j in range(R.nvars):
-            data = {}
-            for i in range(R.nvars):
-                c = M[i][j]
-                c = field.from_int(c) if isinstance(c, int) else c
-                if c:
-                    data[R.var_word(i)] = c
-            cols.append(R.element(data))
-        images[g_idx] = cols
-
-    # HopfAction.act caches each value, so the oracle runs once per pair
-    def oracle(h_word, r_word):
-        acc = R.one()
-        for j, e in enumerate(r_word):
-            for _ in range(e):
-                acc = acc * images[h_word][j]
-        return acc.data
-
-    return HopfAction(hopf, R, oracle)
+        for j, x in enumerate(gens):
+            images[g, x] = {y: field.from_int(row[j]) if isinstance(row[j], int)
+                            else row[j] for y, row in zip(gens, matrices[name])}
+    return HopfAction(hopf, R, images)
 
 
 def permutation_group_action(hopf, R):
-    """Permutation matrices: each group element permutes the variables."""
+    """Each group element, named in cycle notation, permutes the words of
+    ``R.basis(1)``: the point i stands for the i-th of them."""
     G = hopf.algebra.group
-    matrices = {}
-    for idx, name in enumerate(G.elements):
-        perm = _perm_from_name(name, R.nvars)
-        M = [[0] * R.nvars for _ in range(R.nvars)]
-        for j in range(R.nvars):
-            M[perm[j]][j] = 1
-        matrices[name] = M
-    return linear_group_action(hopf, R, matrices)
+    gens = R.basis(1)
+    images = {}
+    for g, name in enumerate(G.elements):
+        perm = _perm_from_name(name, len(gens))
+        for j, x in enumerate(gens):
+            images[g, x] = {gens[perm[j]]: R.field.one}
+    return HopfAction(hopf, R, images)
 
 
 def _perm_from_name(name, degree):
-    """Parse a cycle-notation element name like '(12)(34)' back to a tuple."""
+    """Parse a cycle-notation element name like '(12)(34)' into the list of
+    images of the points 0..degree-1."""
     perm = list(range(degree))
     if name == "e":
-        return tuple(perm)
-    try:
-        for chunk in name.replace(")(", ")|(").split("|"):
-            body = chunk.strip("()")
-            pts = [int(ch) - 1 for ch in body]
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                perm[a] = b
-    except ValueError:
-        raise ActionNotAdmissible(
-            f"element name {name!r} is not in cycle notation; "
-            "permutation actions need a symmetric or permutation group") from None
-    return tuple(perm)
+        return perm
+    for chunk in name.replace(")(", ")|(").split("|"):
+        # the point of each digit 1..9, and -1 for any other character
+        pts = ["123456789".find(ch) for ch in chunk.strip("()")]
+        if not pts or not all(0 <= p < degree for p in pts):
+            raise ActionNotAdmissible(
+                f"{name!r} names no permutation, in cycle notation, of the "
+                f"points 1..{degree} (the degree-1 generators of R)")
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            perm[a] = b
+    return perm
 
 
 def smash_twist(action, name="smash"):

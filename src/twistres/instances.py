@@ -16,7 +16,7 @@ from .algebras import (Group, GroupAlgebra, PolynomialAlgebra,
 from .awez import TwistedBarMaps
 from .complexes import KoszulComplex
 from .conversion import smash_koszul_pipeline, smash_product_complex
-from .errors import InstanceError, TwistresError
+from .errors import ActionNotAdmissible, InstanceError, TwistresError
 from .fields import FieldError, field_from_name
 from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
                    permutation_group_action, smash_twist)
@@ -283,9 +283,9 @@ def _terms(field, slots, terms, location):
 
 def _check_matrices(R, G, matrices, location):
     """Refuse a key naming no element of the group G, a missing matrix of an
-    element other than the identity, and a matrix that is not R.nvars rows
-    of R.nvars integers."""
-    n = R.nvars
+    element other than the identity, and a matrix that is not n rows of n
+    integers, n the number of R's degree-1 generators."""
+    n = len(R.basis(1))
     missing = [g for k, g in enumerate(G.elements)
                if k != G.identity and g not in matrices]
     if missing:
@@ -325,12 +325,13 @@ def _parse_twist(field, R, S, data, location):
         if not isinstance(S, GroupAlgebra):
             raise InstanceError("group_action twists need a group-algebra S",
                                 location)
-        if not isinstance(R, PolynomialAlgebra):
-            raise InstanceError("group_action twists need a polynomial R",
-                                location)
         hopf = group_hopf(S)
         if data.get("permutation_on_variables"):
-            action = permutation_group_action(hopf, R)
+            try:
+                action = permutation_group_action(hopf, R)
+            except ActionNotAdmissible as exc:
+                raise InstanceError(
+                    str(exc), f"{location}.permutation_on_variables") from None
         else:
             matrices = _check_matrices(
                 R, S.group, _need(data, "matrices", location, dict),
@@ -340,26 +341,16 @@ def _parse_twist(field, R, S, data, location):
     if kind == "hopf_action":
         hopf = _parse_hopf_tables(field, S, _need(data, "hopf", location, dict),
                                   f"{location}.hopf")
-        parsed = {}
+        images = {}
         for key, terms in _need(data, "action", location, dict).items():
             loc = f"{location}.action[{json.dumps(key)}]"
             h_name, bar, r_name = key.partition("|")
             if not bar:
                 raise InstanceError('action keys read "h | r"', loc)
             image = _terms(field, (("word", R),), terms, loc)
-            parsed[(_word(S, h_name.strip(), loc),
+            images[(_word(S, h_name.strip(), loc),
                     _word(R, r_name.strip(), loc))] = image
-
-        def oracle(h_word, r_word):
-            try:
-                return parsed[(h_word, r_word)]
-            except KeyError:
-                raise InstanceError(
-                    f"action table missing entry for "
-                    f"({S.format_word(h_word)}, {R.format_word(r_word)})",
-                    location) from None
-
-        action = HopfAction(hopf, R, oracle)
+        action = HopfAction(hopf, R, images)
         return smash_twist(action), action
     raise InstanceError(f"unknown twist kind {kind!r}", f"{location}.kind")
 
@@ -372,12 +363,17 @@ def _parse_hopf_tables(field, S, data, location):
         return group_hopf(S)
 
     def table(key, *slots):
-        # {S-word of each name: its terms over slots, or its scalar}
+        # {S-word of each name: its terms over slots, or its scalar}, with
+        # an entry for every basis word of S
         out = {}
         for name, entry in _need(data, key, location, dict).items():
             loc = f"{location}.{key}[{json.dumps(name)}]"
             out[_word(S, name, loc)] = (_terms(field, slots, entry, loc) if slots
                                         else _scalar(field, entry, loc))
+        missing = [w for w in S.basis_upto(S.max_degree) if w not in out]
+        if missing:
+            raise InstanceError(f"no entry for {S.format_word(missing[0])}",
+                                f"{location}.{key}")
         return out
 
     coproduct = table("coproduct", ("h1", S), ("h2", S))
@@ -385,11 +381,8 @@ def _parse_hopf_tables(field, S, data, location):
     antipode = table("antipode", ("word", S))
     antipode_inv = (table("antipode_inv", ("word", S))
                     if "antipode_inv" in data else antipode)
-    return HopfAlgebra(S,
-                       lambda w: coproduct[w],
-                       lambda w: counit[w],
-                       lambda w: antipode[w],
-                       lambda w: antipode_inv[w])
+    return HopfAlgebra(S, coproduct.__getitem__, counit.__getitem__,
+                       antipode.__getitem__, antipode_inv.__getitem__)
 
 
 def parse_instance(source, field_override=None, hdeg=None, gdeg=None):

@@ -336,6 +336,8 @@ def test_cli_malformed_group_tables_are_parse_errors(tmp_path, capsys, S, path):
 POLY = {"family": "polynomial", "variables": ["x"]}
 C2 = {"family": "group", "group": {"kind": "cyclic", "order": 2}}
 REWRITING_X = {"family": "rewriting", "generators": ["x"], "rules": []}
+POLY_XY = {"family": "polynomial", "variables": ["x", "y"]}
+S3 = {"family": "group", "group": {"kind": "symmetric", "degree": 3}}
 
 
 def rewriting(*terms):
@@ -463,15 +465,18 @@ def hopf_tables(**tables):
      '$.twist.hopf.antipode["g"][0]'),
     (C2, hopf_tables(counit={"g": "x"}), '$.twist.hopf.counit["g"]'),
     (C2, hopf_tables(counit={"z": "1"}), '$.twist.hopf.counit["z"]'),
-    ((REWRITING_X, C2), {"kind": "group_action", "matrices": {"g": [[-1]]}},
-     "$.twist"),
+    ((POLY_XY, S3), {"kind": "group_action", "permutation_on_variables": True},
+     "$.twist.permutation_on_variables"),
     ((REWRITING_X, C2), {"kind": "group_action",
-                         "permutation_on_variables": True}, "$.twist"),
+                         "permutation_on_variables": True},
+     "$.twist.permutation_on_variables"),
     (C2, {"kind": "group_action", "matrices": {"h": [[-1]], "g": [[-1]]}},
      '$.twist.matrices["h"]'),
     (C2, {"kind": "group_action", "matrices": {}}, "$.twist.matrices"),
     (POLY, {"kind": "bicharacter", "q": "0"}, "$.twist.q"),
     ((POLY, POLY, "F5"), {"kind": "bicharacter", "q": "5"}, "$.twist.q"),
+    (C2, hopf_tables(coproduct={"g": [{"h1": "g", "h2": "g"}]}),
+     "$.twist.hopf.coproduct"),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
@@ -479,11 +484,13 @@ def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path)
     # Hopf table that is no object, a matrix that is no square of integers,
     # a Hopf table entry that is no list of terms, a term without one of
     # its words, an unknown element name, a matrix key naming no group
-    # element, a missing matrix and a group action on an R that is no
-    # polynomial ring and a bicharacter q that is zero in the field are
-    # refused by the parser (exit 2) at their JSON path, not raised as
-    # Python errors.  S is a pair (R, S) where the case needs another R
-    # than POLY, or a triple (R, S, field) for another field than Q.
+    # element, a missing matrix, a group element that permutes no points
+    # of R's generators (S3 on two of them, or a name not in cycle
+    # notation), a bicharacter q that is zero in the field and a Hopf table
+    # that omits a basis word of S are refused by the parser (exit 2) at
+    # their JSON path, not raised as Python errors.  S is a pair (R, S)
+    # where the case needs another R than POLY, or a triple (R, S, field)
+    # for another field than Q.
     R, S, *field = S if isinstance(S, tuple) else (POLY, S)
     desc = {"name": "bad-twist", "field": field[0] if field else "Q",
             "R": R, "S": S, "twist": twist}
@@ -493,6 +500,18 @@ def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path)
     err = capsys.readouterr().err
     assert rc == 2
     assert f"error: {path}: " in err
+
+
+def test_cli_group_action_on_a_rewriting_r_verifies(tmp_path, capsys):
+    # a matrix action acts on any R through its degree-1 generators: C2
+    # negating the generator of k<x> (no rules, so k[x]) is the sign action
+    desc = {"name": "sign-on-rewriting", "field": "Q",
+            "budgets": {"hdeg": 2, "gdeg": 3}, "R": REWRITING_X, "S": C2,
+            "twist": {"kind": "group_action", "matrices": {"g": [[-1]]}}}
+    instance = tmp_path / "sign.json"
+    instance.write_text(json.dumps(desc))
+    assert main(["verify", "--instance", str(instance)]) == 0
+    assert "0 unexpected outcomes" in capsys.readouterr().out
 
 
 # (fields replacing quantum-plane's, or the instance file's whole content

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from twistres.algebras import Group, GroupAlgebra, PolynomialAlgebra
 from twistres.checks import check_identity_composition
 from twistres.complexes import KoszulComplex, KoszulLeftCompat
+from twistres.errors import ActionNotAdmissible, InstanceError
 from twistres.fields import Rationals
 from twistres.hopf import group_hopf, linear_group_action
 from twistres.instances import builtin_instance, parse_instance
+from twistres.suite import verify_reports
 from twistres.twisting import BarLeftCompat, BarRightCompat
 
 from test_twisting import assert_memo_matches_fresh
@@ -122,33 +125,43 @@ def test_bar_compat_maps_on_c2_skew():
     assert right.apply(0, (0, 0), x) == {((x, (0, 0))): Q.one}
 
 
-def test_hopf_action_tables_via_json():
-    # a table-driven Hopf action through the instance parser: kC2 expressed
-    # with explicit structure constants and action entries
-    desc = {
-        "name": "table-hopf",
-        "field": "Q",
-        "budgets": {"hdeg": 2, "gdeg": 3},
-        "R": {"family": "polynomial", "variables": ["x"]},
-        "S": {"family": "structure_constants",
-              "elements": ["e", "g"],
-              "table": [["e", "g"], ["g", "e"]]},
-        "twist": {
-            "kind": "hopf_action",
-            "hopf": {"kind": "group_algebra"},
-            "action": {
-                "e | x": [{"word": "x", "coeff": "1"}],
-                "g | x": [{"word": "x", "coeff": "-1"}],
-                "e | x^2": [{"word": "x^2", "coeff": "1"}],
-                "g | x^2": [{"word": "x^2", "coeff": "1"}],
-                "e | x^3": [{"word": "x^3", "coeff": "1"}],
-                "g | x^3": [{"word": "x^3", "coeff": "-1"}],
-                "e | 1": [{"word": "1", "coeff": "1"}],
-                "g | 1": [{"word": "1", "coeff": "1"}],
-            },
+# kC2 acting on k[x] by x -> -x, with explicit structure constants and an
+# action table that lists every word up to degree 3
+TABLE_HOPF = {
+    "name": "table-hopf",
+    "field": "Q",
+    "budgets": {"hdeg": 2, "gdeg": 3},
+    "R": {"family": "polynomial", "variables": ["x"]},
+    "S": {"family": "structure_constants",
+          "elements": ["e", "g"],
+          "table": [["e", "g"], ["g", "e"]]},
+    "twist": {
+        "kind": "hopf_action",
+        "hopf": {"kind": "group_algebra"},
+        "action": {
+            "e | x": [{"word": "x", "coeff": "1"}],
+            "g | x": [{"word": "x", "coeff": "-1"}],
+            "e | x^2": [{"word": "x^2", "coeff": "1"}],
+            "g | x^2": [{"word": "x^2", "coeff": "1"}],
+            "e | x^3": [{"word": "x^3", "coeff": "1"}],
+            "g | x^3": [{"word": "x^3", "coeff": "-1"}],
+            "e | 1": [{"word": "1", "coeff": "1"}],
+            "g | 1": [{"word": "1", "coeff": "1"}],
         },
-    }
-    inst = parse_instance(json.dumps(desc))
+    },
+}
+
+
+def with_action(desc, action):
+    """A copy of ``desc`` whose twist acts by ``action``."""
+    out = copy.deepcopy(desc)
+    out["twist"]["action"] = action
+    return out
+
+
+def test_hopf_action_tables_via_json():
+    # a table-driven Hopf action through the instance parser
+    inst = parse_instance(json.dumps(TABLE_HOPF))
     ok, failures = inst.action.check(3)
     assert ok, failures
     assert inst.tau.apply(1, (1,)) == {(((1,), 1)): Q.from_int(-1)}
@@ -191,3 +204,87 @@ def test_koszul_compat_memo_keys_on_degree():
     assert compat.apply(1, g, word) == {(word, g): Q.from_int(-1)}
     assert compat.apply(2, g, word) == {(word, g): Q.one}
     assert compat.apply(1, g, word) == compat._apply(1, g, word)
+
+
+def test_generator_images_act_like_the_full_table():
+    # the images of x alone fix the action: extended through the coproduct
+    # they give every entry of the full table, up to degree 3
+    full = parse_instance(TABLE_HOPF)
+    gens = parse_instance(with_action(
+        TABLE_HOPF, {"g | x": [{"word": "x", "coeff": "-1"}]}))
+    pairs = [(h, r) for h in full.S.basis(0) for r in full.R.basis_upto(3)]
+    assert len(pairs) == 8
+    for h, r in pairs:
+        assert gens.action.act(h, r) == full.action.act(h, r), (h, r)
+
+
+def test_generator_images_table_verifies_at_gdeg_4():
+    # a table of generator images only: the twist and the battery evaluate
+    # g on x^2, x^3, ... and on 1, which the table never lists
+    desc = with_action(TABLE_HOPF, {"g | x": [{"word": "x", "coeff": "-1"}]})
+    desc["budgets"] = {"hdeg": 3, "gdeg": 4}
+    reports = verify_reports(parse_instance(desc))
+    assert reports and all(r.ok for r in reports), \
+        [r.name for r in reports if not r.ok]
+
+
+def test_atom_without_image_is_refused_with_its_pair():
+    desc = with_action(TABLE_HOPF, {"g | x": [{"word": "x", "coeff": "-1"}]})
+    desc["R"] = {"family": "polynomial", "variables": ["x", "y"]}
+    with pytest.raises(ActionNotAdmissible) as exc:
+        parse_instance(desc)
+    assert exc.value.witness == ("g", "y")
+
+
+@pytest.mark.parametrize("key", ["coproduct", "counit", "antipode",
+                                 "antipode_inv"])
+def test_hopf_table_omitting_a_basis_word_is_refused(key):
+    hopf = {"kind": "tables",
+            "coproduct": {h: [{"h1": h, "h2": h}] for h in ("e", "g")},
+            "counit": {"e": "1", "g": "1"},
+            "antipode": {h: [{"word": h}] for h in ("e", "g")},
+            "antipode_inv": {h: [{"word": h}] for h in ("e", "g")}}
+    del hopf[key]["e"]
+    desc = copy.deepcopy(TABLE_HOPF)
+    desc["twist"]["hopf"] = hopf
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(desc)
+    assert exc.value.location == f"$.twist.hopf.{key}"
+    assert str(exc.value).endswith("no entry for e")
+
+
+# k_{-1}[x, y]: the quantum plane yx = -xy as a rewriting algebra
+QUANTUM_PLANE = {"family": "rewriting", "generators": ["x", "y"],
+                 "rules": [{"left": "y*x",
+                            "value": [{"word": "x*y", "coeff": "-1"}]}]}
+
+
+def matrix_action(R, M):
+    return {"name": "matrix-action", "field": "Q",
+            "budgets": {"hdeg": 2, "gdeg": 2}, "R": R,
+            "S": {"family": "group", "group": {"kind": "cyclic", "order": 2}},
+            "twist": {"kind": "group_action", "matrices": {"g": M}}}
+
+
+def test_swap_on_quantum_plane_verifies_with_pipeline():
+    # a smash product over a noncommutative R: the swap respects yx = -xy
+    inst = parse_instance(matrix_action(QUANTUM_PLANE, [[0, 1], [1, 0]]))
+    x, y, xy = (0,), (1,), (0, 1)
+    assert inst.action.act(1, xy) == {xy: Q.from_int(-1)}
+    assert inst.tau.apply(1, x) == {(y, 1): Q.one}
+    reports = verify_reports(inst)
+    assert all(r.ok for r in reports), [r.name for r in reports if not r.ok]
+    assert any(r.name == "pi o iota = 1 (Koszul)" and r.passed
+               for r in reports)
+
+
+def test_images_that_break_the_relations_are_refused():
+    # g.x = x + y, g.y = -y squares to 1 on k[x, y], but on k_{-1}[x, y]
+    # g.x^2 = x^2 + y^2, so g.(g.x^2) = x^2 + 2y^2 is not x^2
+    M = [[1, 0], [1, -1]]
+    inst = parse_instance(matrix_action(
+        {"family": "polynomial", "variables": ["x", "y"]}, M))
+    assert inst.action.check(4) == (True, [])
+    with pytest.raises(ActionNotAdmissible) as exc:
+        parse_instance(matrix_action(QUANTUM_PLANE, M))
+    assert exc.value.witness == ("module law", "g", "g", "x^2")
