@@ -308,7 +308,8 @@ class RewritingAlgebra(Algebra):
 
     A word is a tuple of generator indices; normal form is non-decreasing.
     ``rules[(j, i)]`` for j > i rewrites the adjacent pair (x_j, x_i) as a
-    linear combination of words of length at most 2.  The rule set is
+    linear combination of words of length at most 2; every such pair needs
+    its rule, or words would have no normal form.  The rule set is
     assumed confluent; associativity is verified up to budget by the check
     harness, which catches non-confluence at desk scale.
     """
@@ -324,6 +325,11 @@ class RewritingAlgebra(Algebra):
             for w in value:
                 if len(w) > 2:
                     raise InstanceError("rewriting rules may not raise word length")
+        missing = [(j, i) for j in range(len(generators)) for i in range(j)
+                   if (j, i) not in self.rules]
+        if missing:
+            raise InstanceError(
+                f"no rule rewrites the descent {self.format_word(missing[0])}")
         self._normal_cache = Memo(self._normalize)
         self.strongly_graded = all(
             all(len(w) == 2 for w in value) for value in self.rules.values())
@@ -339,13 +345,8 @@ class RewritingAlgebra(Algebra):
                 break
         if descent is None:
             return {word: self.field.one}
-        pair = (word[descent], word[descent + 1])
-        rule = self.rules.get(pair)
-        if rule is None:
-            raise InstanceError(
-                f"missing rewriting rule for descent {pair} in {self.name}")
         result = {}
-        for repl, c in rule.items():
+        for repl, c in self.rules[word[descent], word[descent + 1]].items():
             accumulate_scaled(
                 result, self._normal_cache[word[:descent] + repl + word[descent + 2:]], c)
         return result

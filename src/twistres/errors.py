@@ -2,7 +2,16 @@
 
 
 class TwistresError(Exception):
-    """Base class for all kernel errors."""
+    """Base class for all kernel errors. ``location``, once named, is the
+    JSON path of the input at fault, and the message starts with it."""
+
+    location = ""
+
+    def at(self, location):
+        """Name ``location``, unless the error names a path already."""
+        if not self.location:
+            self.location = location
+            self.args = (f"{location}: {self}",)
 
 
 class FieldError(TwistresError):
@@ -50,11 +59,9 @@ class NotLiftable(TwistresError):
 
 
 class InstanceError(TwistresError):
-    """Malformed instance or element description.
-
-    ``location`` is a JSON-path-like string pointing at the offending field.
-    """
+    """Malformed instance or element description."""
 
     def __init__(self, message, location=""):
-        super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
+        super().__init__(message)
+        if location:
+            self.at(location)

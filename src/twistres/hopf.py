@@ -2,8 +2,9 @@
 
 The built-in family is a group algebra kG with group-like coproduct; the
 structure maps are word-level callables, so table-driven Hopf algebras plug
-in the same way.  An action is fixed by the images of R's generators
-(matrices and permutations write them) and extends through the coproduct.
+in the same way.  An action is its images of R's generators (matrices,
+permutations and tables write them): every other value extends from them
+through the coproduct and the counit.
 """
 
 from __future__ import annotations
@@ -82,14 +83,20 @@ def group_hopf(group_algebra):
 
 
 class HopfAction:
-    """A left Hopf module-algebra action of H on R, given on basis words.
+    """A left Hopf module-algebra action of H on R, fixed by its atoms.
 
-    ``images`` maps (h word, r word) to h.r as {r word: coeff}; a pair it
-    does not list extends through the coproduct, splitting r by
-    ``R.split_first``: h.(x rest) = sum (h1.x)(h2.rest), h.1 = eps(h) 1.
+    ``images`` is read only at an atom (h, x), h not 1 and x a generator of
+    R (a word other than 1 that ``R.split_first`` leaves whole): it maps
+    the atom to h.x as {r word: coeff}. The rest extends through the Hopf
+    structure, whose axioms are verified at construction: 1.r = r,
+    h.1 = eps(h) 1 and h.(x rest) = sum (h1.x)(h2.rest).
     """
 
     def __init__(self, hopf, module, images):
+        ok, failures = hopf.check_axioms(0)
+        if not ok:
+            raise ActionNotAdmissible(
+                f"Hopf axioms fail: {failures[0]}", witness=failures[0])
         self.hopf = hopf
         self.module = module
         self._images = images
@@ -101,9 +108,6 @@ class HopfAction:
         return self._cache[h_word, r_word]
 
     def _evaluate(self, key):
-        given = self._images.get(key)
-        if given is not None:
-            return {w: c for w, c in given.items() if c}
         h_word, r_word = key
         R = self.module
         out = {}
@@ -112,9 +116,11 @@ class HopfAction:
             return out
         split = R.split_first(r_word)
         if split is None:
-            pair = (self.hopf.algebra.format_word(h_word), R.format_word(r_word))
-            raise ActionNotAdmissible(f"no image of {pair[1]} under {pair[0]}",
-                                      witness=pair)
+            if key not in self._images:
+                pair = (self.hopf.algebra.format_word(h_word), R.format_word(r_word))
+                raise ActionNotAdmissible(f"no image of {pair[1]} under {pair[0]}",
+                                          witness=pair)
+            return {w: c for w, c in self._images[key].items() if c}
         head, rest = split
         for (h1, h2), c in self.hopf.coproduct(h_word).items():
             for a, ca in self.act(h1, head).items():
@@ -145,11 +151,6 @@ class HopfAction:
                     if iterated != multiplied:
                         failures.append(("module law", H.format_word(h),
                                          H.format_word(h2), R.format_word(r)))
-            unit_img = self.act(h, R.unit)
-            expected = {}
-            accumulate(expected, R.unit, self.hopf.counit(h))
-            if unit_img != expected:
-                failures.append(("unit", H.format_word(h)))
             for r1 in r_words:
                 for r2 in r_words:
                     if R.degree(r1) + R.degree(r2) > budget:
@@ -226,16 +227,13 @@ def _perm_from_name(name, degree):
 def smash_twist(action, name="smash"):
     """tau(h (x) r) = sum ^(h1) r (x) h2, with the antipode-formula inverse.
 
-    The Hopf and module-algebra axioms are verified on basis words up to
-    degree 2 before the twist is built.
+    The module and module-algebra axioms are verified on basis words up to
+    degree 2 before the twist is built; the action verified the Hopf
+    axioms when it was made.
     """
     H = action.hopf.algebra
     R = action.module
     hopf = action.hopf
-    ok, failures = hopf.check_axioms(0)
-    if not ok:
-        raise ActionNotAdmissible(
-            f"Hopf axioms fail: {failures[0]}", witness=failures[0])
     ok, failures = action.check(min(2, R.max_degree))
     if not ok:
         raise ActionNotAdmissible(

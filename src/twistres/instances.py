@@ -16,7 +16,8 @@ from .algebras import (Group, GroupAlgebra, PolynomialAlgebra,
 from .awez import TwistedBarMaps
 from .complexes import KoszulComplex
 from .conversion import smash_koszul_pipeline, smash_product_complex
-from .errors import ActionNotAdmissible, InstanceError, TwistresError
+from .errors import (ActionNotAdmissible, InstanceError, TwistInconsistent,
+                     TwistresError)
 from .fields import FieldError, field_from_name
 from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
                    permutation_group_action, smash_twist)
@@ -203,6 +204,9 @@ def _parse_algebra(field, data, gdeg, location):
                 j, i = gens.index(pieces[0]), gens.index(pieces[1])
             except ValueError:
                 raise InstanceError(f"undeclared generator in {left!r}", loc) from None
+            if j <= i:
+                raise InstanceError(f"{left!r} is not a descent: its first "
+                                    "generator must come later", f"{loc}.left")
             value = {}
             for t, term in enumerate(_need(rule, "value", loc, list)):
                 text = _need(term, "word", f"{loc}.value[{t}]", str)
@@ -211,10 +215,13 @@ def _parse_algebra(field, data, gdeg, location):
                 except ValueError:
                     raise InstanceError(f"undeclared generator in {text!r}",
                                         f"{loc}.value[{t}].word") from None
+                if len(word) > 2:
+                    raise InstanceError("rewriting rules may not raise word length",
+                                        f"{loc}.value[{t}].word")
                 value[word] = _scalar(field, term.get("coeff", "1"),
                                       f"{loc}.value[{t}].coeff")
             rules[(j, i)] = value
-        return RewritingAlgebra(field, gens, rules, gdeg)
+        return _at(f"{location}.rules", RewritingAlgebra, field, gens, rules, gdeg)
     if family == "structure_constants":
         group = _parse_group_table(data, location, by_name=True)
         return GroupAlgebra(field, group, gdeg)
@@ -246,7 +253,7 @@ def _parse_group_table(data, location, by_name):
                 raise InstanceError(f"entry {entry!r} is not {expected}",
                                     f"{location}[{i}][{j}]")
             rows[i].append(k)
-    return Group(elements, rows, name=data.get("name", "G"))
+    return _at(location, Group, elements, rows, data.get("name", "G"))
 
 
 def _scalar(field, text, location):
@@ -257,12 +264,15 @@ def _scalar(field, text, location):
         raise InstanceError(str(exc), location) from None
 
 
-def _word(algebra, text, location):
-    """``algebra.parse_word(text)``, refused at ``location``."""
+def _at(location, build, *args):
+    """``build(*args)``, with a refusal it raises named at ``location``
+    unless it names a path already; ``location`` is a path, or a function
+    from the refusal to one."""
     try:
-        return algebra.parse_word(text)
-    except InstanceError as exc:
-        raise InstanceError(str(exc), location) from None
+        return build(*args)
+    except (InstanceError, ActionNotAdmissible, TwistInconsistent) as exc:
+        exc.at(location(exc) if callable(location) else location)
+        raise
 
 
 def _terms(field, slots, terms, location):
@@ -274,22 +284,17 @@ def _terms(field, slots, terms, location):
     out = {}
     for t, term in enumerate(terms):
         loc = f"{location}[{t}]"
-        key = tuple(_word(algebra, _need(term, name, loc, str), f"{loc}.{name}")
-                    for name, algebra in slots)
+        key = tuple(_at(f"{loc}.{name}", algebra.parse_word,
+                        _need(term, name, loc, str)) for name, algebra in slots)
         out[key if len(key) > 1 else key[0]] = _scalar(
             field, term.get("coeff", "1"), f"{loc}.coeff")
     return out
 
 
 def _check_matrices(R, G, matrices, location):
-    """Refuse a key naming no element of the group G, a missing matrix of an
-    element other than the identity, and a matrix that is not n rows of n
-    integers, n the number of R's degree-1 generators."""
+    """Refuse a key naming no element of the group G, and a matrix that is
+    not n rows of n integers, n the number of R's degree-1 generators."""
     n = len(R.basis(1))
-    missing = [g for k, g in enumerate(G.elements)
-               if k != G.identity and g not in matrices]
-    if missing:
-        raise InstanceError(f"no matrix for group element {missing[0]}", location)
     for name, M in matrices.items():
         loc = f"{location}[{json.dumps(name)}]"
         if name not in G.elements:
@@ -307,15 +312,17 @@ def _check_matrices(R, G, matrices, location):
 def _parse_twist(field, R, S, data, location):
     kind = _need(data, "kind", location)
     if kind == "generator_rules":
-        rules = {}
+        rules, where = {}, {}
         for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
-            s_word = _word(S, _need(rule, "s", loc, str), f"{loc}.s")
-            r_word = _word(R, _need(rule, "r", loc, str), f"{loc}.r")
-            rules[(s_word, r_word)] = _terms(
-                field, (("r", R), ("s", S)), _need(rule, "value", loc),
-                f"{loc}.value")
-        return twist_from_generator_rules(S, R, rules), None
+            key = (_at(f"{loc}.s", S.parse_word, _need(rule, "s", loc, str)),
+                   _at(f"{loc}.r", R.parse_word, _need(rule, "r", loc, str)))
+            rules[key] = _terms(field, (("r", R), ("s", S)),
+                                _need(rule, "value", loc), f"{loc}.value")
+            where[key] = loc
+        # a rule that breaks the unit axiom is refused with its key as witness
+        return _at(lambda exc: where[exc.witness], twist_from_generator_rules,
+                   S, R, rules), None
     if kind == "bicharacter":
         q = _scalar(field, _need(data, "q", location), f"{location}.q")
         if not q:
@@ -327,31 +334,38 @@ def _parse_twist(field, R, S, data, location):
                                 location)
         hopf = group_hopf(S)
         if data.get("permutation_on_variables"):
-            try:
-                action = permutation_group_action(hopf, R)
-            except ActionNotAdmissible as exc:
-                raise InstanceError(
-                    str(exc), f"{location}.permutation_on_variables") from None
+            where = f"{location}.permutation_on_variables"
+            action = _at(where, permutation_group_action, hopf, R)
         else:
+            where = f"{location}.matrices"
             matrices = _check_matrices(
-                R, S.group, _need(data, "matrices", location, dict),
-                f"{location}.matrices")
-            action = linear_group_action(hopf, R, matrices)
-        return smash_twist(action), action
+                R, S.group, _need(data, "matrices", location, dict), where)
+            action = _at(where, linear_group_action, hopf, R, matrices)
+        return _at(where, smash_twist, action), action
     if kind == "hopf_action":
         hopf = _parse_hopf_tables(field, S, _need(data, "hopf", location, dict),
                                   f"{location}.hopf")
-        images = {}
+        images, where = {}, {}
         for key, terms in _need(data, "action", location, dict).items():
             loc = f"{location}.action[{json.dumps(key)}]"
             h_name, bar, r_name = key.partition("|")
             if not bar:
                 raise InstanceError('action keys read "h | r"', loc)
-            image = _terms(field, (("word", R),), terms, loc)
-            images[(_word(S, h_name.strip(), loc),
-                    _word(R, r_name.strip(), loc))] = image
-        action = HopfAction(hopf, R, images)
-        return smash_twist(action), action
+            pair = (_at(loc, S.parse_word, h_name), _at(loc, R.parse_word, r_name))
+            if pair in where:
+                raise InstanceError(f"names the pair of {where[pair]} again", loc)
+            images[pair] = _terms(field, (("word", R),), terms, loc)
+            where[pair] = loc
+        # the action reads its atoms off the table; every other entry must
+        # be what they give
+        action = _at(f"{location}.hopf", HopfAction, hopf, R, images)
+        tau = _at(f"{location}.action", smash_twist, action)
+        for pair, image in images.items():
+            listed, extended = R.element(image), R.element(action.act(*pair))
+            if listed != extended:
+                raise InstanceError(f"lists {listed}, but the images of R's "
+                                    f"generators give {extended}", where[pair])
+        return tau, action
     raise InstanceError(f"unknown twist kind {kind!r}", f"{location}.kind")
 
 
@@ -368,8 +382,9 @@ def _parse_hopf_tables(field, S, data, location):
         out = {}
         for name, entry in _need(data, key, location, dict).items():
             loc = f"{location}.{key}[{json.dumps(name)}]"
-            out[_word(S, name, loc)] = (_terms(field, slots, entry, loc) if slots
-                                        else _scalar(field, entry, loc))
+            out[_at(loc, S.parse_word, name)] = (
+                _terms(field, slots, entry, loc) if slots
+                else _scalar(field, entry, loc))
         missing = [w for w in S.basis_upto(S.max_degree) if w not in out]
         if missing:
             raise InstanceError(f"no entry for {S.format_word(missing[0])}",

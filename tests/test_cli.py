@@ -10,6 +10,8 @@ from twistres.fields import PrimeField
 from twistres.instances import BUILTIN_NAMES, builtin_instance, parse_instance
 from twistres.serialize import complex_registry, element_to_json, parse_element
 
+from test_hopf import QUANTUM_PLANE
+
 DATA = "src/twistres/data"
 
 
@@ -317,10 +319,16 @@ def test_cli_verify_exit_codes(capsys):
     ({"family": "group", "group": {"kind": "table", "elements": ["e", "g"],
                                    "table": [[0, 5], [1, 0]]}},
      "$.S.group.table[0][1]"),
+    ({"family": "structure_constants", "elements": ["e", "g"],
+      "table": [["e", "g"], ["g", "g"]]}, "$.S.table"),
+    ({"family": "group", "group": {"kind": "table", "elements": ["e", "g"],
+                                   "table": [[1, 0], [0, 0]]}},
+     "$.S.group.table"),
 ])
 def test_cli_malformed_group_tables_are_parse_errors(tmp_path, capsys, S, path):
-    # an unknown element name, a ragged table and an out-of-range index are
-    # all refused by the parser (exit 2) at their JSON path
+    # an unknown element name, a ragged table, an out-of-range index and a
+    # table that breaks the group axioms (g without inverse, no identity)
+    # are all refused by the parser (exit 2) at their JSON path
     desc = {"name": "bad-table", "field": "Q",
             "R": {"family": "polynomial", "variables": ["x"]}, "S": S,
             "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
@@ -364,13 +372,20 @@ def rewriting(*terms):
      "$.R.generators"),
     ({"family": "rewriting", "generators": [7, "y"], "rules": []}, C2,
      "$.R.generators"),
+    ({"family": "rewriting", "generators": ["x", "y"],
+      "rules": [{"left": "x*y", "value": [{"word": "x*y"}]}]}, C2,
+     "$.R.rules[0].left"),
+    (rewriting({"word": "x*x*y"}), C2, "$.R.rules[0].value[1].word"),
+    ({"family": "rewriting", "generators": ["x", "y"], "rules": []}, C2,
+     "$.R.rules"),
 ])
 def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
     # a group size that is not an integer, a rule word naming an undeclared
     # generator, a rule term without a string word, a rewriting field of
-    # the wrong type and a name list that is no list of distinct strings
-    # are refused by the parser (exit 2) at their JSON path, not raised as
-    # Python errors
+    # the wrong type, a name list that is no list of distinct strings, a
+    # rule on a pair that is no descent, a rule that raises word length and
+    # a descent without a rule are refused by the parser (exit 2) at their
+    # JSON path, not raised as Python errors
     desc = {"name": "bad-algebra", "field": "Q", "R": R, "S": S,
             "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
                       "action": {}}}
@@ -477,6 +492,24 @@ def hopf_tables(**tables):
     ((POLY, POLY, "F5"), {"kind": "bicharacter", "q": "5"}, "$.twist.q"),
     (C2, hopf_tables(coproduct={"g": [{"h1": "g", "h2": "g"}]}),
      "$.twist.hopf.coproduct"),
+    (C2, hopf_action({"g | x": [{"word": "x", "coeff": "-1"}],
+                      "g | x^3": [{"word": "x^3"}]}),
+     '$.twist.action["g | x^3"]'),
+    (C2, hopf_action({"g | x": [{"word": "x", "coeff": "-1"}],
+                      "e | x": [{"word": "x", "coeff": "2"}]}),
+     '$.twist.action["e | x"]'),
+    ((POLY_XY, C2), hopf_action({"g | x": [{"word": "x", "coeff": "-1"}]}),
+     "$.twist.action"),
+    ((QUANTUM_PLANE, C2), {"kind": "group_action",
+                           "matrices": {"g": [[1, 0], [1, -1]]}},
+     "$.twist.matrices"),
+    (C2, hopf_tables(antipode={"e": [{"word": "e"}], "g": [{"word": "e"}]}),
+     "$.twist.hopf"),
+    (POLY, generator_rules([{"s": "x", "r": "x", "value": [{"r": "x", "s": "x"}]},
+                            {"s": "1", "r": "x", "value": [{"r": "x", "s": "x"}]}]),
+     "$.twist.rules[1]"),
+    (C2, hopf_action({"g | x": [{"word": "x", "coeff": "-1"}],
+                      "g|x": [{"word": "x"}]}), '$.twist.action["g|x"]'),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
@@ -486,10 +519,14 @@ def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path)
     # its words, an unknown element name, a matrix key naming no group
     # element, a missing matrix, a group element that permutes no points
     # of R's generators (S3 on two of them, or a name not in cycle
-    # notation), a bicharacter q that is zero in the field and a Hopf table
-    # that omits a basis word of S are refused by the parser (exit 2) at
-    # their JSON path, not raised as Python errors.  S is a pair (R, S)
-    # where the case needs another R than POLY, or a triple (R, S, field)
+    # notation), a bicharacter q that is zero in the field, a Hopf table
+    # that omits a basis word of S or breaks the Hopf axioms, an action
+    # entry that its generator images contradict (e | x = 2x, g | x^3 =
+    # x^3 where g | x = -x), a generator without an image, images that break
+    # R's relations, a generator rule that breaks the unit axiom and an
+    # action key that names a pair already listed are refused by the parser
+    # (exit 2) at their JSON path, not raised as Python errors.  S is a pair
+    # (R, S) where the case needs another R than POLY, or a triple (R, S, field)
     # for another field than Q.
     R, S, *field = S if isinstance(S, tuple) else (POLY, S)
     desc = {"name": "bad-twist", "field": field[0] if field else "Q",

@@ -8,7 +8,7 @@ from twistres.checks import check_identity_composition
 from twistres.complexes import KoszulComplex, KoszulLeftCompat
 from twistres.errors import ActionNotAdmissible, InstanceError
 from twistres.fields import Rationals
-from twistres.hopf import group_hopf, linear_group_action
+from twistres.hopf import HopfAction, group_hopf, linear_group_action
 from twistres.instances import builtin_instance, parse_instance
 from twistres.suite import verify_reports
 from twistres.twisting import BarLeftCompat, BarRightCompat
@@ -228,6 +228,40 @@ def test_generator_images_table_verifies_at_gdeg_4():
         [r.name for r in reports if not r.ok]
 
 
+def test_action_reads_its_table_at_atoms_only():
+    # entries off the atoms (e, 1 or x^2) are never read: the action is the
+    # sign action its one generator image gives
+    R = PolynomialAlgebra(Q, ["x"], 4)
+    e, g, one, x, x2 = 0, 1, (0,), (1,), (2,)
+    action = HopfAction(c2_hopf(), R, {(g, x): {x: Q.from_int(-1)},
+                                       (e, x): {x: Q.from_int(2)},
+                                       (g, one): {one: Q.from_int(3)},
+                                       (g, x2): {x2: Q.from_int(5)}})
+    assert action.act(e, x) == {x: Q.one}
+    assert action.act(g, one) == {one: Q.one}
+    assert action.act(g, x2) == {x2: Q.one}
+    assert action.act(g, (3,)) == {(3,): Q.from_int(-1)}
+
+
+@pytest.mark.parametrize("key, terms, listed, extended", [
+    ("g | x^3", [{"word": "x^3"}], "1*x^3", "-1*x^3"),
+    ("e | x", [{"word": "x", "coeff": "2"}], "2*x", "1*x"),
+    ("g | 1", [{"word": "1", "coeff": "-1"}], "-1*1", "1*1"),
+])
+def test_entry_its_generator_images_contradict_is_refused(key, terms, listed,
+                                                          extended):
+    # with g | x = -x, the table may list any other entry, but only as the
+    # value the generator images give; the refusal names the entry and
+    # both values
+    desc = with_action(TABLE_HOPF, {"g | x": [{"word": "x", "coeff": "-1"}],
+                                    key: terms})
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(desc)
+    assert exc.value.location == f"$.twist.action[{json.dumps(key)}]"
+    assert f"lists {listed}," in str(exc.value)
+    assert str(exc.value).endswith(f"give {extended}")
+
+
 def test_atom_without_image_is_refused_with_its_pair():
     desc = with_action(TABLE_HOPF, {"g | x": [{"word": "x", "coeff": "-1"}]})
     desc["R"] = {"family": "polynomial", "variables": ["x", "y"]}
@@ -288,3 +322,11 @@ def test_images_that_break_the_relations_are_refused():
     with pytest.raises(ActionNotAdmissible) as exc:
         parse_instance(matrix_action(QUANTUM_PLANE, M))
     assert exc.value.witness == ("module law", "g", "g", "x^2")
+
+
+def test_action_refusal_keeps_its_witness_at_its_path():
+    with pytest.raises(ActionNotAdmissible) as exc:
+        parse_instance(matrix_action(QUANTUM_PLANE, [[1, 0], [1, -1]]))
+    assert exc.value.location == "$.twist.matrices"
+    assert exc.value.witness == ("module law", "g", "g", "x^2")
+    assert str(exc.value).startswith("$.twist.matrices: action axioms fail")
