@@ -21,6 +21,7 @@ from .errors import (ActionNotAdmissible, InstanceError, TwistInconsistent,
 from .fields import FieldError, field_from_name
 from .hopf import (HopfAction, HopfAlgebra, group_hopf, linear_group_action,
                    permutation_group_action, smash_twist)
+from .suite import battery_windows
 from .twisting import bicharacter_twist, twist_from_generator_rules
 
 
@@ -57,7 +58,7 @@ class Instance:
     """A validated instance with lazy construction of its resolutions."""
 
     def __init__(self, name, field, R, S, tau, budgets, action=None,
-                 description="", run_pipeline=True):
+                 description=""):
         self.name = name
         self.field = field
         self.R = R
@@ -66,7 +67,6 @@ class Instance:
         self.budgets = budgets
         self.action = action
         self.description = description
-        self.run_pipeline = run_pipeline
         self._maps = None
         self._pipelines = {}           # (n_max, d_max) -> Conversion
 
@@ -91,12 +91,14 @@ class Instance:
                              n_max if n_max is not None else self.budgets.hdeg)
 
     def koszul_pipeline(self, n_max=None, d_max=None):
+        """The pipeline through (n_max, d_max); defaults: battery_windows."""
         if self.action is None:
             raise InstanceError(
                 f"instance {self.name} has no Hopf action; "
                 "the Koszul pipeline needs one")
-        key = (n_max if n_max is not None else self.budgets.hdeg,
-               d_max if d_max is not None else min(self.budgets.gdeg, 3))
+        window = battery_windows(self).pipeline
+        key = (window[0] if n_max is None else n_max,
+               window[1] if d_max is None else d_max)
         if key not in self._pipelines:
             self._pipelines[key] = smash_koszul_pipeline(self.bar_maps(), *key)
         return self._pipelines[key]
@@ -193,7 +195,7 @@ def _parse_algebra(field, data, gdeg, location):
         return GroupAlgebra(field, group, gdeg)
     if family == "rewriting":
         gens = _names(data, "generators", location)
-        rules = {}
+        rules, where = {}, {}
         for k, rule in enumerate(_need(data, "rules", location, list)):
             loc = f"{location}.rules[{k}]"
             left = _need(rule, "left", loc, str)
@@ -207,6 +209,7 @@ def _parse_algebra(field, data, gdeg, location):
             if j <= i:
                 raise InstanceError(f"{left!r} is not a descent: its first "
                                     "generator must come later", f"{loc}.left")
+            _once(where, (j, i), f"{loc}.left", "descent")
             value = {}
             for t, term in enumerate(_need(rule, "value", loc, list)):
                 text = _need(term, "word", f"{loc}.value[{t}]", str)
@@ -275,6 +278,13 @@ def _at(location, build, *args):
         raise
 
 
+def _once(where, key, location, what):
+    """Note ``key``'s entry at ``location``, refused when one came before."""
+    if key in where:
+        raise InstanceError(f"names the {what} of {where[key]} again", location)
+    where[key] = location
+
+
 def _terms(field, slots, terms, location):
     """{word: coeff} of a list of terms whose field ``name`` is a word of
     ``algebra`` for each (name, algebra) of ``slots`` (a tuple of words for
@@ -317,9 +327,9 @@ def _parse_twist(field, R, S, data, location):
             loc = f"{location}.rules[{k}]"
             key = (_at(f"{loc}.s", S.parse_word, _need(rule, "s", loc, str)),
                    _at(f"{loc}.r", R.parse_word, _need(rule, "r", loc, str)))
+            _once(where, key, loc, "pair")
             rules[key] = _terms(field, (("r", R), ("s", S)),
                                 _need(rule, "value", loc), f"{loc}.value")
-            where[key] = loc
         # a rule that breaks the unit axiom is refused with its key as witness
         return _at(lambda exc: where[exc.witness], twist_from_generator_rules,
                    S, R, rules), None
@@ -352,10 +362,8 @@ def _parse_twist(field, R, S, data, location):
             if not bar:
                 raise InstanceError('action keys read "h | r"', loc)
             pair = (_at(loc, S.parse_word, h_name), _at(loc, R.parse_word, r_name))
-            if pair in where:
-                raise InstanceError(f"names the pair of {where[pair]} again", loc)
+            _once(where, pair, loc, "pair")
             images[pair] = _terms(field, (("word", R),), terms, loc)
-            where[pair] = loc
         # the action reads its atoms off the table; every other entry must
         # be what they give
         action = _at(f"{location}.hopf", HopfAction, hopf, R, images)
@@ -430,12 +438,8 @@ def parse_instance(source, field_override=None, hdeg=None, gdeg=None):
     S = _parse_algebra(field, _need(data, "S", "$"), budgets.gdeg, "$.S")
     tau, action = _parse_twist(field, R, S, _need(data, "twist", "$"), "$.twist")
     tau.name = f"tau({name})"
-    pipeline = data.get("pipeline", True)
-    if not isinstance(pipeline, bool):
-        raise InstanceError("pipeline must be true or false", "$.pipeline")
     return Instance(name, field, R, S, tau, budgets, action=action,
-                    description=data.get("description", ""),
-                    run_pipeline=pipeline)
+                    description=data.get("description", ""))
 
 
 BUILTIN_NAMES = (

@@ -11,6 +11,7 @@ positive check passes and every negative control fails.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 from .checks import (CheckReport, SignCorruptedBar, check_associativity,
                      check_bimodule_map, check_chain_map, check_d_squared_report,
@@ -21,10 +22,30 @@ from .complexes import DColumns
 from .errors import InstanceError, TwistresError
 
 
-def _cap(budgets, hdeg, gdeg):
-    n_max = budgets.hdeg if hdeg is None else hdeg
-    d_max = budgets.gdeg if gdeg is None else gdeg
-    return n_max, d_max
+def battery_windows(instance, hdeg=None, gdeg=None):
+    """Every window of the battery on ``instance``, capped by its budgets
+    or by ``hdeg``/``gdeg`` when given (the pair ``budget``)."""
+    n = instance.budgets.hdeg if hdeg is None else hdeg
+    d = instance.budgets.gdeg if gdeg is None else gdeg
+    w = SimpleNamespace(
+        budget=(n, d), product=min(3, d), twist=min(4, d),
+        koszul=(min(3, n), min(3, d)), koszul_exact=(min(2, n), min(3, d)),
+        square=(min(3, n), min(3, d)), exact=(min(2, n), min(3, d)),
+        bimodule=(min(2, n), min(2, d)), in2=(min(2, n), min(3, d)),
+        identity=(n, min(4, d)), ez_aw=(min(2, n), 2),
+        control=(3, 2), control_exact=(2, 2),
+        closed=(min(3, n), min(2, d)), pipeline=(n, min(3, d)))
+    # degree-0 parts bigger than 2 (large group algebras) blow block sizes
+    # up combinatorially; those instances run on trimmed windows.  The
+    # corrupted bar's summand multiplies two non-unit inner letters, so it
+    # is zero below internal degree 2 unless A has non-unit degree-0 words;
+    # large group parts have them, and run its control at degree 0
+    if len(instance.A.basis(0)) > 2:
+        w.square = w.exact = (min(2, n), 0)
+        w.bimodule = w.in2 = (1, 1)
+        w.identity, w.control, w.control_exact = (min(3, n), 1), (3, 0), (2, 0)
+        w.closed = w.pipeline = (min(2, n), min(1, d))
+    return w
 
 
 def verify_reports(instance, seed=0, exhaustive=False):
@@ -38,48 +59,38 @@ def verify_reports(instance, seed=0, exhaustive=False):
 
 
 def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
-    """Execute the full battery; returns a list of CheckReport."""
-    n_max, d_max = _cap(instance.budgets, hdeg, gdeg)
+    """The battery's reports, on the windows of ``battery_windows``."""
+    w = battery_windows(instance, hdeg, gdeg)
     name = instance.name
     reports = []
 
     # multiplication laws of the factors and the twisted product
-    assoc_deg = min(d_max, 3)
-    reports.append(check_associativity(instance.R, assoc_deg, instance=name))
-    reports.append(check_associativity(instance.S, assoc_deg, instance=name))
+    reports.append(check_associativity(instance.R, w.product, instance=name))
+    reports.append(check_associativity(instance.S, w.product, instance=name))
 
-    # twisting axiom; the corrupted instance is a documented negative control,
-    # checked at degree 4 whatever the budget so its first witness, the
-    # quadruple (1, z, y, x), stays inside the window
+    # twisting axiom, whose failure ends the battery; the corrupted instance
+    # is a documented negative control, checked at degree 4 whatever the
+    # budget so its first witness (1, z, y, x) stays inside the window
     expect_twist_failure = name == "corrupted-twist"
     reports.append(check_twist_axiom_report(
-        instance.tau, 4 if expect_twist_failure else min(d_max, 4),
+        instance.tau, 4 if expect_twist_failure else w.twist,
         instance=name, expect_failure=expect_twist_failure))
-    if expect_twist_failure:
+    if not reports[-1].passed:
         return reports
 
-    reports.append(check_associativity(instance.A, assoc_deg, instance=name))
-    reports.append(check_twist_inverse(instance.tau, min(d_max, 4), instance=name))
+    reports.append(check_associativity(instance.A, w.product, instance=name))
+    reports.append(check_twist_inverse(instance.tau, w.twist, instance=name))
 
     maps = instance.bar_maps()
     graded = instance.graded
-    # degree-0 parts bigger than 2 (large group algebras) blow block sizes
-    # up combinatorially; those instances run on trimmed windows
-    small = len(instance.A.basis(0)) <= 2
-    exact_h = min(2, n_max)
-    exact_d = min(3, d_max) if small else 0
-    square_h = min(3, n_max) if small else min(2, n_max)
-    square_d = min(3, d_max) if small else 0
-    bimod_h, bimod_d = (min(2, n_max), min(2, d_max)) if small else (1, 1)
-    ident_h, ident_d = (n_max, min(d_max, 4)) if small else (min(3, n_max), 1)
 
     # d^2, exactness and the chain-map squares read each complex's
     # d-columns (complexes.DColumns) from one store, entered before their
     # first reader.  Each pair of squares runs after the d^2 and exactness
     # checks of its two complexes, and the columns no later pair reads are
     # dropped, so two complexes hold columns at a time; rbar(A)'s stay for
-    # the pipeline's iota square.  The reports keep the battery's order.
-    pipeline = instance.action is not None and instance.run_pipeline
+    # the pipeline's iota square at their window.  The reports keep the order.
+    keep_rbar = instance.action is not None and w.pipeline[1] == w.square[1]
     exact_on = (maps.bar_A, maps.rbar_A, maps.Y, maps.prod_rbar)
     pairs = ((maps.twisted_unshuffle, maps.twisted_shuffle),
              (maps.aw_unreduced, maps.ez_unreduced),
@@ -88,19 +99,18 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
     for k, pair in enumerate(pairs):
         for X in (pair[0].source, pair[0].target):
             if X not in d2:
-                columns[X] = DColumns(X, square_d)
-                d2[X] = check_d_squared_report(X, square_h, square_d,
+                columns[X] = DColumns(X, w.square[1])
+                d2[X] = check_d_squared_report(X, *w.square,
                                                instance=name, columns=columns)
                 if X in exact_on:
                     exact[X] = check_exactness_report(
-                        X, exact_h, exact_d, graded, instance=name,
-                        columns=columns)
+                        X, *w.exact, graded, instance=name, columns=columns)
         for f in pair:
-            squares[f] = check_chain_map(f, square_h, square_d, instance=name,
+            squares[f] = check_chain_map(f, *w.square, instance=name,
                                          columns=columns)
         later = {X for f, _ in pairs[k + 1:] for X in (f.source, f.target)}
         columns = {X: cols for X, cols in columns.items()
-                   if X in later or (pipeline and X is maps.rbar_A)}
+                   if X in later or (keep_rbar and X is maps.rbar_A)}
     reports.extend(d2[X] for X in (maps.bar_A, maps.rbar_A, maps.Y,
                                    maps.prod_bar, maps.prod_rbar))
     reports.extend(exact[X] for X in exact_on)
@@ -110,65 +120,61 @@ def run_suite(instance, hdeg=None, gdeg=None, seed=0, exhaustive=False):
         K = None      # R has no quadratic presentation
     if K is not None:
         # d^2 and exactness read K's columns, at one window
-        columns[K] = DColumns(K, min(3, d_max))
-        reports.append(check_d_squared_report(K, min(3, n_max), min(3, d_max),
-                                              instance=name, columns=columns))
-        reports.append(check_exactness_report(K, exact_h, min(3, d_max), True,
+        columns[K] = DColumns(K, w.koszul[1])
+        reports.append(check_d_squared_report(K, *w.koszul, instance=name,
+                                              columns=columns))
+        reports.append(check_exactness_report(K, *w.koszul_exact, True,
                                               instance=name, columns=columns))
         del columns[K]
 
-    reports.append(check_differential_bimodule(maps.rbar_A, square_h, square_d,
+    reports.append(check_differential_bimodule(maps.rbar_A, *w.square,
                                                instance=name, seed=seed))
-    reports.append(check_differential_bimodule(maps.prod_rbar, square_h, square_d,
+    reports.append(check_differential_bimodule(maps.prod_rbar, *w.square,
                                                instance=name, seed=seed))
 
     reports.extend(squares.values())
 
     for f in (maps.twisted_unshuffle, maps.twisted_shuffle, maps.aw_reduced,
               maps.ez_reduced):
-        reports.append(check_bimodule_map(f, bimod_h, bimod_d,
+        reports.append(check_bimodule_map(f, *w.bimodule,
                                           instance=name, seed=seed,
                                           exhaustive=exhaustive))
     # in_2 is a bimodule map exactly when the twist creates no units on
     # the pairs its check meets: coefficients of degree <= 2 against words
-    # of degree <= in2_d
-    in2_d = min(3, d_max) if small else 1
+    # of degree <= its internal window
     reports.append(check_bimodule_map(
-        maps.inclusion_reduced_product, bimod_h, in2_d,
+        maps.inclusion_reduced_product, *w.in2,
         instance=name, seed=seed, exhaustive=exhaustive,
-        expect_failure=instance.tau.creates_units(in2_d + 2)))
+        expect_failure=instance.tau.creates_units(w.in2[1] + 2)))
 
     reports.append(check_identity_composition(
-        maps.aw_reduced, maps.ez_reduced, ident_h, ident_d, instance=name,
+        maps.aw_reduced, maps.ez_reduced, *w.identity, instance=name,
         name="AW o EZ = 1"))
     # EZ o AW = 1 holds below internal degree 2 on example-5.2, so the
     # control runs at degree 2 whatever the budget
     reports.append(check_identity_composition(
-        maps.ez_reduced, maps.aw_reduced, min(2, n_max), 2,
+        maps.ez_reduced, maps.aw_reduced, *w.ez_aw,
         instance=name, name="EZ o AW = 1 (negative control)",
         expect_failure=True))
 
-    if name == "example-5.2" and n_max >= 3:
+    if name == "example-5.2" and w.budget[0] >= 3:
         reports.extend(example_52_value_reports(instance))
 
     # documented corrupted differential: d^2 and exactness must both flag
-    # it.  The control runs at its own fixed window, whatever the budget.
-    # Its corrupted summand multiplies two non-unit inner letters, so it is
-    # zero below internal degree 2 unless A has non-unit degree-0 words;
-    # large group parts have them, and run the control at degree 0
+    # it.  The control runs at its own fixed homological window, whatever
+    # the budget
     corrupted = SignCorruptedBar(instance.A, n_max=3)
-    control_d = 2 if small else 0
-    columns[corrupted] = DColumns(corrupted, control_d)
-    reports.append(check_d_squared_report(corrupted, 3, control_d,
+    columns[corrupted] = DColumns(corrupted, w.control[1])
+    reports.append(check_d_squared_report(corrupted, *w.control,
                                           instance=name, expect_failure=True,
                                           columns=columns))
-    reports.append(check_exactness_report(corrupted, 2, control_d, graded,
+    reports.append(check_exactness_report(corrupted, *w.control_exact, graded,
                                           instance=name, expect_failure=True,
                                           columns=columns))
     del columns[corrupted]
 
-    if pipeline:
-        reports.extend(pipeline_reports(instance, n_max, min(d_max, 3),
+    if instance.action is not None:
+        reports.extend(pipeline_reports(instance, *w.pipeline,
                                         columns=columns))
     return reports
 
@@ -204,11 +210,11 @@ def example_52_value_reports(instance):
 def pipeline_reports(instance, n_max=None, d_max=None, columns=None):
     """Koszul-smash pipeline checks for instances carrying a Hopf action.
 
-    Every check runs on the window the pipeline was built for.
-    ``columns`` (a store of d-columns, see ``complexes.d_columns``) may hold
-    rbar(A)'s from the caller's chain-map squares, which iota's square reads;
-    X's, which d^2 and iota's square read, are entered here and dropped
-    after them.
+    Every check runs on the window the pipeline was built for,
+    ``Instance.koszul_pipeline(n_max, d_max)``.  ``columns`` (a store of
+    d-columns, see ``complexes.d_columns``) may hold rbar(A)'s from the
+    caller's chain-map squares, which iota's square reads; X's, which d^2
+    and iota's square read, are entered here and dropped after them.
     """
     name = instance.name
     label = "koszul pipeline: construction"
@@ -248,11 +254,9 @@ def group_closed_form_reports(instance, n_max=None, d_max=None):
         raise ValueError(f"instance {name} carries no group action")
     maps = instance.bar_maps()
     action = instance.action
-    small = len(instance.A.basis(0)) <= 2
-    if n_max is None:
-        n_max = min(3, instance.budgets.hdeg) if small else min(2, instance.budgets.hdeg)
-    if d_max is None:
-        d_max = min(2, instance.budgets.gdeg) if small else min(1, instance.budgets.gdeg)
+    window = battery_windows(instance).closed
+    n_max = window[0] if n_max is None else n_max
+    d_max = window[1] if d_max is None else d_max
 
     def first_mismatch(X, generic, closed):
         for n in range(n_max + 1):

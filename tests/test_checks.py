@@ -11,7 +11,8 @@ from twistres.complexes import DColumns
 from twistres.errors import NotLiftable, TwistresError
 from twistres.instances import builtin_instance
 from twistres.linalg import accumulate_scaled
-from twistres.suite import group_closed_form_reports, pipeline_reports, run_suite
+from twistres.suite import (battery_windows, group_closed_form_reports,
+                            pipeline_reports, run_suite)
 
 
 def test_chain_map_check_flags_flipped_sign():
@@ -184,6 +185,16 @@ def test_run_suite_builds_the_pipeline_on_its_window(monkeypatch):
     assert [r.budget for r in reports[start:]] == [{"hdeg": 2}] + [
         {"hdeg": 2, "gdeg": 2}] * 4
     assert [d for X, d in built if X is rbar_A] == [2]
+
+
+def test_trimmed_instances_run_the_pipeline_on_the_closed_window():
+    # a degree-0 part of 6 words trims the windows; the pipeline then runs
+    # where the closed forms do
+    inst = builtin_instance("s3-perm-kxyz")
+    w = battery_windows(inst)
+    assert w.square == w.exact == (2, 0) and w.bimodule == w.in2 == (1, 1)
+    assert w.pipeline == w.closed == (2, 1)
+    assert battery_windows(builtin_instance("c2-skew")).pipeline == (4, 3)
 
 
 def test_closed_form_witness_names_first_failing_block(monkeypatch):

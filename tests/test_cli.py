@@ -255,6 +255,9 @@ VERIFY_DIGESTS = [
      "4aad317a502f082f5936b32403e29650c1ab4c22221f3d7723742346568187f1"),
     (["--instance", "c2-swap-kxy", "--hdeg", "2", "--gdeg", "2"],
      "92a0ab06342563504e6d5edd8a0c79e9ab6cafc570c83bafe80f7793c960c143"),
+    # the trimmed windows, the Koszul pipeline at (2, 1) included
+    (["--instance", "s3-perm-kxyz"],
+     "d0eb6d349dc86d352a2b2c516d7706db21c3a7d880c6f4c9f53f7c7741c116c6"),
 ]
 
 
@@ -284,6 +287,38 @@ def test_cli_usage_error_exit_code(capsys):
 def test_cli_verify_takes_seed_and_exhaustive(capsys):
     assert main(["verify", "--instance", "quantum-plane", "--hdeg", "2",
                  "--gdeg", "2", "--exhaustive", "--seed", "1"]) == 0
+
+
+# sha256 of the stdout of "twistres convert --instance c2-skew --pipeline P
+# --json"
+CONVERT_DIGESTS = [
+    ("koszul-smash",
+     "777b838a701534581fb04780c7bbbec88dc1d2fabf47cc9c7323bad48cad2c6b"),
+    ("bar-identity",
+     "4f534c9c92c018556692bee69dd9ae4953633588ec8cd9631eee8a8a06203529"),
+]
+
+
+@pytest.mark.parametrize("pipeline, digest", CONVERT_DIGESTS,
+                         ids=[p for p, _ in CONVERT_DIGESTS])
+def test_cli_convert_json_is_pinned(capsys, pipeline, digest):
+    assert main(["convert", "--instance", "c2-skew", "--pipeline", pipeline,
+                 "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_cli_convert_runs_a_trimmed_instance_on_its_windows(capsys):
+    # s3-perm-kxyz's pipeline is built through (2, 1), and convert samples
+    # generators inside that window only, where pi inverts iota
+    assert main(["convert", "--instance", "s3-perm-kxyz", "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["generator_images"]
+    assert all(g["pi_iota_is_identity"] for g in cert["generator_images"])
+    assert main(["convert", "--instance", "s3-perm-kxyz",
+                 "--pipeline", "bar-identity", "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert [c["budget"] for c in cert["checks"]] == [{"hdeg": 2, "gdeg": 0}] * 3
 
 
 def test_cli_seed_is_refused_outside_verify(capsys):
@@ -378,14 +413,18 @@ def rewriting(*terms):
     (rewriting({"word": "x*x*y"}), C2, "$.R.rules[0].value[1].word"),
     ({"family": "rewriting", "generators": ["x", "y"], "rules": []}, C2,
      "$.R.rules"),
+    ({"family": "rewriting", "generators": ["x", "y"],
+      "rules": [{"left": "y*x", "value": [{"word": "x*y", "coeff": "2"}]},
+                {"left": "y*x", "value": [{"word": "x*y", "coeff": "-1"}]}]},
+     C2, "$.R.rules[1].left"),
 ])
 def test_cli_malformed_algebras_are_parse_errors(tmp_path, capsys, R, S, path):
     # a group size that is not an integer, a rule word naming an undeclared
     # generator, a rule term without a string word, a rewriting field of
     # the wrong type, a name list that is no list of distinct strings, a
-    # rule on a pair that is no descent, a rule that raises word length and
-    # a descent without a rule are refused by the parser (exit 2) at their
-    # JSON path, not raised as Python errors
+    # rule on a pair that is no descent, a rule that raises word length, a
+    # descent without a rule and a second rule on one descent are refused
+    # by the parser (exit 2) at their JSON path, not raised as Python errors
     desc = {"name": "bad-algebra", "field": "Q", "R": R, "S": S,
             "twist": {"kind": "hopf_action", "hopf": {"kind": "group_algebra"},
                       "action": {}}}
@@ -435,6 +474,13 @@ def test_smallest_budgets_parse():
     desc["budgets"] = {"hdeg": 1, "gdeg": 1}
     assert parse_instance(desc).budgets.hdeg == 1
     assert builtin_instance("quantum-plane", hdeg=1, gdeg=1).budgets.gdeg == 1
+
+
+def test_pipeline_key_is_not_read():
+    # every instance with an action runs the pipeline; a "pipeline" key is
+    # ignored like any other unknown key
+    desc = json.loads(open(f"{DATA}/instances/c2-skew.json").read())
+    assert parse_instance({**desc, "pipeline": "no"}).action is not None
 
 
 def hopf_action(action):
@@ -510,6 +556,11 @@ def hopf_tables(**tables):
      "$.twist.rules[1]"),
     (C2, hopf_action({"g | x": [{"word": "x", "coeff": "-1"}],
                       "g|x": [{"word": "x"}]}), '$.twist.action["g|x"]'),
+    (POLY, generator_rules([{"s": "x", "r": "x",
+                             "value": [{"r": "x", "s": "x", "coeff": "2"}]},
+                            {"s": " x", "r": "x",
+                             "value": [{"r": "x", "s": "x"}]}]),
+     "$.twist.rules[1]"),
 ])
 def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path):
     # a rules or value field that is no list, a scalar that is no literal
@@ -524,10 +575,10 @@ def test_cli_malformed_twists_are_parse_errors(tmp_path, capsys, S, twist, path)
     # entry that its generator images contradict (e | x = 2x, g | x^3 =
     # x^3 where g | x = -x), a generator without an image, images that break
     # R's relations, a generator rule that breaks the unit axiom and an
-    # action key that names a pair already listed are refused by the parser
-    # (exit 2) at their JSON path, not raised as Python errors.  S is a pair
-    # (R, S) where the case needs another R than POLY, or a triple (R, S, field)
-    # for another field than Q.
+    # action key or generator rule that names a pair already listed are
+    # refused by the parser (exit 2) at their JSON path, not raised as
+    # Python errors.  S is a pair (R, S) where the case needs another R than
+    # POLY, or a triple (R, S, field) for another field than Q.
     R, S, *field = S if isinstance(S, tuple) else (POLY, S)
     desc = {"name": "bad-twist", "field": field[0] if field else "Q",
             "R": R, "S": S, "twist": twist}
@@ -562,8 +613,8 @@ MALFORMED_INSTANCES = [
     ({"field": {"p": 5}}, [], "$.field"),
     ({"field": {"prime": "x"}}, [], "$.field"),
     (None, ["--field", "Fx"], "$.field"),
-    ({"pipeline": "no"}, [], "$.pipeline"),
-    ({"pipeline": 0}, [], "$.pipeline"),
+    ({"R": 7}, [], "$.R"),
+    ({"twist": [1]}, [], "$.twist"),
     ({"field": "FG7"}, [], "$.field"),
     (None, ["--field", "GF(5"], "$.field"),
 ]
@@ -573,9 +624,9 @@ MALFORMED_INSTANCES = [
 def test_cli_malformed_instances_are_parse_errors(tmp_path, capsys, content,
                                                   args, path):
     # a top-level value that is no object, a field descriptor that names no
-    # field (from the file or from --field) and a pipeline flag that is no
-    # JSON boolean are refused by the parser (exit 2) at their JSON path,
-    # not raised as Python errors or read as truthy
+    # field (from the file or from --field) and an algebra or twist
+    # descriptor that is no object are refused by the parser (exit 2) at
+    # their JSON path, not raised as Python errors
     instance = "quantum-plane"
     if content is not None:
         if isinstance(content, dict):
@@ -585,6 +636,19 @@ def test_cli_malformed_instances_are_parse_errors(tmp_path, capsys, content,
         instance.write_text(json.dumps(content))
     assert main(["verify", "--instance", str(instance), *args]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_cli_failed_twist_axiom_ends_the_battery(tmp_path, capsys):
+    # the corrupted twist under a name that marks no control: its axiom
+    # fails unexpectedly, and nothing runs on a product that is no algebra
+    desc = json.loads(open(f"{DATA}/instances/corrupted-twist.json").read())
+    desc["name"] = "my-broken"
+    path = tmp_path / "my-broken.json"
+    path.write_text(json.dumps(desc))
+    assert main(["verify", "--instance", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("3 checks, 1 unexpected outcomes\n")
+    assert "twist" in out.splitlines()[2] and "FAIL" in out.splitlines()[2]
 
 
 def test_cli_verify_flags_broken_instance(tmp_path, capsys):
